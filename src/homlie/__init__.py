@@ -33,6 +33,7 @@ from .derivation import (
     verify_leibniz,
 )
 from .errors import (
+    BadSize,
     CocycleConditionFailed,
     ConditionsFailed,
     DivisionByZero,

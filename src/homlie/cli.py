@@ -25,9 +25,9 @@ from .bracket import (
     monomial_triples,
 )
 from .derivation import make_context
-from .errors import ExprSyntaxError, HomlieError
+from .errors import BadSize, ExprSyntaxError, HomlieError
 from .extension import (
-    make_central_extension,
+    _assemble_extension,
     verify_centrality,
     verify_cocycle_condition,
     virasoro_cocycle,
@@ -52,12 +52,24 @@ from .report import Report
 from .scalar import Scalar
 
 
+def _positive(name: str, value: int) -> int:
+    """Reject a window or pair count below 1: an empty sweep would pass
+    vacuously."""
+    if value < 1:
+        raise BadSize(f"{name} must be a positive integer, got {value}")
+    return value
+
+
 def _default_window(args_window: int | None, fallback: int) -> int:
     if args_window is not None:
-        return args_window
+        return _positive("--window", args_window)
     env = os.environ.get("HOMLIE_WINDOW")
     if env:
-        return int(env)
+        try:
+            window = int(env)
+        except ValueError:
+            raise BadSize(f"HOMLIE_WINDOW must be a positive integer, got {env!r}") from None
+        return _positive("HOMLIE_WINDOW", window)
     return fallback
 
 
@@ -217,7 +229,7 @@ def run_suite(name: str, window: int, perturb=None) -> Report:
                      witness=None if sub.ok else
                      f"{sub.first_failure().id}: {sub.first_failure().witness}")
         if sub.ok:
-            ext = make_central_extension(base, g, window=window)
+            ext = _assemble_extension(base, g, window)
             cent = verify_centrality(ext, window=window)
             report.check("centrality", "centrality", cent.ok,
                          witness=None if cent.ok else cent.first_failure().witness)
@@ -321,10 +333,11 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
+    pairs = _positive("--pairs", args.pairs)
     rep = Report(suite="catalogue")
     rows = []
     for entry in catalogue():
-        sub = entry.verify(pairs=args.pairs)
+        sub = entry.verify(pairs=pairs)
         rep.check(entry.name, "product-rule", sub.ok)
         rows.append({"name": entry.name, "pair": entry.pair,
                      "status": "pass" if sub.ok else "fail"})

@@ -57,6 +57,11 @@ class CocycleConditionFailed(HomlieError):
     """The 2-cocycle condition failed; no central extension built."""
 
 
+class BadSize(HomlieError):
+    """A window or pair count from the command line or the environment
+    is not a positive integer."""
+
+
 class ExprSyntaxError(HomlieError):
     """Parse error with position and expectation information."""
 

@@ -30,7 +30,11 @@ CENTRAL = "c"
 
 
 class Cocycle:
-    """Alternating Scalar-valued 2-form given by a closure on indices."""
+    """Alternating Scalar-valued 2-form given by a closure on indices.
+
+    Each value is computed once per instance: ``value`` looks (i, j) up
+    in the instance's memo and calls the closure only on a miss.
+    """
 
     def __init__(
         self,
@@ -39,11 +43,15 @@ class Cocycle:
         specialization_guard: Callable[[int, int, Fraction, Fraction], None] | None = None,
     ):
         self._value = value
+        self._memo: dict[tuple[int, int], Scalar] = {}
         self.zero_sum_supported = zero_sum_supported
         self._guard = specialization_guard
 
     def value(self, i: int, j: int) -> Scalar:
-        return self._value(i, j)
+        v = self._memo.get((i, j))
+        if v is None:
+            v = self._memo[(i, j)] = self._value(i, j)
+        return v
 
     def bilinear(self, x: Combo, y: Combo) -> Scalar:
         total = Scalar.zero()
@@ -53,7 +61,7 @@ class Cocycle:
             for j, b in y.terms.items():
                 if j == CENTRAL:
                     continue
-                total = total + a * b * self._value(i, j)
+                total = total + a * b * self.value(i, j)
         return total
 
     @staticmethod
@@ -62,7 +70,7 @@ class Cocycle:
 
     def perturbed(self, at: tuple[int, int], delta: Scalar) -> "Cocycle":
         def value(i: int, j: int) -> Scalar:
-            base = self._value(i, j)
+            base = self.value(i, j)
             if (i, j) == at:
                 return base + delta
             return base
@@ -75,7 +83,7 @@ class Cocycle:
         if self._guard is not None:
             self._guard(n, m, p0, q0)
         try:
-            return self._value(n, m).specialize(p0, q0)
+            return self.value(n, m).specialize(p0, q0)
         except PoleAtPoint as exc:
             raise PoleAtSpecialization(str(exc)) from exc
 
@@ -192,6 +200,15 @@ def make_central_extension(
     if not pre.ok:
         first = pre.first_failure()
         raise CocycleConditionFailed(f"{first.id}: {first.witness}")
+    return _assemble_extension(base, g, window)
+
+
+def _assemble_extension(
+    base: GradedAlgebra, g: Cocycle, window: int
+) -> CentralExtension:
+    """The extension by a cocycle whose condition the caller has already
+    verified on the window; its Hom-Jacobi identity is re-checked on
+    the window capped at 3."""
 
     def bracket_gen(i: Key, j: Key) -> Combo:
         if i == CENTRAL or j == CENTRAL:

@@ -237,11 +237,23 @@ def render_param_poly(poly: ParamPoly) -> str:
 
 # -- gcd of parameter polynomials -------------------------------------------
 #
-# Bivariate gcd over Q[p,q] by the classical content/primitive-part
-# recursion: p is the main variable, the coefficients are univariate
-# polynomials in q, and the primitive part comes from monic Euclid over
-# the rational-function field Q(q).  Quotients of scalars are reduced by
-# this gcd on construction; equality never relies on it.
+# Quotients of scalars are reduced by this gcd on construction; equality
+# never depends on it, because scalars are compared by cross-multiplying.
+#
+# After ``_normalize_param`` both inputs are polynomials in Z[p, q] with
+# content 1 and no monomial factor.  ``param_gcd`` first tries GCDHEU
+# (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): evaluate p at an
+# integer xi >= 2 min(|f|, |g|) + 2, where |.| is the largest coefficient
+# magnitude, take the gcd of the images in Z[q] the same way (evaluate q,
+# then ``math.gcd``), and rebuild a candidate from the symmetric xi-adic
+# digits of that gcd.  Its primitive part is accepted only if it divides
+# both inputs exactly over Z; the theorem behind GCDHEU says that such a
+# candidate is the gcd.  Otherwise xi grows and the evaluation is tried
+# again, a bounded number of times.  When every try fails, the gcd comes
+# from the classical content/primitive-part recursion: p is the main
+# variable, the coefficients are polynomials in q, and the primitive part
+# comes from monic Euclid over the field Q(q).  Both routes give the same
+# canonical associate.
 
 
 def _normalize_param(f: ParamPoly) -> ParamPoly:
@@ -339,8 +351,9 @@ def _euclid_in_p(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return _normalize_param(result.exact_div(_content_wrt_p(result)))
 
 
-def param_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
-    """Gcd in Q[p^+-1, q^+-1], canonically normalized."""
+def _gcd_euclid(f: ParamPoly, g: ParamPoly) -> ParamPoly:
+    """Gcd by content/primitive-part Euclid: the fallback of
+    ``param_gcd`` and the oracle its tests compare with."""
     f, g = _normalize_param(f), _normalize_param(g)
     if f.is_zero():
         return g
@@ -353,6 +366,127 @@ def param_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     pf, pg = f.exact_div(cf), g.exact_div(cg)
     prim = _euclid_in_p(pf, pg)
     return _normalize_param(cont * prim)
+
+
+# Integer polynomials for the heuristic: {(i, j): int}, exponents >= 0.
+IntPoly = dict[Exps, int]
+
+_HEU_TRIES = 6
+# give up on an evaluation point whose images would exceed this many bits
+_HEU_MAX_BITS = 20000
+
+
+def _evaluate_int(f: IntPoly, var: int, xi: int) -> IntPoly:
+    """Substitute xi for p (var=0) or q (var=1); the image keeps its
+    terms under exponent 0 of the substituted variable."""
+    out: IntPoly = {}
+    for (i, j), c in f.items():
+        if var == 0:
+            e, k = (0, j), i
+        else:
+            e, k = (0, 0), j
+        out[e] = out.get(e, 0) + c * xi ** k
+    return {e: c for e, c in out.items() if c}
+
+
+def _genpoly(gamma: IntPoly, var: int, xi: int) -> IntPoly:
+    """Inverse of ``_evaluate_int``: expand each coefficient of gamma in
+    symmetric base-xi digits, digit k becoming the coefficient of the
+    k-th power of the variable."""
+    out: IntPoly = {}
+    half = xi // 2
+    k = 0
+    while gamma:
+        rest: IntPoly = {}
+        for (i, j), c in gamma.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(k, j) if var == 0 else (0, k)] = d
+            if c != d:
+                rest[(i, j)] = (c - d) // xi
+        gamma = rest
+        k += 1
+    return out
+
+
+def _z_divides(d: IntPoly, f: IntPoly) -> bool:
+    """True when d divides f in Z[p, q]: long division in lex order,
+    stopped at the first quotient term outside Z[p, q] or outside the
+    quotient's degree bounds."""
+    lead = max(d)
+    lead_c = d[lead]
+    tail = [(e, c) for e, c in d.items() if e != lead]
+    top_p = max(i for i, _ in f) - lead[0]
+    top_q = max(j for _, j in f) - max(j for _, j in d)
+    if top_p < 0 or top_q < 0:
+        return False
+    rem = dict(f)
+    while rem:
+        e = max(rem)
+        qi, qj = e[0] - lead[0], e[1] - lead[1]
+        if not (0 <= qi <= top_p and 0 <= qj <= top_q):
+            return False
+        c, r = divmod(rem.pop(e), lead_c)
+        if r:
+            return False
+        for (i, j), co in tail:
+            k = (i + qi, j + qj)
+            v = rem.get(k, 0) - c * co
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return True
+
+
+def _gcd_heuristic(f: IntPoly, g: IntPoly, var: int = 0) -> IntPoly | None:
+    """GCDHEU in Z[p, q] for nonzero f and g whose variables before
+    ``var`` have been evaluated away.  Returns the gcd, integer content
+    included, up to sign, or None when the heuristic gives up."""
+    cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
+    content = _int_gcd(cf, cg)
+    while var < 2 and not any(e[var] for e in f) and not any(e[var] for e in g):
+        var += 1
+    if var == 2 or f.keys() == {(0, 0)} or g.keys() == {(0, 0)}:
+        return {(0, 0): content}
+    f = {e: c // cf for e, c in f.items()}
+    g = {e: c // cg for e, c in g.items()}
+    top = max(e[var] for e in (*f, *g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * top > _HEU_MAX_BITS:
+            return None
+        fx, gx = _evaluate_int(f, var, xi), _evaluate_int(g, var, xi)
+        gamma = _gcd_heuristic(fx, gx, var + 1) if fx and gx else None
+        if gamma is not None:
+            cand = _genpoly(gamma, var, xi)
+            cc = _int_gcd(*cand.values())
+            cand = {e: c // cc for e, c in cand.items()}
+            if cand == {(0, 0): 1} or _z_divides(cand, f) and _z_divides(cand, g):
+                return {e: c * content for e, c in cand.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def param_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
+    """Gcd in Q[p^+-1, q^+-1], canonically normalized: min exponents 0,
+    integer content 1, positive leading graded-lex coefficient."""
+    f, g = _normalize_param(f), _normalize_param(g)
+    if f.is_zero():
+        return g
+    if g.is_zero():
+        return f
+    gcd = _gcd_heuristic(
+        {e: c.numerator for e, c in f.terms.items()},
+        {e: c.numerator for e, c in g.terms.items()},
+    )
+    if gcd is None:
+        return _gcd_euclid(f, g)
+    if gcd[max(gcd, key=_grlex_key)] < 0:
+        gcd = {e: -c for e, c in gcd.items()}
+    return ParamPoly(gcd)
 
 
 def param_lcm(f: ParamPoly, g: ParamPoly) -> ParamPoly:

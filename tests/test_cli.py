@@ -170,3 +170,25 @@ class TestOtherCommands:
         code, _, err = run(capsys, "specialize", "1/(p-q)", "1", "1")
         assert code == 2
         assert "PoleAtPoint" in err
+
+
+class TestBadSizes:
+    def test_negative_window(self, capsys):
+        code, out, err = run(capsys, "verify", "witt", "--window", "-1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--window" in err
+
+    def test_negative_pairs(self, capsys):
+        code, out, err = run(capsys, "catalogue", "--pairs", "-5")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--pairs" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_window_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HOMLIE_WINDOW", value)
+        code, out, err = run(capsys, "verify", "sl2")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err

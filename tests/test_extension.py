@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from homlie import cli, extension
 from homlie.algebra import Combo
 from homlie.bracket import verify_hom_jacobi
 from homlie.errors import CocycleConditionFailed, PoleAtSpecialization
@@ -138,3 +141,45 @@ class TestFactorMap:
     def test_wrong_center_action_fails(self, vir):
         rep = verify_f_compatibility(vir, lambda x, a: a * Scalar.from_int(2), window=1)
         assert any(e.id.startswith("identity-on-center") for e in rep.failures)
+
+
+class TestCocycleMemo:
+    def test_virasoro_suite_evaluates_each_value_once(self, monkeypatch):
+        real = virasoro_cocycle()
+        evaluations = Counter()
+
+        def counting_cocycle():
+            def value(i, j):
+                evaluations[(i, j)] += 1
+                return real.value(i, j)
+
+            return Cocycle(value, zero_sum_supported=True)
+
+        sweeps = []
+
+        def counting_sweep(*args, **kwargs):
+            sweeps.append(args)
+            return verify_cocycle_condition(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "virasoro_cocycle", counting_cocycle)
+        monkeypatch.setattr(cli, "verify_cocycle_condition", counting_sweep)
+        monkeypatch.setattr(extension, "verify_cocycle_condition", counting_sweep)
+        assert cli.run_suite("virasoro", 3).ok
+        assert evaluations and set(evaluations.values()) == {1}
+        assert len(sweeps) == 1
+
+    def test_perturbed_cocycle_still_blocks_construction(self, witt):
+        g = virasoro_cocycle()
+        assert verify_cocycle_condition(g, witt, window=3).ok  # fills g's memo
+        with pytest.raises(CocycleConditionFailed):
+            make_central_extension(witt, g.perturbed((3, -3), ONE), window=3)
+
+    def test_perturbed_memo_is_its_own(self):
+        g = virasoro_cocycle()
+        base = g.value(2, -2)
+        bad = g.perturbed((2, -2), ONE)
+        for _ in range(2):
+            assert bad.value(2, -2) == base + ONE
+            assert bad.value(2, -2) != base
+        assert g.value(2, -2) == base
+        assert bad.value(3, -3) == g.value(3, -3)

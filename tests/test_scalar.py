@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homlie import scalar
 from homlie.errors import DivisionByZero, PoleAtPoint
 from homlie.scalar import (
     ONE,
@@ -162,3 +164,67 @@ class TestParamGcd:
         s = (P ** 2 - Q ** 2) / (P - Q)
         assert s.den == ParamPoly.one()
         assert s.num == (P + Q).num
+
+
+def gcd_inputs():
+    """Nonzero Laurent polynomials in p, q with rational coefficients of
+    either sign, shifted by a random monomial."""
+    coeff = st.fractions(
+        min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4
+    ).filter(bool)
+    exp = st.integers(min_value=0, max_value=3)
+    terms = st.dictionaries(st.tuples(exp, exp), coeff, min_size=1, max_size=4)
+    shift = st.integers(min_value=-2, max_value=2)
+    return st.builds(lambda t, i, j: ParamPoly(t).shift(i, j), terms, shift, shift)
+
+
+def euclid_only(f, g):
+    """The Euclid gcd with the heuristic switched off everywhere, so
+    the oracle shares no gcd code with the path under test."""
+    with mock.patch.object(scalar, "_gcd_heuristic", lambda *args: None):
+        return scalar._gcd_euclid(f, g)
+
+
+class TestGcdHeuristic:
+    @given(gcd_inputs(), gcd_inputs(), gcd_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_of_products(self, f, g, c):
+        a, b = f * c, g * c
+        h = param_gcd(a, b)
+        cofactor_a, cofactor_b = a.exact_div(h), b.exact_div(h)
+        assert param_gcd(cofactor_a, cofactor_b) == ParamPoly.one()
+        h.exact_div(scalar._normalize_param(c))
+        assert h.terms == euclid_only(a, b).terms
+
+    @pytest.mark.parametrize(
+        "f,g", [(Q - 2, P ** 2 + Q ** 2), (Q ** 2 + P, Q ** 2 - P), (P * Q + 2, Q - 3)]
+    )
+    def test_unlucky_evaluation_point_is_rejected(self, f, g):
+        # the first evaluation point gives the images a common factor
+        # that f and g do not share; exact division must reject it
+        assert param_gcd(f.num, g.num) == ParamPoly.one()
+
+    def test_heuristic_reconstructs_negative_digits(self):
+        f = ((P ** 3 - Q ** 3) * (P + 2 * Q)).num
+        g = ((P ** 2 - Q ** 2) * (P - 3 * Q)).num
+        got = scalar._gcd_heuristic(
+            {e: int(c) for e, c in f.terms.items()},
+            {e: int(c) for e, c in g.terms.items()},
+        )
+        assert got is not None
+        assert scalar._normalize_param(ParamPoly(got)) == (P - Q).num
+
+    def test_fallback_when_heuristic_gives_up(self, monkeypatch):
+        calls = []
+        real_euclid = scalar._gcd_euclid
+
+        def euclid(f, g):
+            calls.append((f, g))
+            return real_euclid(f, g)
+
+        monkeypatch.setattr(scalar, "_gcd_heuristic", lambda *args: None)
+        monkeypatch.setattr(scalar, "_gcd_euclid", euclid)
+        f = ((P + Q) * (P - Q) * Scalar.from_int(5)).num
+        g = ((P + Q) * Scalar.from_int(7)).num.shift(2, -1)
+        assert param_gcd(f, g) == (P + Q).num
+        assert calls
