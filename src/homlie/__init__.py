@@ -7,7 +7,7 @@ coefficients; every identity the package claims is checked by exact
 equality, never numerically.
 """
 
-from .algebra import Combo, GradedAlgebra, algebras_equal_on_window, from_table, perturb_algebra
+from .algebra import Combo, GradedAlgebra, algebras_equal_on_window, perturb_algebra
 from .bracket import (
     TwistMap,
     bracket_forced,
@@ -48,7 +48,6 @@ from .errors import (
     NotWeakMorphism,
     PoleAtPoint,
     PoleAtSpecialization,
-    WindowExceeded,
 )
 from .extension import (
     CentralExtension,

@@ -15,8 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import WindowExceeded
-from .scalar import Scalar
+from .scalar import Scalar, Sparse
 
 Key = int | str
 
@@ -25,72 +24,15 @@ def _key_order(k: Key):
     return (0, k, "") if isinstance(k, int) else (1, 0, k)
 
 
-class Combo:
+class Combo(Sparse):
     """Finite Scalar-linear combination of basis keys."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Key, Scalar] | None = None):
-        self.terms: dict[Key, Scalar] = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero():
-                    self.terms[k] = c
-
-    @staticmethod
-    def zero() -> "Combo":
-        return Combo()
+    __slots__ = ()
 
     @staticmethod
     def basis(key: Key, coeff: Scalar | int = 1) -> "Combo":
         c = coeff if isinstance(coeff, Scalar) else Scalar.from_int(coeff)
         return Combo({key: c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Combo") -> "Combo":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        r = Combo()
-        r.terms = out
-        return r
-
-    def __neg__(self) -> "Combo":
-        r = Combo()
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other: "Combo") -> "Combo":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Combo":
-        if c.is_zero():
-            return Combo()
-        r = Combo()
-        r.terms = {k: co * c for k, co in self.terms.items()}
-        return r
-
-    def coeff(self, key: Key) -> Scalar:
-        return self.terms.get(key, Scalar.zero())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Combo):
-            return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
-
-    __hash__ = None
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Combo":
-        return Combo({k: fn(c) for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -124,8 +66,6 @@ class GradedAlgebra:
     ):
         self.name = name
         self.basis = tuple(basis) if basis is not None else None  # None: Z-graded
-        self._bracket_raw = bracket_gen
-        self._twist_raw = twist_gen
         self.bracket_gen = lru_cache(maxsize=None)(bracket_gen)
         self.twist_gen = lru_cache(maxsize=None)(twist_gen)
         self.provenance = provenance or {}
@@ -150,35 +90,6 @@ class GradedAlgebra:
 
     def __repr__(self) -> str:
         return f"GradedAlgebra({self.name})"
-
-
-def from_table(
-    name: str,
-    table: dict[tuple[Key, Key], Combo],
-    twist_table: dict[Key, Combo],
-    window: int,
-) -> GradedAlgebra:
-    """Wrap explicit structure-constant tables; queries outside the stored
-    window raise WindowExceeded instead of silently truncating."""
-
-    def bracket_gen(i: Key, j: Key) -> Combo:
-        if (i, j) in table:
-            return table[(i, j)]
-        if (j, i) in table:
-            return -table[(j, i)]
-        if isinstance(i, int) and isinstance(j, int):
-            if abs(i) <= window and abs(j) <= window and i == j:
-                return Combo.zero()
-        raise WindowExceeded(f"bracket ({i},{j}) outside the stored window")
-
-    def twist_gen(i: Key) -> Combo:
-        if i in twist_table:
-            return twist_table[i]
-        raise WindowExceeded(f"twist of {i} outside the stored window")
-
-    keys = sorted(twist_table, key=_key_order)
-    return GradedAlgebra(name, bracket_gen, twist_gen, basis=None if all(
-        isinstance(k, int) for k in keys) else keys)
 
 
 def perturb_algebra(alg: GradedAlgebra, at: tuple[Key, Key], delta: Combo) -> GradedAlgebra:

@@ -33,13 +33,16 @@ from .extension import (
     virasoro_cocycle,
 )
 from .families import (
+    SL2_COEFF,
     ScaleMorphism,
+    bracket_via_context,
     check_morphism,
     classical_witt,
     diagram_report,
     expand_in_d_basis,
     inverse_twist_example,
     sigma_sigma_witt,
+    sl2_expand,
     sl2_pq,
     witt_pq,
     witt_pq_forced,
@@ -135,116 +138,117 @@ def _apply_perturbation(alg: GradedAlgebra, name: str, perturb) -> GradedAlgebra
     return perturb_algebra(alg, (i, j), Combo.basis(bump_key))
 
 
+def _suite_witt(window: int, perturb) -> Report:
+    alg = _apply_perturbation(witt_pq(), "witt", perturb)
+    report = Report(suite="witt", window=window)
+    ctx = alg.provenance["ctx"]
+    coeff = alg.provenance["coeff"]
+    for n in range(-window, window + 1):
+        for m in range(-window, window + 1):
+            via_ops = expand_in_d_basis(bracket_general(ctx, coeff(n), coeff(m)))
+            ok = via_ops == alg.bracket_gen(n, m)
+            report.check(
+                f"structure-({n},{m})", "witt-structure", ok,
+                witness=None if ok else f"operators give {via_ops}, "
+                f"table gives {alg.bracket_gen(n, m)}",
+            )
+    small = max(2, window - 2)
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
+    report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, monomial_triples(small)))
+    return report
+
+
+def _suite_witt_forced(window: int, perturb) -> Report:
+    alg = _apply_perturbation(witt_pq_forced(), "witt-forced", perturb)
+    report = Report(suite="witt-forced", window=window)
+    ctx = alg.provenance["ctx"]
+    report.absorb("conditions", "forced-conditions", check_forced_conditions(ctx, window=window))
+    for n in range(-window, window + 1):
+        for m in range(-window, window + 1):
+            via_ops = expand_in_d_basis(
+                bracket_forced(ctx, -LaurentPoly.t(n), -LaurentPoly.t(m))
+            )
+            ok = via_ops == alg.bracket_gen(n, m)
+            report.check(f"structure-({n},{m})", "forced-structure", ok,
+                         witness=None if ok else f"{via_ops} vs {alg.bracket_gen(n, m)}")
+    report.absorb("hom-jacobi", "hom-jacobi",
+                  verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
+    return report
+
+
+def _suite_sl2(window: int, perturb) -> Report:
+    alg = _apply_perturbation(sl2_pq(), "sl2", perturb)
+    report = Report(suite="sl2", window=window)
+    basis = alg.keys(window)
+    triples = [(x, y, z) for x in basis for y in basis for z in basis]
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
+    ctx = alg.provenance.get("ctx")
+    if ctx is not None:
+        for x in basis:
+            for y in basis:
+                via = sl2_expand(bracket_via_context(ctx, lambda k: SL2_COEFF[k], x, y))
+                ok = via == alg.bracket_gen(x, y)
+                report.check(f"structure-({x},{y})", "sl2-structure", ok,
+                             witness=None if ok else f"{via} vs {alg.bracket_gen(x, y)}")
+    return report
+
+
+def _suite_sigma_sigma(window: int, perturb) -> Report:
+    alg = _apply_perturbation(sigma_sigma_witt("t-partial"), "sigma-sigma", perturb)
+    report = Report(suite="sigma-sigma", window=window)
+    report.absorb("jacobi", "hom-jacobi",
+                  verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
+    phi = ScaleMorphism(c=lambda n: Scalar.p())
+    report.absorb("lie-isomorphism", "scale-isomorphism",
+                  check_morphism(phi, classical_witt(), alg, window))
+    return report
+
+
+def _suite_inverse(window: int, perturb) -> Report:
+    alg = _apply_perturbation(inverse_twist_example(), "inverse", perturb)
+    report = Report(suite="inverse", window=window)
+    small = max(2, window - 2)
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
+    ctx = alg.provenance["ctx"]
+    report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, monomial_triples(small)))
+    return report
+
+
+def _suite_virasoro(window: int, perturb) -> Report:
+    report = Report(suite="virasoro", window=window)
+    g = virasoro_cocycle()
+    if perturb is not None and perturb[0] == "virasoro":
+        g = g.perturbed(perturb[1], Scalar.one())
+    base = witt_pq()
+    sub = verify_cocycle_condition(g, base, window=window)
+    report.check("cocycle-condition", "cocycle-condition", sub.ok,
+                 witness=None if sub.ok else
+                 f"{sub.first_failure().id}: {sub.first_failure().witness}")
+    if sub.ok:
+        ext = _assemble_extension(base, g, window)
+        report.absorb("centrality", "centrality", verify_centrality(ext, window=window))
+    return report
+
+
+# suite name -> runner(window, perturb); the order is the order of ``verify all``
+_SUITES = {
+    "witt": _suite_witt,
+    "witt-forced": _suite_witt_forced,
+    "sl2": _suite_sl2,
+    "sigma-sigma": _suite_sigma_sigma,
+    "inverse": _suite_inverse,
+    "virasoro": _suite_virasoro,
+    "diagram": lambda window, perturb: diagram_report(window=window),
+    "catalogue": lambda window, perturb: verify_catalogue(),
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(name: str, window: int, perturb=None) -> Report:
-    if name == "witt":
-        alg = _apply_perturbation(witt_pq(), "witt", perturb)
-        report = Report(suite="witt", window=window)
-        ctx = alg.provenance["ctx"]
-        coeff = alg.provenance["coeff"]
-        for n in range(-window, window + 1):
-            for m in range(-window, window + 1):
-                via_ops = expand_in_d_basis(bracket_general(ctx, coeff(n), coeff(m)))
-                ok = via_ops == alg.bracket_gen(n, m)
-                report.check(
-                    f"structure-({n},{m})", "witt-structure", ok,
-                    witness=None if ok else f"operators give {via_ops}, "
-                    f"table gives {alg.bracket_gen(n, m)}",
-                )
-        sub = verify_hom_jacobi(alg, index_triples(max(2, window - 2)))
-        report.check("hom-jacobi", "hom-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        sub = verify_quasi_jacobi(ctx, monomial_triples(max(2, window - 2)))
-        report.check("quasi-jacobi", "quasi-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        return report
-    if name == "witt-forced":
-        alg = _apply_perturbation(witt_pq_forced(), "witt-forced", perturb)
-        report = Report(suite="witt-forced", window=window)
-        ctx = alg.provenance["ctx"]
-        rep = check_forced_conditions(ctx, window=window)
-        report.check("conditions", "forced-conditions", rep.ok,
-                     witness=None if rep.ok else rep.first_failure().witness)
-        for n in range(-window, window + 1):
-            for m in range(-window, window + 1):
-                via_ops = expand_in_d_basis(
-                    bracket_forced(ctx, -LaurentPoly.t(n), -LaurentPoly.t(m))
-                )
-                ok = via_ops == alg.bracket_gen(n, m)
-                report.check(f"structure-({n},{m})", "forced-structure", ok,
-                             witness=None if ok else f"{via_ops} vs {alg.bracket_gen(n, m)}")
-        sub = verify_hom_jacobi(alg, index_triples(max(2, window - 2)))
-        report.check("hom-jacobi", "hom-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        return report
-    if name == "sl2":
-        alg = _apply_perturbation(sl2_pq(), "sl2", perturb)
-        report = Report(suite="sl2", window=window)
-        basis = alg.keys(window)
-        triples = [(x, y, z) for x in basis for y in basis for z in basis]
-        sub = verify_hom_jacobi(alg, triples)
-        report.check("hom-jacobi", "hom-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        from .families import SL2_COEFF, sl2_expand, bracket_via_context
-
-        ctx = alg.provenance.get("ctx")
-        if ctx is not None:
-            for x in basis:
-                for y in basis:
-                    via = sl2_expand(bracket_via_context(ctx, lambda k: SL2_COEFF[k], x, y))
-                    ok = via == alg.bracket_gen(x, y)
-                    report.check(f"structure-({x},{y})", "sl2-structure", ok,
-                                 witness=None if ok else f"{via} vs {alg.bracket_gen(x, y)}")
-        return report
-    if name == "sigma-sigma":
-        alg = _apply_perturbation(sigma_sigma_witt("t-partial"), "sigma-sigma", perturb)
-        report = Report(suite="sigma-sigma", window=window)
-        sub = verify_hom_jacobi(alg, index_triples(max(2, window - 2)))
-        report.check("jacobi", "hom-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        phi = ScaleMorphism(c=lambda n: Scalar.p())
-        rep = check_morphism(phi, classical_witt(), alg, window)
-        report.check("lie-isomorphism", "scale-isomorphism", rep.data.get("full", False),
-                     witness=None if rep.data.get("full") else rep.first_failure().witness)
-        return report
-    if name == "inverse":
-        alg = _apply_perturbation(inverse_twist_example(), "inverse", perturb)
-        report = Report(suite="inverse", window=window)
-        small = max(2, window - 2)
-        sub = verify_hom_jacobi(alg, index_triples(small))
-        report.check("hom-jacobi", "hom-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        ctx = alg.provenance["ctx"]
-        sub = verify_quasi_jacobi(ctx, monomial_triples(small))
-        report.check("quasi-jacobi", "quasi-jacobi", sub.ok,
-                     witness=None if sub.ok else sub.first_failure().witness)
-        return report
-    if name == "virasoro":
-        report = Report(suite="virasoro", window=window)
-        g = virasoro_cocycle()
-        if perturb is not None and perturb[0] == "virasoro":
-            g = g.perturbed(perturb[1], Scalar.one())
-        base = witt_pq()
-        sub = verify_cocycle_condition(g, base, window=window)
-        report.check("cocycle-condition", "cocycle-condition", sub.ok,
-                     witness=None if sub.ok else
-                     f"{sub.first_failure().id}: {sub.first_failure().witness}")
-        if sub.ok:
-            ext = _assemble_extension(base, g, window)
-            cent = verify_centrality(ext, window=window)
-            report.check("centrality", "centrality", cent.ok,
-                         witness=None if cent.ok else cent.first_failure().witness)
-        return report
-    if name == "diagram":
-        return diagram_report(window=window)
-    if name == "catalogue":
-        return verify_catalogue()
-    raise ValueError(f"unknown suite {name!r}")
-
-
-SUITES = (
-    "witt", "witt-forced", "sl2", "sigma-sigma", "inverse",
-    "virasoro", "diagram", "catalogue",
-)
+    runner = _SUITES.get(name)
+    if runner is None:
+        raise ValueError(f"unknown suite {name!r}")
+    return runner(_positive("window", window), perturb)
 
 
 def cmd_verify(args) -> int:

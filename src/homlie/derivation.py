@@ -39,8 +39,30 @@ from .scalar import Scalar
 DEFAULT_WINDOW = 8
 
 
-class DerivationContext:
+class RankOneContext:
+    """What both context kinds share: the (tau,sigma)-derivations form a
+    free A-module of rank one, so its generator acts termwise through
+    ``generator_on_monomial``."""
+
+    def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
+        """The generator applied to f, computed termwise."""
+        total = LaurentPoly.zero()
+        for n, c in f.coeffs.items():
+            total = total + self.generator_on_monomial(n).scale(c)
+        return total
+
+    def generator(self) -> "DerivationElement":
+        return DerivationElement(LaurentPoly.one(), self)
+
+    def element(self, coeff: LaurentPoly) -> "DerivationElement":
+        return DerivationElement(coeff, self)
+
+
+class DerivationContext(RankOneContext):
     """The data (tau, sigma, g) with generator Delta = (tau - sigma)/g."""
+
+    # bench/tracing.py reads the class __dict__, so the shared method is bound here too
+    apply_generator = RankOneContext.apply_generator
 
     def __init__(self, tau: Endo, sigma: Endo, g: LaurentPoly):
         self.tau = tau
@@ -66,25 +88,6 @@ class DerivationContext:
             self._gen_cache[n] = got
         return got
 
-    def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
-        """Delta(f) = (tau(f) - sigma(f))/g, computed termwise."""
-        total = LaurentPoly.zero()
-        for n, c in f.coeffs.items():
-            total = total + self.generator_on_monomial(n).scale(c)
-        return total
-
-    def generator(self) -> "DerivationElement":
-        return DerivationElement(LaurentPoly.one(), self)
-
-    def element(self, coeff: LaurentPoly) -> "DerivationElement":
-        return DerivationElement(coeff, self)
-
-    def delta_constant(self) -> Scalar | None:
-        """delta as a Scalar when it is a constant of A, else None."""
-        if self.delta is not None and self.delta.is_scalar():
-            return self.delta.scalar_value()
-        return None
-
     def __repr__(self) -> str:
         return f"DerivationContext(tau: {self.tau}, sigma: {self.sigma}, g = {self.g})"
 
@@ -94,7 +97,7 @@ class DerivationElement:
     """The module element a * Delta."""
 
     coeff: LaurentPoly
-    ctx: "DerivationContext | SigmaSigmaContext"
+    ctx: RankOneContext
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         return self.coeff * self.ctx.apply_generator(f)
@@ -108,7 +111,7 @@ class DerivationElement:
         )
 
 
-class SigmaSigmaContext:
+class SigmaSigmaContext(RankOneContext):
     """tau = sigma = dilation by c; generator d(t^n) = n (ct)^(n-1).
 
     Every (sigma,sigma)-derivation D equals D(t) * d, so the module is
@@ -131,23 +134,11 @@ class SigmaSigmaContext:
             return LaurentPoly.zero()
         return LaurentPoly.monomial(Scalar.from_int(n) * self.c ** (n - 1), n - 1)
 
-    def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        for n, a in f.coeffs.items():
-            total = total + self.generator_on_monomial(n).scale(a)
-        return total
-
-    def generator(self) -> DerivationElement:
-        return DerivationElement(LaurentPoly.one(), self)
-
-    def element(self, coeff: LaurentPoly) -> DerivationElement:
-        return DerivationElement(coeff, self)
+    # bench/tracing.py reads the class __dict__, so the shared method is bound here too
+    apply_generator = RankOneContext.apply_generator
 
     def __repr__(self) -> str:
         return f"SigmaSigmaContext(sigma: {self.sigma})"
-
-
-Context = DerivationContext | SigmaSigmaContext
 
 
 def _image_window(tau: Endo, sigma: Endo, window: int) -> list[LaurentPoly]:

@@ -49,17 +49,13 @@ class NotWeakMorphism(HomlieError):
     """The map does not intertwine brackets on the window."""
 
 
-class WindowExceeded(HomlieError):
-    """A table-backed algebra was queried outside its stored window."""
-
-
 class CocycleConditionFailed(HomlieError):
     """The 2-cocycle condition failed; no central extension built."""
 
 
 class BadSize(HomlieError):
-    """A window or pair count from the command line or the environment
-    is not a positive integer."""
+    """A window or pair count is not a positive integer, or a corpus is
+    empty: the sweep would pass vacuously."""
 
 
 class ExprSyntaxError(HomlieError):

@@ -399,9 +399,6 @@ class SymbolicScale:
     def power(self, n: int) -> "SymbolicScale":
         return SymbolicScale(self.mu ** n, {s: e * n for s, e in self.exps.items() if e * n})
 
-    def scaled(self, c: Scalar) -> "SymbolicScale":
-        return SymbolicScale(self.mu * c, dict(self.exps))
-
     def substitute(self, symbol: str, value: "SymbolicScale") -> "SymbolicScale":
         e = self.exps.get(symbol)
         if not e:
@@ -625,9 +622,6 @@ def diagram_report(window: int = 4) -> Report:
 
     report = Report(suite="diagram", window=window)
 
-    def edge(id_: str, anchor: str, ok: bool, witness: str | None = None):
-        report.check(id_, anchor, ok, witness=witness)
-
     w_pq, w_r = witt_pq(), witt_r()
     w_forced = witt_pq_forced()
     w_pp = sigma_sigma_witt("t-partial")
@@ -636,35 +630,32 @@ def diagram_report(window: int = 4) -> Report:
 
     # Hom-Lie isomorphism column: W_{q/p} -> W_{p,q}, d_n -> p d_n
     phi = ScaleMorphism(c=lambda n: P)
-    rep = check_morphism(phi, w_r, w_pq, window)
-    edge("witt-hom-iso", "scale-isomorphism", rep.data["full"],
-         witness=None if rep.data["full"] else rep.first_failure().witness)
+    report.absorb("witt-hom-iso", "scale-isomorphism", check_morphism(phi, w_r, w_pq, window))
 
     # Lie column: W -> W_{p,p}, d_n -> p d_n
-    rep = check_morphism(phi, w_classical, w_pp, window)
-    edge("witt-lie-iso", "scale-isomorphism", rep.data["full"],
-         witness=None if rep.data["full"] else rep.first_failure().witness)
+    report.absorb("witt-lie-iso", "scale-isomorphism",
+                  check_morphism(phi, w_classical, w_pp, window))
 
     # twist equivalences with rho(d_n) = p^n d_n
     rho = lambda combo: Combo({n: c * P ** n for n, c in combo.terms.items()})
     twisted = twist_algebra(w_pq, rho, window=window, name="W_{p,q}^rho")
     ok, why = algebras_equal_on_window(twisted, w_forced, window)
-    edge("witt-twist-equivalence", "twist-equivalence", ok, witness=why)
+    report.check("witt-twist-equivalence", "twist-equivalence", ok, witness=why)
 
     twisted_pp = twist_algebra(w_pp, rho, window=window, name="W_{p,p}^rho")
     ok, why = algebras_equal_on_window(twisted_pp, w_pp_forced, window)
-    edge("witt-pp-twist-equivalence", "twist-equivalence", ok, witness=why)
+    report.check("witt-pp-twist-equivalence", "twist-equivalence", ok, witness=why)
 
     # q = p degenerations
     ok, why = algebras_equal_on_window(
         subst_algebra(w_r, P, P, "W_{q/p}|q=p"), w_classical, window)
-    edge("witt-r-degeneration", "degeneration", ok, witness=why)
+    report.check("witt-r-degeneration", "degeneration", ok, witness=why)
     ok, why = algebras_equal_on_window(
         subst_algebra(w_pq, P, P, "W_{p,q}|q=p"), w_pp, window)
-    edge("witt-pq-degeneration", "degeneration", ok, witness=why)
+    report.check("witt-pq-degeneration", "degeneration", ok, witness=why)
     ok, why = algebras_equal_on_window(
         subst_algebra(w_forced, P, P, "W'|q=p"), w_pp_forced, window)
-    edge("witt-forced-degeneration", "degeneration", ok, witness=why)
+    report.check("witt-forced-degeneration", "degeneration", ok, witness=why)
 
     # sl(2) column.  The generator scalings a, b, c on e, f, h intertwine
     # the brackets exactly when c = p and a*b = p^2; multiplication by p
@@ -672,16 +663,10 @@ def diagram_report(window: int = 4) -> Report:
     # the [e,f] equation by the factor (p+q)/(2p); see the ledger.)
     s_pq, s_r = sl2_pq(), sl2_r()
     s_pp, s_classical, s_pp_forced = sl2_pp(), classical_sl2(), sl2_pp_forced()
-    two = Scalar.from_int(2)
     phi_sl2 = GeneratorMap({k: Combo.basis(k, P) for k in SL2_BASIS})
-    rep = check_morphism(phi_sl2, s_r, s_pq, window)
-    edge("sl2-hom-iso", "scale-isomorphism", rep.data["full"],
-         witness=None if rep.data["full"] else rep.first_failure().witness)
-
-    mult_p = GeneratorMap({k: Combo.basis(k, P) for k in SL2_BASIS})
-    rep = check_morphism(mult_p, s_classical, s_pp, window)
-    edge("sl2-lie-iso", "scale-isomorphism", rep.data["full"],
-         witness=None if rep.data["full"] else rep.first_failure().witness)
+    report.absorb("sl2-hom-iso", "scale-isomorphism", check_morphism(phi_sl2, s_r, s_pq, window))
+    report.absorb("sl2-lie-iso", "scale-isomorphism",
+                  check_morphism(phi_sl2, s_classical, s_pp, window))
 
     # The sl(2) twisting map e -> e, f -> p^2 f, h -> p h is not a weak
     # morphism of classical sl(2) (the partial-generator bracket drops the
@@ -703,13 +688,13 @@ def diagram_report(window: int = 4) -> Report:
     )
     triples = [(x, y, z) for x in SL2_BASIS for y in SL2_BASIS for z in SL2_BASIS]
     ok = ok and verify_hom_jacobi(s_pp_forced, triples).ok
-    edge("sl2-twist-equivalence", "twist-equivalence", ok)
+    report.check("sl2-twist-equivalence", "twist-equivalence", ok)
 
     ok, why = algebras_equal_on_window(
         subst_algebra(s_pq, P, P, "sl2|q=p"), s_pp, window)
-    edge("sl2-pq-degeneration", "degeneration", ok, witness=why)
+    report.check("sl2-pq-degeneration", "degeneration", ok, witness=why)
     ok, why = algebras_equal_on_window(
         subst_algebra(s_r, P, P, "sl2r|q=p"), s_classical, window)
-    edge("sl2-r-degeneration", "degeneration", ok, witness=why)
+    report.check("sl2-r-degeneration", "degeneration", ok, witness=why)
 
     return report

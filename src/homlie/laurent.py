@@ -18,51 +18,47 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DivisionByZero, NotDivisible, NotInvertible, NotAUnit
-from .scalar import ParamPoly, Scalar, _normalize_param, param_gcd, param_lcm
+from .scalar import (
+    ParamPoly,
+    Scalar,
+    Sparse,
+    _field_euclid,
+    _normalize_param,
+    param_gcd,
+    param_lcm,
+)
 
 
-class LaurentPoly:
+class LaurentPoly(Sparse):
     """Sparse Laurent polynomial in t with Scalar coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.coeffs: dict[int, Scalar] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not c.is_zero():
-                    self.coeffs[k] = c
+    __slots__ = ()
+    # the one storage slot under its Laurent name
+    coeffs = Sparse.terms
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
+    @classmethod
+    def one(cls) -> "LaurentPoly":
+        return cls({0: Scalar.one()})
 
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: Scalar.one()})
+    @classmethod
+    def t(cls, power: int = 1) -> "LaurentPoly":
+        return cls({power: Scalar.one()})
 
-    @staticmethod
-    def t(power: int = 1) -> "LaurentPoly":
-        return LaurentPoly({power: Scalar.one()})
+    @classmethod
+    def monomial(cls, c: Scalar, k: int) -> "LaurentPoly":
+        return cls({k: c})
 
-    @staticmethod
-    def monomial(c: Scalar, k: int) -> "LaurentPoly":
-        return LaurentPoly({k: c})
+    @classmethod
+    def from_scalar(cls, c: Scalar) -> "LaurentPoly":
+        return cls({0: c})
 
-    @staticmethod
-    def from_scalar(c: Scalar) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
-    @staticmethod
-    def from_int(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: Scalar.from_int(n)})
+    @classmethod
+    def from_int(cls, n: int) -> "LaurentPoly":
+        return cls({0: Scalar.from_int(n)})
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_unit(self) -> bool:
         """Units of A are exactly the single-term polynomials c*t^k."""
@@ -70,13 +66,6 @@ class LaurentPoly:
 
     def is_scalar(self) -> bool:
         return not self.coeffs or set(self.coeffs) == {0}
-
-    def scalar_value(self) -> Scalar:
-        if self.is_zero():
-            return Scalar.zero()
-        if not self.is_scalar():
-            raise ValueError("not a scalar element")
-        return self.coeffs[0]
 
     def degree(self) -> int:
         if self.is_zero():
@@ -88,58 +77,23 @@ class LaurentPoly:
             raise ValueError("valuation of zero")
         return min(self.coeffs)
 
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs.get(k, Scalar.zero())
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
     # -- arithmetic ----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "LaurentPoly":
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, Scalar):
-            return LaurentPoly.from_scalar(x)
-        if isinstance(x, (int, Fraction)):
-            return LaurentPoly.from_scalar(Scalar.from_fraction(x))
-        return NotImplemented
+    def _coerce(self, other) -> "LaurentPoly":
+        """Scalars, ints and Fractions act as constant polynomials."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.from_fraction(other)
+        return self.from_scalar(other) if isinstance(other, Scalar) else NotImplemented
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = LaurentPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        r = LaurentPoly()
-        r.coeffs = out
-        return r
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly()
-        r.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = LaurentPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    __radd__ = Sparse.__add__
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        other = LaurentPoly._coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict[int, Scalar] = {}
@@ -153,32 +107,21 @@ class LaurentPoly:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        r = LaurentPoly()
-        r.coeffs = out
-        return r
+        return self._new(out)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Scalar) -> "LaurentPoly":
-        if c.is_zero():
-            return LaurentPoly.zero()
-        r = LaurentPoly()
-        r.coeffs = {k: co * c for k, co in self.coeffs.items()}
-        return r
-
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by t^d."""
-        r = LaurentPoly()
-        r.coeffs = {k + d: c for k, c in self.coeffs.items()}
-        return r
+        return self._new({k + d: c for k, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if len(self.coeffs) == 1:
             ((k, c),) = self.coeffs.items()
-            return LaurentPoly.monomial(c ** n, k * n)
+            return self.monomial(c ** n, k * n)
         if n < 0:
             raise NotAUnit("negative power of a non-unit")
-        r = LaurentPoly.one()
+        r = self.one()
         for _ in range(n):
             r = r * self
         return r
@@ -187,17 +130,7 @@ class LaurentPoly:
         if not self.is_unit():
             raise NotAUnit(f"{self} is not a unit of the Laurent ring")
         ((k, c),) = self.coeffs.items()
-        return LaurentPoly.monomial(c.inverse(), -k)
-
-    def __eq__(self, other) -> bool:
-        other = LaurentPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
-
-    __hash__ = None
+        return self.monomial(c.inverse(), -k)
 
     def __str__(self) -> str:
         return render_laurent(self)
@@ -207,7 +140,7 @@ class LaurentPoly:
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The cofactor c with b*c = a, or NotDivisible.
+    """The cofactor c with b*c = a, of the type of ``a``, or NotDivisible.
 
     Shifts both arguments to ordinary polynomials and performs long
     division over the coefficient field Q(p,q); the t-shift difference is
@@ -216,7 +149,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if b.is_zero():
         raise DivisionByZero("exact division by zero")
     if a.is_zero():
-        return LaurentPoly.zero()
+        return a.zero()
     offset = a.valuation() - b.valuation()
     ra = a.shift(-a.valuation())
     rb = b.shift(-b.valuation())
@@ -227,13 +160,11 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     while not rem.is_zero() and rem.degree() >= deg_b:
         k = rem.degree() - deg_b
         c = rem.coeff(rem.degree()) / lead_b
-        out[k] = c
+        out[k + offset] = c
         rem = rem - rb.shift(k).scale(c)
     if not rem.is_zero():
         raise NotDivisible(f"({a}) is not divisible by ({b})")
-    q = LaurentPoly()
-    q.coeffs = {k: c for k, c in out.items() if not c.is_zero()}
-    return q.shift(offset)
+    return a._new(out)
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
@@ -277,9 +208,6 @@ class Endo:
     @staticmethod
     def inversion() -> "Endo":
         return Endo(Scalar.one(), -1)
-
-    def is_identity(self) -> bool:
-        return self.k == 1 and self.c.is_one()
 
     def __call__(self, f: LaurentPoly) -> LaurentPoly:
         return apply_endo(self, f)
@@ -333,46 +261,17 @@ def invert_endo(e: Endo) -> Endo:
 # here the t-direction is handled by Euclid over the field Q(p,q).
 
 
-def _t_euclid(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
-    """Euclid in t over Q(p,q); inputs/outputs are integral coefficient maps
-    with nonnegative t-exponents."""
-
-    def to_scalar(poly: dict[int, ParamPoly]) -> dict[int, Scalar]:
-        return {k: Scalar(c) for k, c in poly.items()}
-
-    fa, fb = to_scalar(a), to_scalar(b)
-
-    def degree(x):
-        return max(x) if x else -1
-
-    def mod(x, y):
-        dy = degree(y)
-        ly = y[dy]
-        rem = dict(x)
-        while rem and degree(rem) >= dy:
-            dr = degree(rem)
-            c = rem[dr] / ly
-            for i, co in y.items():
-                k = i + dr - dy
-                v = rem.get(k, Scalar.zero()) - c * co
-                if v.is_zero():
-                    rem.pop(k, None)
-                else:
-                    rem[k] = v
-            rem.pop(dr, None)
-        return rem
-
-    while fb:
-        fa, fb = fb, mod(fa, fb)
-    # back to integral coefficients: clear denominators, strip content
-    common = ParamPoly.one()
-    for c in fa.values():
-        common = common * c.den
-    cleared = {k: c.num * common.exact_div(c.den) for k, c in fa.items()}
+def _content(coeffs: Iterable[ParamPoly]) -> ParamPoly:
+    """The gcd of a nonempty family of parameter polynomials."""
     cont = ParamPoly.zero()
-    for c in cleared.values():
+    for c in coeffs:
         cont = c if cont.is_zero() else param_gcd(cont, c)
-    return {k: c.exact_div(cont) for k, c in cleared.items()}
+    return cont
+
+
+def _primitive(poly: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+    cont = _content(poly.values())
+    return {k: c.exact_div(cont) for k, c in poly.items()}
 
 
 def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -400,25 +299,13 @@ def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
         entry = {k: c.num * common.exact_div(c.den) for k, c in shifted.coeffs.items()}
         integral.append(entry)
 
-    content = ParamPoly.zero()
-    for entry in integral:
-        for c in entry.values():
-            content = c if content.is_zero() else param_gcd(content, c)
-    content = _normalize_param(content)
+    content = _normalize_param(_content(c for entry in integral for c in entry.values()))
 
-    prim = integral[0]
-    cont0 = ParamPoly.zero()
-    for c in prim.values():
-        cont0 = c if cont0.is_zero() else param_gcd(cont0, c)
-    prim = {k: c.exact_div(cont0) for k, c in prim.items()}
+    prim = _primitive(integral[0])
     for entry in integral[1:]:
         if len(prim) == 1 and 0 in prim:
             break
-        cont = ParamPoly.zero()
-        for c in entry.values():
-            cont = c if cont.is_zero() else param_gcd(cont, c)
-        stripped = {k: c.exact_div(cont) for k, c in entry.items()}
-        prim = _t_euclid(prim, stripped)
+        prim = _primitive(_field_euclid(prim, _primitive(entry)))
 
     # sign/scale normalization of the primitive part
     lead = prim[max(prim)]

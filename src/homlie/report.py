@@ -9,7 +9,6 @@ JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,9 +42,18 @@ class Report:
         )
         return ok
 
+    def absorb(self, id: str, anchor: str, sub: "Report") -> bool:
+        """One check that passes when ``sub`` does and otherwise carries
+        the witness of its first failure."""
+        first = sub.first_failure()
+        return self.check(id, anchor, sub.ok,
+                          witness=first.witness if first else f"{sub.suite}: no checks")
+
     @property
     def ok(self) -> bool:
-        return all(e.status == "pass" for e in self.entries)
+        """True when there is at least one check and every check passed:
+        an empty sweep proves nothing."""
+        return bool(self.entries) and all(e.status == "pass" for e in self.entries)
 
     @property
     def failures(self) -> list[Entry]:
@@ -57,12 +65,6 @@ class Report:
                 return e
         return None
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
-        for e in other.entries:
-            self.entries.append(
-                Entry(id=prefix + e.id, anchor=e.anchor, status=e.status, witness=e.witness)
-            )
-
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"suite": self.suite}
         if self.window is not None:
@@ -70,9 +72,6 @@ class Report:
         d["params"] = dict(sorted(self.params.items()))
         d["entries"] = [e.to_dict() for e in self.entries]
         return d
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def summary(self) -> str:
         n_fail = len(self.failures)

@@ -3,7 +3,9 @@ deformation parameters p and q.
 
 A ``ParamPoly`` is a Laurent polynomial in p and q over the rationals,
 stored as a sparse map from exponent pairs (i, j) to ``Fraction``
-coefficients.  A ``Scalar`` is a quotient of two such polynomials.
+coefficients.  A ``Scalar`` is a quotient of two such polynomials, and a
+``Sparse`` is a finite Scalar-linear combination, the base of the Laurent
+polynomials and of the generator combinations.
 
 Equality of scalars is decided by cross-multiplication of the stored
 numerators and denominators, never by polynomial gcd, so it is exact even
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from typing import Callable
 
 from .errors import DivisionByZero, PoleAtPoint
 
@@ -68,13 +71,6 @@ class ParamPoly:
 
     def is_constant(self) -> bool:
         return all(e == (0, 0) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms[(0, 0)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParamPoly) and self.terms == other.terms
@@ -314,23 +310,21 @@ def _content_wrt_p(f: ParamPoly) -> ParamPoly:
     return cont
 
 
-def _euclid_in_p(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic Euclid in p over the field Q(q), coefficients carried as
-    Scalars; the result is returned as a primitive ParamPoly."""
-    fa = {i: Scalar(c) for i, c in _p_coefficients(a).items()}
-    fb = {i: Scalar(c) for i, c in _p_coefficients(b).items()}
-
-    def degree(poly: dict[int, "Scalar"]) -> int:
-        return max(poly) if poly else -1
-
-    def mod(x: dict[int, "Scalar"], y: dict[int, "Scalar"]) -> dict[int, "Scalar"]:
-        dy = degree(y)
-        ly = y[dy]
-        rem = dict(x)
-        while rem and degree(rem) >= dy:
-            dr = degree(rem)
+def _field_euclid(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+    """Euclid for polynomials in one variable over the fraction field of
+    the ParamPoly coefficients, given as {exponent >= 0: coefficient}.
+    The last nonzero remainder is returned with its denominators cleared
+    by their product; stripping its content is left to the caller."""
+    fa = {k: Scalar(c) for k, c in a.items()}
+    fb = {k: Scalar(c) for k, c in b.items()}
+    while fb:
+        dy = max(fb)
+        ly = fb[dy]
+        rem = dict(fa)
+        while rem and max(rem) >= dy:
+            dr = max(rem)
             c = rem[dr] / ly
-            for i, co in y.items():
+            for i, co in fb.items():
                 k = i + dr - dy
                 v = rem.get(k, Scalar.zero()) - c * co
                 if v.is_zero():
@@ -338,16 +332,19 @@ def _euclid_in_p(a: ParamPoly, b: ParamPoly) -> ParamPoly:
                 else:
                     rem[k] = v
             rem.pop(dr, None)
-        return rem
-
-    while fb:
-        fa, fb = fb, mod(fa, fb)
-    result = ParamPoly.zero()
+        fa, fb = fb, rem
     common = ParamPoly.one()
     for c in fa.values():
         common = common * c.den
-    for i, c in fa.items():
-        result = result + (c.num * common.exact_div(c.den)).shift(i, 0)
+    return {k: c.num * common.exact_div(c.den) for k, c in fa.items()}
+
+
+def _euclid_in_p(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """Euclid in p over the field Q(q); the result is returned as a
+    primitive ParamPoly."""
+    result = ParamPoly.zero()
+    for i, c in _field_euclid(_p_coefficients(a), _p_coefficients(b)).items():
+        result = result + c.shift(i, 0)
     return _normalize_param(result.exact_div(_content_wrt_p(result)))
 
 
@@ -582,30 +579,6 @@ class Scalar:
     def is_one(self) -> bool:
         return self == Scalar.one()
 
-    def is_rational(self) -> bool:
-        """True when the value is a constant (no p, q dependence).
-
-        Exact because num and den never share a non-constant monomial
-        factor after normalization; a constant value forces num to be a
-        constant multiple of den, which cross-multiplication detects.
-        """
-        if self.is_zero():
-            return True
-        lead_e, lead_c = self.den.leading()
-        cand = Scalar.from_fraction(
-            self.num.terms.get(lead_e, Fraction(0)) / lead_c
-        )
-        return self == cand
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        lead_e, lead_c = self.den.leading()
-        cand = self.num.terms.get(lead_e, Fraction(0)) / lead_c
-        if self != Scalar.from_fraction(cand):
-            raise ValueError(f"{self} is not a rational constant")
-        return cand
-
     # -- field arithmetic -------------------------------------------------
 
     @staticmethod
@@ -736,6 +709,86 @@ def render_scalar(s: Scalar) -> str:
     if len(s.den.terms) > 1 or not _atomic(s.den):
         den = f"({den})"
     return f"{num}/{den}"
+
+
+# -- finite Scalar-linear combinations ---------------------------------------
+
+
+class Sparse:
+    """A finite Scalar-linear combination, stored as {key: nonzero Scalar}.
+
+    The shared core of ``LaurentPoly``, ``PlainPoly`` and ``Combo``: the
+    zero-stripping constructor and the linear operations.  Every result
+    has the receiver's type; subclasses add products and coercions.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = (
+            {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+        )
+
+    def _new(self, terms: dict) -> "Sparse":
+        """An object of the receiver's type around a map that already
+        holds no zero coefficient."""
+        r = object.__new__(type(self))
+        r.terms = terms
+        return r
+
+    @classmethod
+    def zero(cls) -> "Sparse":
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(key, Scalar.zero())
+
+    def _coerce(self, other) -> "Sparse":
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def __add__(self, other) -> "Sparse":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return self._new(out)
+
+    def __neg__(self) -> "Sparse":
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Sparse":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c: Scalar) -> "Sparse":
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: co * c for k, co in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(c == other.terms[k] for k, c in self.terms.items())
+
+    __hash__ = None
+
+    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Sparse":
+        return type(self)({k: fn(c) for k, c in self.terms.items()})
 
 
 # -- deformation numbers ---------------------------------------------------

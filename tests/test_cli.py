@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from homlie.cli import main
+from homlie.cli import main, run_suite
+from homlie.errors import BadSize
 
 
 def run(capsys, *argv):
@@ -184,6 +185,16 @@ class TestBadSizes:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "--pairs" in err
+
+    @pytest.mark.parametrize("suite", ["witt", "virasoro", "catalogue"])
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_library_window(self, suite, window):
+        with pytest.raises(BadSize):
+            run_suite(suite, window)
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError):
+            run_suite("no-such-suite", 3)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_window_env(self, capsys, monkeypatch, value):

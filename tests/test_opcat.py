@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homlie.errors import NotDivisible
+from homlie.errors import BadSize, DivisionByZero, NotDivisible
 from homlie.opcat import (
     PlainPoly,
     T_P,
@@ -104,3 +104,36 @@ class TestConsistency:
             "differentiation", "jackson-q-derivative",
             "jackson-pq-derivative", "p-dilatation-derivative",
         }
+
+
+class TestPlainPolyCore:
+    """PlainPoly is the LaurentPoly of nonnegative exponents: the shared
+    operations keep its type, and no operation lets a negative exponent in."""
+
+    def test_operations_return_plain(self):
+        a, b = t(2) + PlainPoly.one(), t(1).scale(P)
+        for got in (a + b, a - b, -a, a * b, a.scale(Q), exact_div_plain(a * b, b)):
+            assert type(got) is PlainPoly
+        assert str(exact_div_plain(a * b, b)) == str(a)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            PlainPoly({-1: ONE})
+        with pytest.raises(ValueError):
+            PlainPoly.t(-2)
+
+    def test_quotient_needing_negative_exponent(self):
+        # t divides t^2 only in the Laurent ring
+        with pytest.raises(NotDivisible):
+            exact_div_plain(t(1), t(2))
+
+    def test_zero_divisor(self):
+        with pytest.raises(DivisionByZero):
+            exact_div_plain(t(1), PlainPoly.zero())
+
+
+class TestVacuousCorpus:
+    @pytest.mark.parametrize("kwargs", [{"pairs": 0}, {"pairs": -5}, {"corpus": []}])
+    def test_empty_corpus_raises(self, kwargs):
+        with pytest.raises(BadSize):
+            verify_entry(ROWS["shift"], **kwargs)
