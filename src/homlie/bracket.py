@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .algebra import Combo, GradedAlgebra, Key
-from .errors import ConditionsFailed, NotInvertible, NotWeakMorphism
+from .errors import ConditionsFailed, NotDivisible, NotInvertible, NotWeakMorphism
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
 
@@ -102,7 +102,7 @@ def check_forced_conditions(ctx, window: int = 6) -> Report:
                 continue
             try:
                 ratio = exact_div(lhs, rhs)
-            except Exception:
+            except NotDivisible:
                 report.check(
                     f"{label}-intertwine-{n}", "delta-intertwine", False,
                     witness=f"D({label}(t^{n})) not a multiple of {label}(D(t^{n}))",
@@ -126,7 +126,7 @@ def check_forced_conditions(ctx, window: int = 6) -> Report:
                 ratio = exact_div(apply_endo(endo, g), g)
                 ok = ratio == delta
                 witness = None if ok else f"{label}(g)/g = {ratio} != {delta}"
-            except Exception:
+            except NotDivisible:
                 ok, witness = False, f"g does not divide {label}(g)"
             report.check(f"delta-from-g-{label}", "delta-ratio", ok, witness=witness)
     return report

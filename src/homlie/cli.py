@@ -222,8 +222,7 @@ def _suite_virasoro(window: int, perturb) -> Report:
     base = witt_pq()
     sub = verify_cocycle_condition(g, base, window=window)
     report.check("cocycle-condition", "cocycle-condition", sub.ok,
-                 witness=None if sub.ok else
-                 f"{sub.first_failure().id}: {sub.first_failure().witness}")
+                 witness=sub.witness(labelled=True))
     if sub.ok:
         ext = _assemble_extension(base, g, window)
         report.absorb("centrality", "centrality", verify_centrality(ext, window=window))
@@ -262,8 +261,7 @@ def cmd_verify(args) -> int:
         marker = "ok " if rep.ok else "FAIL"
         print(f"[{marker}] {rep.summary()}")
         if not rep.ok:
-            first = rep.first_failure()
-            print(f"       witness: {first.id}: {first.witness}")
+            print(f"       witness: {rep.witness(labelled=True)}")
     if args.json:
         payload = [r.to_dict() for r in reports]
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -439,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except HomlieError as exc:
+    except (HomlieError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -45,9 +45,7 @@ class Report:
     def absorb(self, id: str, anchor: str, sub: "Report") -> bool:
         """One check that passes when ``sub`` does and otherwise carries
         the witness of its first failure."""
-        first = sub.first_failure()
-        return self.check(id, anchor, sub.ok,
-                          witness=first.witness if first else f"{sub.suite}: no checks")
+        return self.check(id, anchor, sub.ok, witness=sub.witness())
 
     @property
     def ok(self) -> bool:
@@ -65,6 +63,14 @@ class Report:
                 return e
         return None
 
+    def witness(self, labelled: bool = False) -> str | None:
+        """The witness of the first failure, after its id when ``labelled``;
+        for a report without checks, a line that says so."""
+        first = self.first_failure()
+        if first is None:
+            return f"{self.suite}: no checks"
+        return f"{first.id}: {first.witness}" if labelled else first.witness
+
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {"suite": self.suite}
         if self.window is not None:
@@ -76,5 +82,5 @@ class Report:
     def summary(self) -> str:
         n_fail = len(self.failures)
         total = len(self.entries)
-        word = "ok" if n_fail == 0 else f"{n_fail} failed"
+        word = "no checks" if total == 0 else "ok" if n_fail == 0 else f"{n_fail} failed"
         return f"{self.suite}: {total - n_fail}/{total} checks passed ({word})"

@@ -2,16 +2,18 @@
 deformation parameters p and q.
 
 A ``ParamPoly`` is a Laurent polynomial in p and q over the rationals,
-stored as a sparse map from exponent pairs (i, j) to ``Fraction``
-coefficients.  A ``Scalar`` is a quotient of two such polynomials, and a
-``Sparse`` is a finite Scalar-linear combination, the base of the Laurent
-polynomials and of the generator combinations.
+stored as a sparse map from exponent pairs (i, j) to int coefficients; a
+``Fraction`` is stored only for a coefficient that is not an integer.  It
+has one exact division, ``ParamPoly.exact_div``, which also serves as the
+acceptance test of the heuristic gcd.  A ``Scalar`` is a quotient of two
+such polynomials, and a ``Sparse`` is a finite Scalar-linear combination,
+the base of the Laurent polynomials and of the generator combinations.
 
 Equality of scalars is decided by cross-multiplication of the stored
 numerators and denominators, never by polynomial gcd, so it is exact even
 though quotients are not reduced to lowest terms.  The canonical form is
 best-effort: monomial factors p^i q^j are moved into the numerator, both
-parts carry integer coefficients with joint content 1, and the
+parts carry int coefficients with joint content 1, and the
 denominator's leading coefficient (graded-lex order on (i, j)) is
 positive.
 """
@@ -19,12 +21,14 @@ positive.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd
 from typing import Callable
 
 from .errors import DivisionByZero, PoleAtPoint
 
 Exps = tuple[int, int]
+Coeff = int | Fraction
 
 
 def _grlex_key(e: Exps):
@@ -33,20 +37,19 @@ def _grlex_key(e: Exps):
 
 
 class ParamPoly:
-    """Sparse Laurent polynomial in p and q with Fraction coefficients.
+    """Sparse Laurent polynomial in p and q over the rationals.
 
-    Invariant: no stored coefficient is zero; the zero polynomial is the
-    empty map.
+    Coefficients are ints; a ``Fraction`` is stored only for a coefficient
+    that is not an integer.  Invariant: no stored coefficient is zero; the
+    zero polynomial is the empty map.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Exps, Fraction] | None = None):
-        self.terms: dict[Exps, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = Fraction(c)
+    def __init__(self, terms: dict[Exps, Coeff] | None = None):
+        self.terms: dict[Exps, Coeff] = (
+            {e: c for e, c in terms.items() if c} if terms else {}
+        )
 
     @staticmethod
     def zero() -> "ParamPoly":
@@ -54,8 +57,7 @@ class ParamPoly:
 
     @staticmethod
     def const(c) -> "ParamPoly":
-        c = Fraction(c)
-        return ParamPoly({(0, 0): c}) if c else ParamPoly()
+        return ParamPoly({(0, 0): c})
 
     @staticmethod
     def one() -> "ParamPoly":
@@ -63,8 +65,7 @@ class ParamPoly:
 
     @staticmethod
     def monomial(c, i: int, j: int) -> "ParamPoly":
-        c = Fraction(c)
-        return ParamPoly({(i, j): c}) if c else ParamPoly()
+        return ParamPoly({(i, j): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -80,55 +81,45 @@ class ParamPoly:
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        r = ParamPoly()
-        r.terms = out
-        return r
+        return _poly(out)
 
     def __neg__(self) -> "ParamPoly":
-        r = ParamPoly()
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Coeff] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        r = ParamPoly()
-        r.terms = out
-        return r
+        return _poly(out)
 
     def scale(self, c) -> "ParamPoly":
-        c = Fraction(c)
         if not c:
             return ParamPoly()
-        r = ParamPoly()
-        r.terms = {e: co * c for e, co in self.terms.items()}
-        return r
+        return _poly({e: co * c for e, co in self.terms.items()})
 
     def shift(self, di: int, dj: int) -> "ParamPoly":
         """Multiply by the monomial p^di q^dj."""
-        r = ParamPoly()
-        r.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
-        return r
+        return _poly({(i + di, j + dj): c for (i, j), c in self.terms.items()})
 
     def __pow__(self, n: int) -> "ParamPoly":
         if len(self.terms) == 1:
             ((i, j), c), = self.terms.items()
-            return ParamPoly.monomial(c ** n, i * n, j * n)
+            c = c ** n if n >= 0 else _coeff_div(1, c ** -n)
+            return ParamPoly.monomial(c, i * n, j * n)
         if n < 0:
             raise ValueError("negative power of a non-monomial")
         r = ParamPoly.one()
@@ -141,7 +132,7 @@ class ParamPoly:
             return (0, 0)
         return (min(i for i, _ in self.terms), min(j for _, j in self.terms))
 
-    def leading(self) -> tuple[Exps, Fraction]:
+    def leading(self) -> tuple[Exps, Coeff]:
         """Leading term under graded-lex order on (i, j)."""
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
@@ -153,54 +144,70 @@ class ParamPoly:
         return max(e[var] for e in self.terms)
 
     def exact_div(self, divisor: "ParamPoly") -> "ParamPoly":
-        """Exact division by a nonzero polynomial (graded-lex reduction).
+        """The quotient by a nonzero polynomial, or ValueError if the
+        division leaves a remainder.
 
-        Raises ValueError if the division leaves a remainder.  Used only
-        where exactness is guaranteed (content and primitive parts).
+        Long division in lex order on (i, j).  An exact quotient has each
+        exponent between the differences of the minima and of the maxima
+        of the two operands, so the division stops at the first quotient
+        term outside that box.  The remainder is updated in place.
         """
-        if divisor.is_zero():
+        d = divisor.terms
+        if not d:
             raise DivisionByZero("division of parameter polynomial by zero")
-        if self.is_zero():
-            return ParamPoly.zero()
-        rem = self
-        (di, dj), dc = divisor.leading()
-        # exact quotient exponents are bounded below componentwise
-        si, sj = self.min_exponents()
-        vi, vj = divisor.min_exponents()
-        lo_i, lo_j = si - vi, sj - vj
-        out: dict[Exps, Fraction] = {}
-        while not rem.is_zero():
-            (ri, rj), rc = rem.leading()
-            e = (ri - di, rj - dj)
-            if e[0] < lo_i or e[1] < lo_j:
+        if not self.terms:
+            return ParamPoly()
+        fi, fj = zip(*self.terms)
+        di, dj = zip(*d)
+        lo_i, hi_i = min(fi) - min(di), max(fi) - max(di)
+        lo_j, hi_j = min(fj) - min(dj), max(fj) - max(dj)
+        lead = max(d)
+        lead_c = d[lead]
+        tail = [(e, c) for e, c in d.items() if e != lead]
+        rem = dict(self.terms)
+        out: dict[Exps, Coeff] = {}
+        while rem:
+            e = max(rem)
+            qi, qj = e[0] - lead[0], e[1] - lead[1]
+            if not (lo_i <= qi <= hi_i and lo_j <= qj <= hi_j):
                 raise ValueError("not exactly divisible")
-            c = rc / dc
-            out[e] = out.get(e, Fraction(0)) + c
-            rem = rem - divisor.shift(*e).scale(c)
-            if not rem.is_zero() and _grlex_key(rem.leading()[0]) >= _grlex_key((ri, rj)):
-                raise ValueError("division did not reduce")
-        r = ParamPoly()
-        r.terms = {e: c for e, c in out.items() if c}
-        if (r * divisor).terms != self.terms:
-            raise ValueError("not exactly divisible")
-        return r
+            c = out[(qi, qj)] = _coeff_div(rem.pop(e), lead_c)
+            for (i, j), co in tail:
+                k = (i + qi, j + qj)
+                v = rem.get(k, 0) - c * co
+                if v:
+                    rem[k] = v
+                else:
+                    rem.pop(k, None)
+        return _poly(out)
 
-    def evaluate(self, p0: Fraction, q0: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            try:
-                vp = p0 ** i if i >= 0 else Fraction(1) / (p0 ** (-i))
-                vq = q0 ** j if j >= 0 else Fraction(1) / (q0 ** (-j))
-            except ZeroDivisionError:
-                raise PoleAtPoint(f"negative power of zero at (p,q)=({p0},{q0})")
-            total += c * vp * vq
-        return total
+    def evaluate(self, p0: Fraction, q0: Fraction) -> Coeff:
+        try:
+            return sum(c * p0 ** i * q0 ** j for (i, j), c in self.terms.items())
+        except ZeroDivisionError:
+            raise PoleAtPoint(f"negative power of zero at (p,q)=({p0},{q0})")
 
     def __str__(self) -> str:
         return render_param_poly(self)
 
     def __repr__(self) -> str:
         return f"ParamPoly({self})"
+
+
+def _poly(terms: dict[Exps, Coeff]) -> ParamPoly:
+    """A ParamPoly around a map that already holds no zero coefficient."""
+    r = object.__new__(ParamPoly)
+    r.terms = terms
+    return r
+
+
+def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
+    """a / b, an int whenever both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return Fraction(a, b)
 
 
 def _var_str(name: str, e: int) -> str:
@@ -243,7 +250,9 @@ def render_param_poly(poly: ParamPoly) -> str:
 # magnitude, take the gcd of the images in Z[q] the same way (evaluate q,
 # then ``math.gcd``), and rebuild a candidate from the symmetric xi-adic
 # digits of that gcd.  Its primitive part is accepted only if it divides
-# both inputs exactly over Z; the theorem behind GCDHEU says that such a
+# both inputs.  For a primitive candidate and primitive inputs, division
+# over Q and over Z agree (Gauss's lemma), so ``ParamPoly.exact_div`` is the
+# acceptance test, and the theorem behind GCDHEU says that an accepted
 # candidate is the gcd.  Otherwise xi grows and the evaluation is tried
 # again, a bounded number of times.  When every try fails, the gcd comes
 # from the classical content/primitive-part recursion: p is the main
@@ -252,46 +261,37 @@ def render_param_poly(poly: ParamPoly) -> str:
 # canonical associate.
 
 
+def _integer_normal(*polys: ParamPoly) -> list[ParamPoly]:
+    """Scale nonzero polynomials by one rational factor, so that together
+    they have int coefficients with content 1 and the last one has a
+    positive leading graded-lex coefficient."""
+    lcm = 1
+    for f in polys:
+        for c in f.terms.values():
+            if c.denominator != 1:
+                lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
+    ints = [{e: c.numerator * (lcm // c.denominator) for e, c in f.terms.items()}
+            for f in polys]
+    content = _int_gcd(*(c for t in ints for c in t.values()))
+    if polys[-1].leading()[1] < 0:
+        content = -content
+    return [_poly({e: c // content for e, c in t.items()}) for t in ints]
+
+
 def _normalize_param(f: ParamPoly) -> ParamPoly:
     """Canonical associate: min exponents 0, integer content 1, positive
     leading graded-lex coefficient."""
     if f.is_zero():
         return f
     i0, j0 = f.min_exponents()
-    f = f.shift(-i0, -j0)
-    lcm = 1
-    for c in f.terms.values():
-        lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    f = f.scale(lcm)
-    content = 0
-    for c in f.terms.values():
-        content = _int_gcd(content, int(c))
-    if f.leading()[1] < 0:
-        content = -content
-    return f.scale(Fraction(1, content))
-
-
-def _q_only_degree(f: ParamPoly) -> int:
-    return f.degree_in(1)
-
-
-def _univar_mod_q(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    db = _q_only_degree(b)
-    lead_b = b.terms[(0, db)]
-    rem = a
-    while not rem.is_zero() and _q_only_degree(rem) >= db:
-        dr = _q_only_degree(rem)
-        c = rem.terms[(0, dr)] / lead_b
-        rem = rem - b.shift(0, dr - db).scale(c)
-    return rem
+    return _integer_normal(f.shift(-i0, -j0))[0]
 
 
 def _univar_gcd_q(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Euclidean gcd of two polynomials in q alone (p-degree zero)."""
-    a, b = _normalize_param(a), _normalize_param(b)
-    while not b.is_zero():
-        a, b = b, _univar_mod_q(a, b)
-    return _normalize_param(a)
+    coeffs = [{j: ParamPoly.const(c) for (_, j), c in f.terms.items()} for f in (a, b)]
+    g = _field_euclid(*coeffs)
+    return _normalize_param(ParamPoly({(0, j): c.terms[(0, 0)] for j, c in g.items()}))
 
 
 def _p_coefficients(f: ParamPoly) -> dict[int, ParamPoly]:
@@ -304,10 +304,7 @@ def _p_coefficients(f: ParamPoly) -> dict[int, ParamPoly]:
 
 
 def _content_wrt_p(f: ParamPoly) -> ParamPoly:
-    cont = ParamPoly.zero()
-    for coeff in _p_coefficients(f).values():
-        cont = coeff if cont.is_zero() else _univar_gcd_q(cont, coeff)
-    return cont
+    return reduce(_univar_gcd_q, _p_coefficients(f).values())
 
 
 def _field_euclid(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
@@ -359,10 +356,8 @@ def _gcd_euclid(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     if f.degree_in(0) == 0 and g.degree_in(0) == 0:
         return _univar_gcd_q(f, g)
     cf, cg = _content_wrt_p(f), _content_wrt_p(g)
-    cont = _univar_gcd_q(cf, cg)
-    pf, pg = f.exact_div(cf), g.exact_div(cg)
-    prim = _euclid_in_p(pf, pg)
-    return _normalize_param(cont * prim)
+    prim = _euclid_in_p(f.exact_div(cf), g.exact_div(cg))
+    return _normalize_param(_univar_gcd_q(cf, cg) * prim)
 
 
 # Integer polynomials for the heuristic: {(i, j): int}, exponents >= 0.
@@ -408,33 +403,12 @@ def _genpoly(gamma: IntPoly, var: int, xi: int) -> IntPoly:
     return out
 
 
-def _z_divides(d: IntPoly, f: IntPoly) -> bool:
-    """True when d divides f in Z[p, q]: long division in lex order,
-    stopped at the first quotient term outside Z[p, q] or outside the
-    quotient's degree bounds."""
-    lead = max(d)
-    lead_c = d[lead]
-    tail = [(e, c) for e, c in d.items() if e != lead]
-    top_p = max(i for i, _ in f) - lead[0]
-    top_q = max(j for _, j in f) - max(j for _, j in d)
-    if top_p < 0 or top_q < 0:
+def _divides(d: IntPoly, f: IntPoly) -> bool:
+    """Whether d divides f; for primitive d and f, over Z as over Q."""
+    try:
+        _poly(f).exact_div(_poly(d))
+    except ValueError:
         return False
-    rem = dict(f)
-    while rem:
-        e = max(rem)
-        qi, qj = e[0] - lead[0], e[1] - lead[1]
-        if not (0 <= qi <= top_p and 0 <= qj <= top_q):
-            return False
-        c, r = divmod(rem.pop(e), lead_c)
-        if r:
-            return False
-        for (i, j), co in tail:
-            k = (i + qi, j + qj)
-            v = rem.get(k, 0) - c * co
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
     return True
 
 
@@ -461,7 +435,7 @@ def _gcd_heuristic(f: IntPoly, g: IntPoly, var: int = 0) -> IntPoly | None:
             cand = _genpoly(gamma, var, xi)
             cc = _int_gcd(*cand.values())
             cand = {e: c // cc for e, c in cand.items()}
-            if cand == {(0, 0): 1} or _z_divides(cand, f) and _z_divides(cand, g):
+            if cand == {(0, 0): 1} or _divides(cand, f) and _divides(cand, g):
                 return {e: c * content for e, c in cand.items()}
         xi = xi * 73794 // 27011
     return None
@@ -475,10 +449,7 @@ def param_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         return g
     if g.is_zero():
         return f
-    gcd = _gcd_heuristic(
-        {e: c.numerator for e, c in f.terms.items()},
-        {e: c.numerator for e, c in g.terms.items()},
-    )
+    gcd = _gcd_heuristic(f.terms, g.terms)
     if gcd is None:
         return _gcd_euclid(f, g)
     if gcd[max(gcd, key=_grlex_key)] < 0:
@@ -490,24 +461,9 @@ def param_lcm(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     return _normalize_param((f * g).exact_div(param_gcd(f, g)))
 
 
-def _joint_integer_normal(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
-    """Scale num and den so both have integer coefficients with joint
-    content 1 and the denominator's leading coefficient is positive."""
-    denom_lcm = 1
-    for c in list(num.terms.values()) + list(den.terms.values()):
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-    num = num.scale(denom_lcm)
-    den = den.scale(denom_lcm)
-    content = 0
-    for c in list(num.terms.values()) + list(den.terms.values()):
-        content = _int_gcd(content, int(c))
-    if den.leading()[1] < 0:
-        content = -content
-    return num.scale(Fraction(1, content)), den.scale(Fraction(1, content))
-
-
 class Scalar:
-    """Element of the field Q(p,q), stored as ``num / den``."""
+    """Element of the field Q(p,q), stored as ``num / den``; both parts
+    have int coefficients."""
 
     __slots__ = ("num", "den")
 
@@ -518,7 +474,7 @@ class Scalar:
         if den_is_one:
             # fast path: integral numerators over denominator 1 are already
             # in canonical form, and they dominate the inner loops
-            if all(c.denominator == 1 for c in num.terms.values()):
+            if all(type(c) is int for c in num.terms.values()):
                 self.num, self.den = num, ParamPoly.one()
                 return
             den = ParamPoly.one()
@@ -539,7 +495,7 @@ class Scalar:
             if len(common.terms) > 1:
                 num = num.exact_div(common)
                 den = den.exact_div(common)
-        self.num, self.den = _joint_integer_normal(num, den)
+        self.num, self.den = _integer_normal(num, den)
 
     # -- constructors ----------------------------------------------------
 
@@ -557,7 +513,7 @@ class Scalar:
 
     @staticmethod
     def from_fraction(x) -> "Scalar":
-        return Scalar(ParamPoly.const(Fraction(x)))
+        return Scalar(ParamPoly.const(x))
 
     @staticmethod
     def p(power: int = 1) -> "Scalar":

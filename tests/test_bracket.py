@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homlie import bracket
 from homlie.algebra import Combo
 from homlie.bracket import (
     TwistMap,
@@ -142,6 +143,22 @@ class TestForcedBracket:
         # both the commutation of the maps and the g-ratios break
         ids = {e.id for e in rep.failures}
         assert "commute" in ids
+
+    @pytest.mark.parametrize("site", ["intertwine", "g-ratio"])
+    def test_kernel_fault_is_not_a_failed_check(self, monkeypatch, site):
+        # only NotDivisible means "not a multiple"; any other error in the
+        # division kernel must propagate instead of becoming a witness
+        fresh = make_context(Endo.dilation(P), Endo.dilation(Q))
+        real = bracket.exact_div
+
+        def faulty(a, b):
+            if site == "intertwine" or b == fresh.g:
+                raise TypeError("kernel fault")
+            return real(a, b)
+
+        monkeypatch.setattr(bracket, "exact_div", faulty)
+        with pytest.raises(TypeError):
+            check_forced_conditions(fresh)
 
     def test_forced_raises_when_unavailable(self, inv_ctx):
         with pytest.raises(ConditionsFailed):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from homlie import cli
 from homlie.cli import main, run_suite
 from homlie.errors import BadSize
+from homlie.report import Report
 
 
 def run(capsys, *argv):
@@ -203,3 +205,27 @@ class TestBadSizes:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err
+
+
+class TestEmptyReport:
+    def test_empty_suite_report_fails_with_a_witness(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._SUITES, "witt", lambda window, perturb: Report(suite="witt"))
+        code, out, _ = run(capsys, "verify", "witt", "--window", "1")
+        assert code == 1
+        assert out.splitlines() == [
+            "[FAIL] witt: 0/0 checks passed (no checks)",
+            "       witness: witt: no checks",
+        ]
+
+
+class TestUnwritableJson:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "sigma-sigma", "--window", "1"),
+        ("table", "witt", "--window", "1"),
+    ])
+    def test_missing_directory_exits_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, *argv, "--json", str(path))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: FileNotFoundError")
+        assert not path.exists()

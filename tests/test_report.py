@@ -29,3 +29,19 @@ class TestAbsorb:
         rep = Report(suite="top")
         assert not rep.absorb("sub-check", "sub-anchor", Report(suite="sub"))
         assert rep.entries[0].witness == "sub: no checks"
+
+
+class TestEmptyReport:
+    def test_summary_says_no_checks(self):
+        assert Report(suite="x").summary() == "x: 0/0 checks passed (no checks)"
+
+    def test_witness_of_empty_report(self):
+        assert Report(suite="x").witness() == "x: no checks"
+        assert Report(suite="x").witness(labelled=True) == "x: no checks"
+
+    def test_labelled_witness(self):
+        rep = Report(suite="x")
+        rep.check("a", "anchor", False, witness="lhs != rhs")
+        assert rep.witness() == "lhs != rhs"
+        assert rep.witness(labelled=True) == "a: lhs != rhs"
+        assert rep.summary() == "x: 0/1 checks passed (1 failed)"

@@ -228,3 +228,45 @@ class TestGcdHeuristic:
         g = ((P + Q) * Scalar.from_int(7)).num.shift(2, -1)
         assert param_gcd(f, g) == (P + Q).num
         assert calls
+
+
+def int_coefficients(s: Scalar) -> bool:
+    return all(type(c) is int for part in (s.num, s.den) for c in part.terms.values())
+
+
+class TestIntegerKernel:
+    @given(gcd_inputs(), gcd_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_div_recovers_the_cofactor(self, f, d):
+        assert (f * d).exact_div(d) == f
+
+    @pytest.mark.parametrize("f,d", [
+        (P ** 2 + Q ** 2, P + Q),
+        (P * Q + 1, P - Q),
+        (ONE / P + Q, P + Q),
+        ((P + Q) * (P - Q) + 1, P - Q),
+    ])
+    def test_non_multiple_raises(self, f, d):
+        assert len(d.num.terms) >= 2
+        with pytest.raises(ValueError):
+            f.num.exact_div(d.num)
+
+    def test_exact_div_over_the_rationals(self):
+        f = (P + 1).num
+        assert f.exact_div(f.scale(2)) == ParamPoly.const(Fraction(1, 2))
+        assert f.exact_div(f).terms == {(0, 0): 1}
+        assert type(f.exact_div(f).terms[(0, 0)]) is int
+
+    def test_negative_power_of_a_monomial_is_exact(self):
+        got = ParamPoly.monomial(2, 1, 0) ** -1
+        assert got == ParamPoly.monomial(Fraction(1, 2), -1, 0)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert (ParamPoly.monomial(-1, 0, 2) ** -3).terms == {(0, -6): -1}
+
+    @given(scalars(), scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_parts_have_int_coefficients(self, a, b):
+        results = [a, b, a + b, a - b, a * b]
+        if not b.is_zero():
+            results.append(a / b)
+        assert all(int_coefficients(s) for s in results)
