@@ -33,6 +33,7 @@ from .derivation import (
     verify_leibniz,
 )
 from .errors import (
+    BadPerturbation,
     BadSize,
     CocycleConditionFailed,
     ConditionsFailed,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .scalar import Scalar, Sparse
+from .scalar import Scalar
 
 Key = int | str
 
@@ -24,15 +24,76 @@ def _key_order(k: Key):
     return (0, k, "") if isinstance(k, int) else (1, 0, k)
 
 
-class Combo(Sparse):
-    """Finite Scalar-linear combination of basis keys."""
+class Combo:
+    """Finite Scalar-linear combination of basis keys, stored as
+    {key: nonzero Scalar}."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict = (
+            {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
+        )
+
+    @staticmethod
+    def _new(terms: dict) -> "Combo":
+        """A Combo around a map that already holds no zero coefficient."""
+        r = object.__new__(Combo)
+        r.terms = terms
+        return r
+
+    @staticmethod
+    def zero() -> "Combo":
+        return Combo()
 
     @staticmethod
     def basis(key: Key, coeff: Scalar | int = 1) -> "Combo":
         c = coeff if isinstance(coeff, Scalar) else Scalar.from_int(coeff)
         return Combo({key: c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(key, Scalar.zero())
+
+    def __add__(self, other) -> "Combo":
+        if not isinstance(other, Combo):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return self._new(out)
+
+    def __neg__(self) -> "Combo":
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Combo":
+        if not isinstance(other, Combo):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c: Scalar) -> "Combo":
+        if c.is_zero():
+            return Combo()
+        return self._new({k: co * c for k, co in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Combo):
+            return NotImplemented
+        if self.terms.keys() != other.terms.keys():
+            return False
+        return all(c == other.terms[k] for k, c in self.terms.items())
+
+    __hash__ = None
+
+    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Combo":
+        return Combo({k: fn(c) for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if self.is_zero():

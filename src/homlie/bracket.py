@@ -164,18 +164,14 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
 
     def inner(y: LaurentPoly, z: LaurentPoly) -> LaurentPoly:
         # monomial arguments repeat across triples; key them by exponent
-        if len(y.coeffs) == 1 and len(z.coeffs) == 1:
-            ky, kz = next(iter(y.coeffs)), next(iter(z.coeffs))
-            if y.coeffs[ky].is_one() or (-y.coeffs[ky]).is_one():
-                sy = 1 if y.coeffs[ky].is_one() else -1
-                sz = 1 if z.coeffs[kz].is_one() else (-1 if (-z.coeffs[kz]).is_one() else 0)
-                if sz:
-                    key = (ky, kz)
-                    got = inner_cache.get(key)
-                    if got is None:
-                        got = bracket_general(ctx, LaurentPoly.t(ky), LaurentPoly.t(kz))
-                        inner_cache[key] = got
-                    return got if sy * sz == 1 else -got
+        my, mz = y.signed_monomial(), z.signed_monomial()
+        if my and mz:
+            key = (my[0], mz[0])
+            got = inner_cache.get(key)
+            if got is None:
+                got = inner_cache[key] = bracket_general(ctx, LaurentPoly.t(key[0]),
+                                                         LaurentPoly.t(key[1]))
+            return got if my[1] == mz[1] else -got
         return bracket_general(ctx, y, z)
 
     for idx, (a, b, c) in enumerate(triples):

@@ -25,7 +25,7 @@ from .bracket import (
     monomial_triples,
 )
 from .derivation import make_context
-from .errors import BadSize, ExprSyntaxError, HomlieError
+from .errors import BadPerturbation, BadSize, ExprSyntaxError, HomlieError
 from .extension import (
     _assemble_extension,
     verify_centrality,
@@ -33,6 +33,7 @@ from .extension import (
     virasoro_cocycle,
 )
 from .families import (
+    SL2_BASIS,
     SL2_COEFF,
     ScaleMorphism,
     bracket_via_context,
@@ -114,19 +115,41 @@ FAMILIES = {
 }
 
 
-def _parse_perturbation(spec: str):
-    """SUITE:i,j for a structure constant, virasoro:n for the cocycle."""
-    try:
-        target, _, where = spec.partition(":")
-        if target == "virasoro":
-            return target, (int(where), -int(where))
-        keys = []
-        for piece in where.split(","):
-            piece = piece.strip()
-            keys.append(int(piece) if piece.lstrip("-").isdigit() else piece)
-        return target, tuple(keys)
-    except ValueError:
-        raise ExprSyntaxError(0, "a perturbation like witt:1,2 or virasoro:3") from None
+def _witt_reach(window: int) -> range:
+    """Structure checks sweep the window, Hom-Jacobi at least [-2, 2]."""
+    return range(-max(window, 2), max(window, 2) + 1)
+
+
+# suite -> the keys its checks reach at a window; only these take a fault
+_REACH = {
+    "witt": _witt_reach,
+    "witt-forced": _witt_reach,
+    "sigma-sigma": _witt_reach,
+    "inverse": lambda window: range(-max(2, window - 2), max(2, window - 2) + 1),
+    "sl2": lambda window: SL2_BASIS,
+    "virasoro": lambda window: range(-window, window + 1),
+}
+
+
+def _parse_perturbation(spec: str, names: list[str], window: int):
+    """SUITE:i,j for a structure constant, virasoro:n for the cocycle.
+    The suite must be one that runs, and every key one its checks reach,
+    or the fault would never be seen."""
+    target, _, where = spec.partition(":")
+    if target not in _REACH or target not in names:
+        raise BadPerturbation(f"{spec!r} names no suite of this run that takes a fault")
+    keys = tuple(
+        int(piece) if piece.lstrip("-").isdigit() else piece
+        for piece in (piece.strip() for piece in where.split(","))
+    )
+    reach = _REACH[target](window)
+    arity = 1 if target == "virasoro" else 2
+    if len(keys) != arity or any(k not in reach for k in keys):
+        shown = f"{reach.start}..{reach.stop - 1}" if isinstance(reach, range) else ",".join(reach)
+        raise BadPerturbation(
+            f"{spec!r}: {target} takes {arity} key(s) from {shown} at window {window}"
+        )
+    return target, (keys[0], -keys[0]) if target == "virasoro" else keys
 
 
 def _apply_perturbation(alg: GradedAlgebra, name: str, perturb) -> GradedAlgebra:
@@ -252,8 +275,8 @@ def run_suite(name: str, window: int, perturb=None) -> Report:
 
 def cmd_verify(args) -> int:
     window = _default_window(args.window, 4)
-    perturb = _parse_perturbation(args.perturb) if args.perturb else None
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    perturb = _parse_perturbation(args.perturb, names, window) if args.perturb else None
     reports = []
     for name in names:
         rep = run_suite(name, window, perturb=perturb)

@@ -32,6 +32,7 @@ from .laurent import (
     exact_div,
     gcd_up_to_unit,
     invert_endo,
+    termwise,
 )
 from .report import Report
 from .scalar import Scalar
@@ -46,10 +47,7 @@ class RankOneContext:
 
     def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
         """The generator applied to f, computed termwise."""
-        total = LaurentPoly.zero()
-        for n, c in f.coeffs.items():
-            total = total + self.generator_on_monomial(n).scale(c)
-        return total
+        return termwise(f, self.generator_on_monomial)
 
     def generator(self) -> "DerivationElement":
         return DerivationElement(LaurentPoly.one(), self)
@@ -130,9 +128,7 @@ class SigmaSigmaContext(RankOneContext):
         self.delta: LaurentPoly | None = None
 
     def generator_on_monomial(self, n: int) -> LaurentPoly:
-        if n == 0:
-            return LaurentPoly.zero()
-        return LaurentPoly.monomial(Scalar.from_int(n) * self.c ** (n - 1), n - 1)
+        return self.sigma.power(n - 1) * n
 
     # bench/tracing.py reads the class __dict__, so the shared method is bound here too
     apply_generator = RankOneContext.apply_generator

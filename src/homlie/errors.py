@@ -54,8 +54,14 @@ class CocycleConditionFailed(HomlieError):
 
 
 class BadSize(HomlieError):
-    """A window or pair count is not a positive integer, or a corpus is
-    empty: the sweep would pass vacuously."""
+    """A window or pair count is not a positive integer, a corpus is
+    empty (the sweep would pass vacuously), or an exponent in an
+    expression exceeds the parser's bound."""
+
+
+class BadPerturbation(HomlieError):
+    """A fault-injection spec names no suite of the run, or a key that
+    the suite's checks never reach: the run would pass without the fault."""
 
 
 class ExprSyntaxError(HomlieError):

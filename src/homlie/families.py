@@ -14,6 +14,7 @@ recomputes a bracket through ``bracket_general`` plus exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
@@ -29,7 +30,7 @@ from .scalar import ONE, P, Q, Scalar, pq_number_of
 def expand_in_d_basis(w: LaurentPoly) -> Combo:
     """Rewrite w.D in the basis d_j = -t^j.D: the d_j coordinate is the
     negated t^j coefficient of w."""
-    return Combo({j: -c for j, c in w.coeffs.items()})
+    return Combo((-w).coeffs)
 
 
 def coefficient_of_d(n: int) -> LaurentPoly:
@@ -261,17 +262,17 @@ def sl2_pp_forced() -> GradedAlgebra:
 
 def sl2_expand(w: LaurentPoly) -> Combo:
     """Expand w.partial over span{e, f, h}; raises if w leaves the span."""
-    out = Combo.zero()
+    out = {}
     for k, c in w.coeffs.items():
-        if k == 0:
-            out = out + Combo.basis("e", c)
-        elif k == 1:
-            out = out + Combo.basis("h", -c / Scalar.from_int(2))
-        elif k == 2:
-            out = out + Combo.basis("f", -c)
-        else:
+        if k not in _SL2_SLOTS:
             raise ValueError(f"coefficient {c}*t^{k} is outside span(e,f,h)")
-    return out
+        name, factor = _SL2_SLOTS[k]
+        out[name] = c * factor
+    return Combo(out)
+
+
+# t^k -> (basis element, factor): w.partial = e-part + h-part + f-part
+_SL2_SLOTS = {0: ("e", 1), 1: ("h", Fraction(-1, 2)), 2: ("f", -1)}
 
 
 # -- the inversion-twist example ----------------------------------------------

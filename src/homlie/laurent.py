@@ -5,6 +5,14 @@ unit, and the monomial endomorphisms t -> c*t^k that cover every algebra
 endomorphism of the Laurent ring (t must map to a unit, and the units are
 exactly the nonzero monomials).
 
+A Laurent polynomial is stored fraction-free, as one integer numerator
+over (t, p, q) and one common ``ParamPoly`` denominator, and every result
+is normalized once (one joint integer content, and one parameter gcd only
+when the denominator is not constant).  The ``Scalar`` coefficients of
+``coeff`` and ``coeffs`` are built from that form on demand; ``Scalar``
+is canonical, so the rendering does not depend on how a polynomial was
+computed.
+
 The gcd is computed over the integral layer Q[p^+-1, q^+-1][t^+-1]: the
 scalar content of the inputs (a gcd of bivariate parameter polynomials)
 is kept, not discarded, so that e.g. the common factor p - q of the set
@@ -15,67 +23,218 @@ would normalize that content away.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from functools import reduce
+from math import gcd as _int_gcd
+from typing import Callable, Iterable
 
 from .errors import DivisionByZero, NotDivisible, NotInvertible, NotAUnit
 from .scalar import (
     ParamPoly,
     Scalar,
-    Sparse,
     _field_euclid,
     _normalize_param,
+    _poly,
     param_gcd,
     param_lcm,
 )
 
+# {(k, i, j): nonzero int} for the terms c t^k p^i q^j
+Num = dict[tuple[int, int, int], int]
 
-class LaurentPoly(Sparse):
-    """Sparse Laurent polynomial in t with Scalar coefficients."""
+# the denominator of every polynomial whose denominator is 1
+_ONE = ParamPoly.one()
 
-    __slots__ = ()
-    # the one storage slot under its Laurent name
-    coeffs = Sparse.terms
+
+def _mul(a: Num, b: Num) -> Num:
+    if len(b) == 1:
+        ((k2, i2, j2), c2), = b.items()
+        return {(k + k2, i + i2, j + j2): c * c2 for (k, i, j), c in a.items()}
+    out: Num = {}
+    get = out.get
+    for (k1, i1, j1), c1 in a.items():
+        for (k2, i2, j2), c2 in b.items():
+            e = (k1 + k2, i1 + i2, j1 + j2)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _add(a: Num, b: Num) -> Num:
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        v = get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def _lift(f: ParamPoly) -> Num:
+    """A parameter polynomial as a numerator of t-degree 0."""
+    return {(0, i, j): c for (i, j), c in f.terms.items()}
+
+
+def _split(num: Num) -> dict[int, ParamPoly]:
+    """The t-coefficients of a numerator."""
+    out: dict[int, dict] = {}
+    for (k, i, j), c in num.items():
+        out.setdefault(k, {})[(i, j)] = c
+    return {k: _poly(terms) for k, terms in out.items()}
+
+
+def _join(coeffs: dict[int, ParamPoly]) -> Num:
+    return {(k, i, j): c for k, f in coeffs.items() for (i, j), c in f.terms.items()}
+
+
+def _int_den(den: ParamPoly) -> int | None:
+    """The value of a constant denominator, None for a non-constant one."""
+    return den.terms.get((0, 0)) if len(den.terms) == 1 else None
+
+
+def _sum(an: Num, ad: ParamPoly, bn: Num, bd: ParamPoly) -> tuple[Num, ParamPoly]:
+    """an/ad + bn/bd over a common denominator, not yet normalized."""
+    if ad is bd or ad == bd:
+        return _add(an, bn), ad
+    da, db = _int_den(ad), _int_den(bd)
+    if da is not None and db is not None:
+        g = _int_gcd(da, db)
+        num = _add(_mul(an, {(0, 0, 0): db // g}), _mul(bn, {(0, 0, 0): da // g}))
+        return num, ParamPoly.const(da // g * db)
+    return _add(_mul(an, _lift(bd)), _mul(bn, _lift(ad))), ad * bd
+
+
+def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
+    """The canonical form of num/den: the denominator's monomial factor
+    moved into the numerator, the parameter gcd of the denominator with
+    every t-coefficient divided out, joint integer content 1 and a
+    positive leading graded-lex coefficient in the denominator."""
+    d = _int_den(den)
+    if not num or d == 1:
+        return num, _ONE
+    if d is None:
+        i0, j0 = den.min_exponents()
+        if i0 or j0:
+            den = den.shift(-i0, -j0)
+            num = {(k, i - i0, j - j0): c for (k, i, j), c in num.items()}
+    if not den.is_constant():
+        common = den
+        for c in _split(num).values():
+            common = param_gcd(common, c)
+            if len(common.terms) == 1:
+                break
+        if len(common.terms) > 1:
+            den = den.exact_div(common)
+            num = _join({k: c.exact_div(common) for k, c in _split(num).items()})
+    content = _int_gcd(*num.values(), *den.terms.values())
+    if den.leading()[1] < 0:
+        content = -content
+    if content != 1:
+        num = {e: c // content for e, c in num.items()}
+        den = _poly({e: c // content for e, c in den.terms.items()})
+    return num, (_ONE if _int_den(den) == 1 else den)
+
+
+class LaurentPoly:
+    """Laurent polynomial in t over Q(p,q), stored as ``num / den``.
+
+    ``num`` maps the exponents (k, i, j) of t^k p^i q^j to nonzero ints;
+    ``den`` is one ParamPoly shared by all coefficients, the object
+    ``_ONE`` whenever it is 1.  Both are in the canonical form of
+    ``_normal``; the zero polynomial has an empty numerator.
+    """
+
+    __slots__ = ("num", "den")
+    _nonnegative = False
+
+    def __init__(self, coeffs: dict[int, Scalar] | None = None):
+        num, den = {}, _ONE
+        for k, c in (coeffs or {}).items():
+            if not c.is_zero():
+                term = {(k, i, j): a for (i, j), a in c.num.terms.items()}
+                num, den = _sum(num, den, term, c.den)
+        made = self._make(num, den)
+        self.num, self.den = made.num, made.den
+
+    @classmethod
+    def _make(cls, num: Num, den: ParamPoly = _ONE) -> "LaurentPoly":
+        """The one gate of every result: normalization, and the
+        nonnegative exponents of ``PlainPoly``."""
+        if den is not _ONE:
+            num, den = _normal(num, den)
+        if cls._nonnegative and num and min(num)[0] < 0:
+            raise ValueError("plain polynomials have nonnegative exponents")
+        r = object.__new__(cls)
+        r.num, r.den = num, den
+        return r
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls._make({})
+
+    @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: Scalar.one()})
+        return cls._make({(0, 0, 0): 1})
 
     @classmethod
     def t(cls, power: int = 1) -> "LaurentPoly":
-        return cls({power: Scalar.one()})
+        return cls._make({(power, 0, 0): 1})
 
     @classmethod
     def monomial(cls, c: Scalar, k: int) -> "LaurentPoly":
-        return cls({k: c})
+        return cls._make({(k, i, j): a for (i, j), a in c.num.terms.items()}, c.den)
 
     @classmethod
     def from_scalar(cls, c: Scalar) -> "LaurentPoly":
-        return cls({0: c})
+        return cls.monomial(c, 0)
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: Scalar.from_int(n)})
+        return cls._make({(0, 0, 0): n} if n else {})
+
+    # -- coefficients as Scalars -------------------------------------------
+
+    @property
+    def coeffs(self) -> dict[int, Scalar]:
+        return {k: Scalar(c, self.den) for k, c in _split(self.num).items()}
+
+    def coeff(self, k: int) -> Scalar:
+        terms = {(i, j): c for (m, i, j), c in self.num.items() if m == k}
+        return Scalar(_poly(terms), self.den)
+
+    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "LaurentPoly":
+        return type(self)({k: fn(c) for k, c in self.coeffs.items()})
 
     # -- structure ----------------------------------------------------------
 
+    def is_zero(self) -> bool:
+        return not self.num
+
     def is_unit(self) -> bool:
         """Units of A are exactly the single-term polynomials c*t^k."""
-        return len(self.coeffs) == 1
+        return len({e[0] for e in self.num}) == 1
 
     def is_scalar(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
+        return all(e[0] == 0 for e in self.num)
 
     def degree(self) -> int:
         if self.is_zero():
             raise ValueError("degree of zero")
-        return max(self.coeffs)
+        return max(e[0] for e in self.num)
 
     def valuation(self) -> int:
         if self.is_zero():
             raise ValueError("valuation of zero")
-        return min(self.coeffs)
+        return min(e[0] for e in self.num)
+
+    def signed_monomial(self) -> tuple[int, int] | None:
+        """(k, s) when the polynomial is s*t^k with s = 1 or -1."""
+        if len(self.num) != 1 or self.den is not _ONE:
+            return None
+        ((k, i, j), c), = self.num.items()
+        return (k, c) if i == j == 0 and c in (1, -1) else None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -83,11 +242,29 @@ class LaurentPoly(Sparse):
         """Scalars, ints and Fractions act as constant polynomials."""
         if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return self.from_int(other)
+        if isinstance(other, Fraction):
             other = Scalar.from_fraction(other)
         return self.from_scalar(other) if isinstance(other, Scalar) else NotImplemented
 
-    __radd__ = Sparse.__add__
+    def __add__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._make(*_sum(self.num, self.den, other.num, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "LaurentPoly":
+        return self._make({e: -c for e, c in self.num.items()}, self.den)
+
+    def __sub__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        neg = {e: -c for e, c in other.num.items()}
+        return self._make(*_sum(self.num, self.den, neg, other.den))
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -96,31 +273,27 @@ class LaurentPoly(Sparse):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Scalar] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                v = c1 * c2
-                s = out.get(k)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return self._new(out)
+        if other.den is _ONE:
+            den = self.den
+        else:
+            den = other.den if self.den is _ONE else self.den * other.den
+        return self._make(_mul(self.num, other.num), den)
 
     __rmul__ = __mul__
 
+    def scale(self, c: Scalar) -> "LaurentPoly":
+        return self * self.from_scalar(c)
+
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by t^d."""
-        return self._new({k + d: c for k, c in self.coeffs.items()})
+        return self._make({(k + d, i, j): c for (k, i, j), c in self.num.items()}, self.den)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if len(self.coeffs) == 1:
-            ((k, c),) = self.coeffs.items()
-            return self.monomial(c ** n, k * n)
         if n < 0:
-            raise NotAUnit("negative power of a non-unit")
+            return self.unit_inverse() ** -n
+        if self.is_unit():
+            ((k, c),) = _split(self.num).items()
+            return self._make(_join({k * n: c ** n}), self.den ** n)
         r = self.one()
         for _ in range(n):
             r = r * self
@@ -129,8 +302,18 @@ class LaurentPoly(Sparse):
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
             raise NotAUnit(f"{self} is not a unit of the Laurent ring")
-        ((k, c),) = self.coeffs.items()
-        return self.monomial(c.inverse(), -k)
+        ((k, c),) = _split(self.num).items()
+        return self._make(_join({-k: self.den}), c)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
+        return _mul(self.num, _lift(other.den)) == _mul(other.num, _lift(self.den))
+
+    __hash__ = None
 
     def __str__(self) -> str:
         return render_laurent(self)
@@ -139,32 +322,69 @@ class LaurentPoly(Sparse):
         return f"LaurentPoly({self})"
 
 
+def _long_div(a: dict[int, ParamPoly], b: dict[int, ParamPoly]):
+    """Long division in t of polynomials with nonnegative exponents over
+    Z[p^+-1, q^+-1]: (quotient, m) with m*a = quotient*b, or NotDivisible.
+
+    A step whose leading coefficient the divisor's does not divide
+    exactly first multiplies the remainder and the quotient so far by the
+    divisor's leading coefficient (pseudo-division), so ``m`` is a power
+    of it and every coefficient stays integral."""
+    deg = max(b)
+    lead = b[deg]
+    tail = [(k, c) for k, c in b.items() if k != deg]
+    rem = dict(a)
+    out: dict[int, ParamPoly] = {}
+    mult = _ONE
+    while rem and max(rem) >= deg:
+        top = max(rem)
+        c = rem.pop(top)
+        try:
+            q = c.exact_div(lead)
+        except ValueError:
+            q = None
+        if q is None or any(type(v) is not int for v in q.terms.values()):
+            rem = {k: v * lead for k, v in rem.items()}
+            out = {k: v * lead for k, v in out.items()}
+            mult = mult * lead
+            q = c
+        out[top - deg] = q
+        for k, co in tail:
+            k += top - deg
+            v = rem.get(k, ParamPoly()) - q * co
+            if v.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = v
+    if rem:
+        raise NotDivisible("nonzero remainder in t")
+    return out, mult
+
+
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """The cofactor c with b*c = a, of the type of ``a``, or NotDivisible.
 
-    Shifts both arguments to ordinary polynomials and performs long
-    division over the coefficient field Q(p,q); the t-shift difference is
-    restored afterwards (units t^k divide everything).
+    Divides the numerator of ``a`` times the denominator of ``b`` by the
+    numerator of ``b``, both shifted to valuation 0, in one long division
+    in t; the t-shift difference is restored afterwards (units t^k divide
+    everything).  The quotient is taken over the field Q(p,q): a
+    parameter denominator is allowed, only a remainder in t is not.
     """
     if b.is_zero():
         raise DivisionByZero("exact division by zero")
     if a.is_zero():
         return a.zero()
-    offset = a.valuation() - b.valuation()
-    ra = a.shift(-a.valuation())
-    rb = b.shift(-b.valuation())
-    deg_b = rb.degree()
-    lead_b = rb.coeff(deg_b)
-    out: dict[int, Scalar] = {}
-    rem = ra
-    while not rem.is_zero() and rem.degree() >= deg_b:
-        k = rem.degree() - deg_b
-        c = rem.coeff(rem.degree()) / lead_b
-        out[k + offset] = c
-        rem = rem - rb.shift(k).scale(c)
-    if not rem.is_zero():
-        raise NotDivisible(f"({a}) is not divisible by ({b})")
-    return a._new(out)
+    num = a.num if b.den is _ONE else _mul(a.num, _lift(b.den))
+    top, bot = _split(num), _split(b.num)
+    va, vb = min(top), min(bot)
+    try:
+        quotient, mult = _long_div(
+            {k - va: c for k, c in top.items()}, {k - vb: c for k, c in bot.items()}
+        )
+    except NotDivisible:
+        raise NotDivisible(f"({a}) is not divisible by ({b})") from None
+    den = a.den if mult is _ONE else a.den * mult
+    return a._make(_join({k + va - vb: c for k, c in quotient.items()}), den)
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
@@ -173,6 +393,39 @@ def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
         return True
     except NotDivisible:
         return False
+
+
+def exponent_map(f: LaurentPoly, u: LaurentPoly, cls=LaurentPoly) -> LaurentPoly | None:
+    """f(t) -> f(u) as a map of exponents, for u = c*p^a*q^b*t^k with an
+    int c and k != 0; None for any other u, or when f would need a
+    negative power of c != 1."""
+    if u.den is not _ONE or len(u.num) != 1:
+        return None
+    ((k0, a, b), c0), = u.num.items()
+    if not k0 or c0 != 1 and f.num and min(f.num)[0] < 0:
+        return None
+    return cls._make({(k * k0, i + a * k, j + b * k): c if c0 == 1 else c * c0 ** k
+                      for (k, i, j), c in f.num.items()}, f.den)
+
+
+def termwise(f: LaurentPoly, image: Callable[[int], LaurentPoly], cls=LaurentPoly) -> LaurentPoly:
+    """The Q(p,q)-linear map t^n -> image(n) applied to f, as a ``cls``."""
+    out: Num = {}
+    get = out.get
+    images: dict[int, LaurentPoly] = {}
+    for (n, i, j), c in f.num.items():
+        g = images.get(n)
+        if g is None:
+            g = images[n] = image(n)
+            if g.den is not _ONE:
+                total = cls.zero()
+                for m, a in f.coeffs.items():
+                    total = total + image(m).scale(a)
+                return total
+        for (k, i2, j2), c2 in g.num.items():
+            e = (k, i + i2, j + j2)
+            out[e] = get(e, 0) + c * c2
+    return cls._make({e: c for e, c in out.items() if c}, f.den)
 
 
 # -- monomial endomorphisms --------------------------------------------------
@@ -188,13 +441,13 @@ class Endo:
             raise ValueError("endomorphism must send t to a unit")
         self.c = c
         self.k = k
-        self._pows: dict[int, Scalar] = {0: Scalar.one(), 1: c}
+        self._pows: dict[int, LaurentPoly] = {1: LaurentPoly.monomial(c, k)}
 
-    def coefficient_power(self, n: int) -> Scalar:
+    def power(self, n: int) -> LaurentPoly:
+        """The image c^n t^(k n) of t^n, cached."""
         got = self._pows.get(n)
         if got is None:
-            got = self.c ** n
-            self._pows[n] = got
+            got = self._pows[n] = self._pows[1] ** n
         return got
 
     @staticmethod
@@ -229,19 +482,8 @@ class Endo:
 
 def apply_endo(e: Endo, f: LaurentPoly) -> LaurentPoly:
     """Substitute t -> c*t^k, i.e. t^n -> c^n t^(k n)."""
-    out: dict[int, Scalar] = {}
-    for n, a in f.coeffs.items():
-        k = e.k * n
-        v = a * e.coefficient_power(n)
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    r = LaurentPoly()
-    r.coeffs = out
-    return r
+    got = exponent_map(f, e.power(1))
+    return termwise(f, e.power) if got is None else got
 
 
 def compose_endo(e1: Endo, e2: Endo) -> Endo:
@@ -261,61 +503,45 @@ def invert_endo(e: Endo) -> Endo:
 # here the t-direction is handled by Euclid over the field Q(p,q).
 
 
-def _content(coeffs: Iterable[ParamPoly]) -> ParamPoly:
-    """The gcd of a nonempty family of parameter polynomials."""
-    cont = ParamPoly.zero()
-    for c in coeffs:
-        cont = c if cont.is_zero() else param_gcd(cont, c)
-    return cont
-
-
-def _primitive(poly: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
-    cont = _content(poly.values())
-    return {k: c.exact_div(cont) for k, c in poly.items()}
-
-
 def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     """Canonical gcd of a nonempty family, determined up to Q* t^Z p^Z q^Z.
 
     The result splits as (scalar content) * (primitive t-part): the
     content is the bivariate gcd of all coefficient polynomials, the
     t-part comes from Euclid over Q(p,q) followed by content stripping.
-    Normalization: lowest t-exponent 0, coefficients with joint content 1,
-    and the leading t-coefficient's leading graded-lex coefficient +1.
+    Normalization: lowest t-exponent 0 and the leading t-coefficient's
+    leading graded-lex coefficient positive.
     """
     items = [f for f in polys if not f.is_zero()]
     if not items:
         raise ValueError("gcd of an empty or all-zero family")
 
-    # one common multiple for every non-monomial coefficient denominator
-    dens = [c.den for f in items for c in f.coeffs.values() if len(c.den.terms) > 1]
+    # one common multiple of the non-constant denominators
     common = ParamPoly.one()
-    for d in dens:
-        common = param_lcm(common, d)
+    for f in items:
+        if not f.den.is_constant():
+            common = param_lcm(common, f.den)
 
     integral: list[dict[int, ParamPoly]] = []
     for f in items:
-        shifted = f.shift(-f.valuation())
-        entry = {k: c.num * common.exact_div(c.den) for k, c in shifted.coeffs.items()}
-        integral.append(entry)
+        factor, v = common.exact_div(f.den), f.valuation()
+        integral.append({k - v: c * factor for k, c in _split(f.num).items()})
 
-    content = _normalize_param(_content(c for entry in integral for c in entry.values()))
+    content = _normalize_param(reduce(param_gcd, (c for e in integral for c in e.values())))
 
-    prim = _primitive(integral[0])
+    def primitive(poly: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+        cont = reduce(param_gcd, poly.values())
+        return {k: c.exact_div(cont) for k, c in poly.items()}
+
+    prim = primitive(integral[0])
     for entry in integral[1:]:
         if len(prim) == 1 and 0 in prim:
             break
-        prim = _primitive(_field_euclid(prim, _primitive(entry)))
+        prim = primitive(_field_euclid(prim, primitive(entry)))
 
-    # sign/scale normalization of the primitive part
-    lead = prim[max(prim)]
-    lead_sign = 1 if lead.leading()[1] > 0 else -1
-    result = LaurentPoly()
-    for k, c in prim.items():
-        coeff = Scalar(content * c.scale(lead_sign))
-        if not coeff.is_zero():
-            result.coeffs[k] = coeff
-    return result
+    # sign normalization of the primitive part
+    lead_sign = 1 if prim[max(prim)].leading()[1] > 0 else -1
+    return LaurentPoly({k: Scalar(content * c.scale(lead_sign)) for k, c in prim.items()})
 
 
 def render_laurent(f: LaurentPoly) -> str:
@@ -323,9 +549,10 @@ def render_laurent(f: LaurentPoly) -> str:
 
     if f.is_zero():
         return "0"
+    coeffs = f.coeffs
     parts = []
-    for k in sorted(f.coeffs, reverse=True):
-        c = f.coeffs[k]
+    for k in sorted(coeffs, reverse=True):
+        c = coeffs[k]
         t_part = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
         neg = False
         body = render_scalar(c)

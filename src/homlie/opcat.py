@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .errors import BadSize, NotDivisible
-from .laurent import LaurentPoly, exact_div
+from .laurent import _ONE, LaurentPoly, exact_div, exponent_map, termwise
 from .report import Report
 from .scalar import P, Q, Scalar
 
@@ -24,42 +25,44 @@ class PlainPoly(LaurentPoly):
     """A LaurentPoly whose exponents are all nonnegative."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        if coeffs and min(coeffs) < 0:
-            raise ValueError("plain polynomials have nonnegative exponents")
-        super().__init__(coeffs)
+    _nonnegative = True
 
     # bench/tracing.py reads PlainPoly.__dict__, so the inherited product is bound here too
     __mul__ = LaurentPoly.__mul__
 
     def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
+        return max(e[0] for e in self.num) if self.num else -1
 
     def subst(self, image: "PlainPoly") -> "PlainPoly":
-        """f(t) -> f(image(t))."""
-        result = PlainPoly.zero()
-        power_cache: dict[int, PlainPoly] = {0: PlainPoly.one()}
-
-        def power(n: int) -> PlainPoly:
-            if n not in power_cache:
-                power_cache[n] = power(n - 1) * image
-            return power_cache[n]
-
-        for k, c in self.coeffs.items():
-            result = result + power(k).scale(c)
-        return result
+        """f(t) -> f(image(t)).  A dilation is a map of exponents, a shift
+        t -> t + c*p^a*q^b one binomial Taylor shift; any other image maps
+        t^n to image^n."""
+        got = exponent_map(self, image, type(self))
+        if got is not None:
+            return got
+        shift = image - PlainPoly.t()
+        if image.den is _ONE and len(shift.num) == 1 and shift.is_scalar():
+            ((_, a, b), c0), = shift.num.items()
+            out: dict = {}
+            get = out.get
+            for (k, i, j), c in self.num.items():
+                for m in range(k + 1):
+                    e = (m, i + a * (k - m), j + b * (k - m))
+                    out[e] = get(e, 0) + c * comb(k, m) * c0 ** (k - m)
+            return self._make({e: c for e, c in out.items() if c}, self.den)
+        return termwise(self, image.__pow__, type(self))
 
     def derivative(self) -> "PlainPoly":
-        out = {k - 1: c * Scalar.from_int(k) for k, c in self.coeffs.items() if k != 0}
-        return PlainPoly(out)
+        return self._make({(k - 1, i, j): c * k for (k, i, j), c in self.num.items() if k},
+                          self.den)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[k]
+        for k in sorted(coeffs, reverse=True):
+            c = coeffs[k]
             t_part = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
             body = f"({c})" if t_part else f"{c}"
             parts.append(f"{body}*{t_part}" if t_part else body)
@@ -71,10 +74,9 @@ class PlainPoly(LaurentPoly):
 def exact_div_plain(a: PlainPoly, b: PlainPoly) -> PlainPoly:
     """``laurent.exact_div`` in Q(p,q)[t]: a cofactor that needs a
     negative exponent means b does not divide a there."""
-    quotient = exact_div(a, b)
-    if quotient.coeffs and min(quotient.coeffs) < 0:
+    if not (a.is_zero() or b.is_zero()) and a.valuation() < b.valuation():
         raise NotDivisible(f"({a}) not divisible by ({b})")
-    return quotient
+    return exact_div(a, b)
 
 
 # substitutions used by the table

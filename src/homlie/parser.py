@@ -5,7 +5,8 @@ Grammar (precedence ^ > unary - > * / > + -):
     expr    :=  term (('+' | '-') term)*
     term    :=  unary (('*' | '/') unary)*
     unary   :=  '-' unary | power
-    power   :=  atom ('^' int)?          exponents are integer literals
+    power   :=  atom ('^' int)?          exponents are integer literals,
+                                          at most MAX_EXPONENT in magnitude
     atom    :=  int | 'p' | 'q' | 't' | '(' expr ')'
 
 ``parse_scalar`` rejects t; ``parse_laurent`` builds elements of the
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, ExprSyntaxError, NotDivisible
+from .errors import BadSize, DivisionByZero, ExprSyntaxError, NotDivisible
 from .laurent import LaurentPoly, exact_div
 from .scalar import Scalar
+
+MAX_EXPONENT = 10 ** 4
 
 
 class _Tokens:
@@ -116,6 +119,9 @@ class _Parser:
                 self.toks.next()
                 sign = -1
             tok = self.toks.expect("int")
+            # compare digits first: int() refuses literals past 4300 digits
+            if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
+                raise BadSize(f"the exponent at position {tok[2]} exceeds {MAX_EXPONENT}")
             return base ** (sign * int(tok[1]))
         return base
 

@@ -6,8 +6,7 @@ stored as a sparse map from exponent pairs (i, j) to int coefficients; a
 ``Fraction`` is stored only for a coefficient that is not an integer.  It
 has one exact division, ``ParamPoly.exact_div``, which also serves as the
 acceptance test of the heuristic gcd.  A ``Scalar`` is a quotient of two
-such polynomials, and a ``Sparse`` is a finite Scalar-linear combination,
-the base of the Laurent polynomials and of the generator combinations.
+such polynomials.
 
 Equality of scalars is decided by cross-multiplication of the stored
 numerators and denominators, never by polynomial gcd, so it is exact even
@@ -23,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd as _int_gcd
-from typing import Callable
 
 from .errors import DivisionByZero, PoleAtPoint
 
@@ -665,86 +663,6 @@ def render_scalar(s: Scalar) -> str:
     if len(s.den.terms) > 1 or not _atomic(s.den):
         den = f"({den})"
     return f"{num}/{den}"
-
-
-# -- finite Scalar-linear combinations ---------------------------------------
-
-
-class Sparse:
-    """A finite Scalar-linear combination, stored as {key: nonzero Scalar}.
-
-    The shared core of ``LaurentPoly``, ``PlainPoly`` and ``Combo``: the
-    zero-stripping constructor and the linear operations.  Every result
-    has the receiver's type; subclasses add products and coercions.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = (
-            {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
-        )
-
-    def _new(self, terms: dict) -> "Sparse":
-        """An object of the receiver's type around a map that already
-        holds no zero coefficient."""
-        r = object.__new__(type(self))
-        r.terms = terms
-        return r
-
-    @classmethod
-    def zero(cls) -> "Sparse":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, key) -> Scalar:
-        return self.terms.get(key, Scalar.zero())
-
-    def _coerce(self, other) -> "Sparse":
-        return other if isinstance(other, type(self)) else NotImplemented
-
-    def __add__(self, other) -> "Sparse":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return self._new(out)
-
-    def __neg__(self) -> "Sparse":
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Sparse":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Sparse":
-        if c.is_zero():
-            return self._new({})
-        return self._new({k: co * c for k, co in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(c == other.terms[k] for k, c in self.terms.items())
-
-    __hash__ = None
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Sparse":
-        return type(self)({k: fn(c) for k, c in self.terms.items()})
 
 
 # -- deformation numbers ---------------------------------------------------

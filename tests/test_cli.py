@@ -229,3 +229,43 @@ class TestUnwritableJson:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: FileNotFoundError")
         assert not path.exists()
+
+
+class TestPerturbation:
+    """A fault-injection request either reaches a check or is refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "witt", "--window", "1", "--perturb", "witt:x,y"),
+        ("verify", "witt", "--window", "1", "--perturb", "garbage"),
+        ("verify", "sl2", "--window", "1", "--perturb", "sl2:zz,e"),
+        ("verify", "witt", "--window", "2", "--perturb", "witt:50,50"),
+        ("verify", "virasoro", "--window", "3", "--perturb", "virasoro:40"),
+    ], ids=["non-integer-key", "no-suite", "unknown-key", "outside-window", "virasoro-outside"])
+    def test_unreachable_fault_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "[ok ]" not in out
+        assert len(err.splitlines()) == 1 and err.startswith("error: BadPerturbation")
+
+    @pytest.mark.parametrize("suite,spec", [
+        ("witt", "witt:1,2"),
+        ("witt-forced", "witt-forced:2,-1"),
+        ("inverse", "inverse:1,2"),
+        ("virasoro", "virasoro:3"),
+        ("sl2", "sl2:e,f"),
+    ])
+    def test_fault_workload_specs_fail(self, capsys, suite, spec):
+        # the specs and window of the benchmark's fault workload
+        code, out, _ = run(capsys, "verify", suite, "--window", "5", "--perturb", spec)
+        assert code == 1
+        assert out.startswith("[FAIL]")
+
+    @pytest.mark.parametrize("suite", ["inverse", "sigma-sigma", "sl2", "virasoro", "witt",
+                                       "witt-forced"])
+    def test_every_accepted_fault_is_seen(self, suite):
+        keys = list(cli._REACH[suite](1))
+        specs = ([f"{suite}:{k}" for k in keys] if suite == "virasoro"
+                 else [f"{suite}:{a},{b}" for a in keys for b in keys])
+        for spec in specs:
+            perturb = cli._parse_perturbation(spec, [suite], 1)
+            assert not run_suite(suite, 1, perturb).ok, spec

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from homlie.errors import BadSize, DivisionByZero, NotDivisible
+from homlie.laurent import exact_div
 from homlie.opcat import (
     PlainPoly,
     T_P,
@@ -121,6 +122,16 @@ class TestPlainPolyCore:
             PlainPoly({-1: ONE})
         with pytest.raises(ValueError):
             PlainPoly.t(-2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: t(1).shift(-2),
+        lambda: t(1).unit_inverse(),
+        lambda: t(2) ** -1,
+        lambda: exact_div(t(1), t(2)),
+    ], ids=["shift", "unit-inverse", "negative-power", "laurent-exact-div"])
+    def test_no_operation_builds_a_negative_exponent(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_quotient_needing_negative_exponent(self):
         # t divides t^2 only in the Laurent ring

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.errors import DivisionByZero, ExprSyntaxError
+from homlie.cli import main
+from homlie.errors import BadSize, DivisionByZero, ExprSyntaxError
 from homlie.laurent import LaurentPoly
 from homlie.parser import parse_laurent, parse_rational, parse_scalar
 from homlie.scalar import ONE, P, Q, ParamPoly, Scalar
@@ -110,3 +111,21 @@ class TestRational:
     def test_bad_input(self):
         with pytest.raises(ExprSyntaxError):
             parse_rational("one half")
+
+
+class TestExponentBound:
+    def test_bound_is_inclusive(self):
+        assert parse_scalar("p^10000") == P ** 10000
+        assert parse_laurent("t^-10000") == t(-10000)
+
+    @pytest.mark.parametrize("text", ["p^10001", "q^-20000", "t^100000000", "p^" + "9" * 5000])
+    def test_larger_exponent_is_bad_size(self, text):
+        with pytest.raises(BadSize):
+            parse_laurent(text)
+
+    def test_cli_exits_two(self, capsys):
+        code = main(["specialize", "p^100000000", "2", "1"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: BadSize")
