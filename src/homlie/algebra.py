@@ -1,6 +1,6 @@
 """Linear combinations over an indexed basis and graded bracket structures.
 
-A ``Combo`` is a finite Scalar-linear combination of basis keys; keys are
+A ``Combo`` is a finite Q(p,q)-linear combination of basis keys; keys are
 integers for Z-graded algebras such as the deformed Witt algebras, short
 strings for finite bases like {e, f, h}, and "c" for a central element.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
+from .laurent import _ONE, Linear, _den_mul, _linear, _mul
 from .scalar import Scalar
 
 Key = int | str
@@ -24,84 +25,29 @@ def _key_order(k: Key):
     return (0, k, "") if isinstance(k, int) else (1, 0, k)
 
 
-class Combo:
-    """Finite Scalar-linear combination of basis keys, stored as
-    {key: nonzero Scalar}."""
+class Combo(Linear):
+    """Finite Q(p,q)-linear combination of basis keys, on the linear core
+    ``laurent.Linear`` (one int numerator over one ``ParamPoly``)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict = (
-            {k: c for k, c in terms.items() if not c.is_zero()} if terms else {}
-        )
+    @classmethod
+    def basis(cls, key: Key, coeff: Scalar | int = 1) -> "Combo":
+        if isinstance(coeff, Scalar):
+            return cls.monomial(coeff, key)
+        return cls._new({(key, 0, 0): coeff} if coeff else {}, _ONE)
 
-    @staticmethod
-    def _new(terms: dict) -> "Combo":
-        """A Combo around a map that already holds no zero coefficient."""
-        r = object.__new__(Combo)
-        r.terms = terms
-        return r
-
-    @staticmethod
-    def zero() -> "Combo":
-        return Combo()
-
-    @staticmethod
-    def basis(key: Key, coeff: Scalar | int = 1) -> "Combo":
-        c = coeff if isinstance(coeff, Scalar) else Scalar.from_int(coeff)
-        return Combo({key: c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, key) -> Scalar:
-        return self.terms.get(key, Scalar.zero())
-
-    def __add__(self, other) -> "Combo":
-        if not isinstance(other, Combo):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return self._new(out)
-
-    def __neg__(self) -> "Combo":
-        return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Combo":
-        if not isinstance(other, Combo):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Combo":
-        if c.is_zero():
-            return Combo()
-        return self._new({k: co * c for k, co in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Combo):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(c == other.terms[k] for k, c in self.terms.items())
-
-    __hash__ = None
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Combo":
-        return Combo({k: fn(c) for k, c in self.terms.items()})
+    # {key: nonzero Scalar}, built on demand like ``coeffs``
+    terms = Linear.coeffs
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        terms = self.terms
         parts = []
-        for k in sorted(self.terms, key=_key_order):
+        for k in sorted(terms, key=_key_order):
             name = f"d_{k}" if isinstance(k, int) else str(k)
-            parts.append(f"({self.terms[k]})*{name}")
+            parts.append(f"({terms[k]})*{name}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -137,17 +83,14 @@ class GradedAlgebra:
         return list(range(-window, window + 1))
 
     def bracket(self, x: Combo, y: Combo) -> Combo:
-        total = Combo.zero()
-        for i, a in x.terms.items():
-            for j, b in y.terms.items():
-                total = total + self.bracket_gen(i, j).scale(a * b)
-        return total
+        """Bilinear extension of ``bracket_gen``, normalized once: with
+        1-tuples as keys, the product of the numerators is keyed by pairs."""
+        pairs = _mul(*({((k,), i, j): c for (k, i, j), c in z.num.items()} for z in (x, y)))
+        image = lambda ij: self.bracket_gen(*ij)
+        return Combo._make(*_linear(pairs, _den_mul(x.den, y.den), image))
 
     def twist(self, x: Combo) -> Combo:
-        total = Combo.zero()
-        for i, a in x.terms.items():
-            total = total + self.twist_gen(i).scale(a)
-        return total
+        return x.linear_map(self.twist_gen, Combo)
 
     def __repr__(self) -> str:
         return f"GradedAlgebra({self.name})"

@@ -77,6 +77,14 @@ def _default_window(args_window: int | None, fallback: int) -> int:
     return fallback
 
 
+def _shown(value) -> str:
+    """``str(value)``, or BadSize past Python's integer-string limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise BadSize(f"the value has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _endo_from_text(text: str) -> Endo:
     poly = parse_laurent(text)
     if not poly.is_unit():
@@ -96,11 +104,11 @@ def cmd_bracket(args) -> int:
         coeff = bracket_general(ctx, a, b)
     else:
         coeff = bracket_forced(ctx, a, b, use_tau=(args.kind == "forced-tau"))
-    print(f"coefficient: {coeff}")
+    print(f"coefficient: {_shown(coeff)}")
     if args.basis == "d":
-        print(f"d-basis: {expand_in_d_basis(coeff)}")
+        print(f"d-basis: {_shown(expand_in_d_basis(coeff))}")
     if ctx.delta is not None:
-        print(f"delta: {ctx.delta}")
+        print(f"delta: {_shown(ctx.delta)}")
     return 0
 
 
@@ -305,7 +313,7 @@ def cmd_table(args) -> int:
         for n in range(-window, window + 1):
             value = g.value(n, -n)
             if specialize:
-                rows.append({"n": n, "coefficient": str(value.specialize(*specialize))})
+                rows.append({"n": n, "coefficient": _shown(value.specialize(*specialize))})
             else:
                 rows.append({"n": n, "coefficient": str(value)})
         _emit_table(rows, args.json)
@@ -318,9 +326,10 @@ def cmd_table(args) -> int:
         for j in keys:
             combo = alg.bracket_gen(i, j)
             coefficients = []
-            for k in sorted(combo.terms, key=lambda x: (isinstance(x, str), x)):
-                value = combo.terms[k]
-                text = str(value.specialize(*specialize)) if specialize else str(value)
+            terms = combo.terms
+            for k in sorted(terms, key=lambda x: (isinstance(x, str), x)):
+                value = terms[k]
+                text = _shown(value.specialize(*specialize) if specialize else value)
                 coefficients.append({"index": k, "scalar": text})
             rows.append({"n": i, "m": j, "coefficients": coefficients})
 
@@ -378,7 +387,7 @@ def cmd_specialize(args) -> int:
     value = parse_scalar(args.expr)
     p0 = parse_rational(args.p0)
     q0 = parse_rational(args.q0)
-    print(value.specialize(p0, q0))
+    print(_shown(value.specialize(p0, q0)))
     return 0
 
 

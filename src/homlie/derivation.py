@@ -32,7 +32,6 @@ from .laurent import (
     exact_div,
     gcd_up_to_unit,
     invert_endo,
-    termwise,
 )
 from .report import Report
 from .scalar import Scalar
@@ -46,8 +45,8 @@ class RankOneContext:
     ``generator_on_monomial``."""
 
     def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
-        """The generator applied to f, computed termwise."""
-        return termwise(f, self.generator_on_monomial)
+        """The generator applied to f, extended linearly from monomials."""
+        return f.linear_map(self.generator_on_monomial, LaurentPoly)
 
     def generator(self) -> "DerivationElement":
         return DerivationElement(LaurentPoly.one(), self)

@@ -14,7 +14,6 @@ recomputes a bracket through ``bracket_general`` plus exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
@@ -29,8 +28,9 @@ from .scalar import ONE, P, Q, Scalar, pq_number_of
 
 def expand_in_d_basis(w: LaurentPoly) -> Combo:
     """Rewrite w.D in the basis d_j = -t^j.D: the d_j coordinate is the
-    negated t^j coefficient of w."""
-    return Combo((-w).coeffs)
+    negated t^j coefficient of w; the t-exponents of the numerator become
+    the basis keys."""
+    return Combo._new({e: -c for e, c in w.num.items()}, w.den)
 
 
 def coefficient_of_d(n: int) -> LaurentPoly:
@@ -262,17 +262,16 @@ def sl2_pp_forced() -> GradedAlgebra:
 
 def sl2_expand(w: LaurentPoly) -> Combo:
     """Expand w.partial over span{e, f, h}; raises if w leaves the span."""
-    out = {}
-    for k, c in w.coeffs.items():
+    def slot(k: int) -> Combo:
         if k not in _SL2_SLOTS:
-            raise ValueError(f"coefficient {c}*t^{k} is outside span(e,f,h)")
-        name, factor = _SL2_SLOTS[k]
-        out[name] = c * factor
-    return Combo(out)
+            raise ValueError(f"coefficient {w.coeff(k)}*t^{k} is outside span(e,f,h)")
+        return _SL2_SLOTS[k]
+
+    return w.linear_map(slot, Combo)
 
 
-# t^k -> (basis element, factor): w.partial = e-part + h-part + f-part
-_SL2_SLOTS = {0: ("e", 1), 1: ("h", Fraction(-1, 2)), 2: ("f", -1)}
+# t^k -> its image: w.partial = e-part + h-part + f-part
+_SL2_SLOTS = {0: Combo.basis("e"), 1: Combo.basis("h", -ONE / 2), 2: Combo.basis("f", -1)}
 
 
 # -- the inversion-twist example ----------------------------------------------
@@ -340,13 +339,6 @@ class IndexMapMorphism:
         return Combo.basis(self.index_map(n), self.c(n))
 
 
-def _morphism_apply(phi, combo: Combo) -> Combo:
-    total = Combo.zero()
-    for k, c in combo.terms.items():
-        total = total + phi.apply_gen(k).scale(c)
-    return total
-
-
 def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6) -> Report:
     """Bracket intertwining (weak morphism) and twist intertwining (full
     morphism) on all generator pairs of the window."""
@@ -356,7 +348,7 @@ def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6)
     weak = True
     for i in keys:
         for j in keys:
-            lhs = _morphism_apply(phi, src.bracket_gen(i, j))
+            lhs = src.bracket_gen(i, j).linear_map(phi.apply_gen, Combo)
             rhs = dst.bracket(phi.apply_gen(i), phi.apply_gen(j))
             ok = lhs == rhs
             weak = weak and ok
@@ -366,7 +358,7 @@ def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6)
             )
     full = True
     for i in keys:
-        lhs = _morphism_apply(phi, src.twist_gen(i))
+        lhs = src.twist_gen(i).linear_map(phi.apply_gen, Combo)
         rhs = dst.twist(phi.apply_gen(i))
         ok = lhs == rhs
         full = full and ok
@@ -638,7 +630,7 @@ def diagram_report(window: int = 4) -> Report:
                   check_morphism(phi, w_classical, w_pp, window))
 
     # twist equivalences with rho(d_n) = p^n d_n
-    rho = lambda combo: Combo({n: c * P ** n for n, c in combo.terms.items()})
+    rho = lambda combo: combo.linear_map(lambda n: Combo.basis(n, P ** n), Combo)
     twisted = twist_algebra(w_pq, rho, window=window, name="W_{p,q}^rho")
     ok, why = algebras_equal_on_window(twisted, w_forced, window)
     report.check("witt-twist-equivalence", "twist-equivalence", ok, witness=why)
@@ -681,10 +673,10 @@ def diagram_report(window: int = 4) -> Report:
     }
     rho_sl2 = GeneratorMap(rho_sl2_images)
     ok = all(
-        _morphism_apply(rho_sl2, s_classical.bracket_gen(x, y)) == s_pp_forced.bracket_gen(x, y)
-        for x in SL2_BASIS for y in SL2_BASIS
+        s_classical.bracket_gen(x, y).linear_map(rho_sl2.apply_gen, Combo)
+        == s_pp_forced.bracket_gen(x, y) for x in SL2_BASIS for y in SL2_BASIS
     ) and all(
-        _morphism_apply(rho_sl2, s_classical.twist_gen(x)) == s_pp_forced.twist_gen(x)
+        s_classical.twist_gen(x).linear_map(rho_sl2.apply_gen, Combo) == s_pp_forced.twist_gen(x)
         for x in SL2_BASIS
     )
     triples = [(x, y, z) for x in SL2_BASIS for y in SL2_BASIS for z in SL2_BASIS]

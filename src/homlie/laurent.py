@@ -5,13 +5,16 @@ unit, and the monomial endomorphisms t -> c*t^k that cover every algebra
 endomorphism of the Laurent ring (t must map to a unit, and the units are
 exactly the nonzero monomials).
 
-A Laurent polynomial is stored fraction-free, as one integer numerator
-over (t, p, q) and one common ``ParamPoly`` denominator, and every result
-is normalized once (one joint integer content, and one parameter gcd only
-when the denominator is not constant).  The ``Scalar`` coefficients of
-``coeff`` and ``coeffs`` are built from that form on demand; ``Scalar``
-is canonical, so the rendering does not depend on how a polynomial was
-computed.
+Every Q(p,q)-linear combination of the package stands on one core,
+``Linear``: one integer numerator over (key, p, q) and one common
+``ParamPoly`` denominator, with sums, scaling, equality and the linear
+extension ``linear_map``.  Every result is normalized once (one joint
+integer content, and one parameter gcd only when the denominator is not
+constant).  A ``LaurentPoly`` is the ``Linear`` keyed by the exponents of
+t, with the ring product on top; ``algebra.Combo`` is the one keyed by
+basis elements.  The ``Scalar`` coefficients of ``coeff`` and ``coeffs``
+are built from that form on demand; ``Scalar`` is canonical, so the
+rendering does not depend on how a value was computed.
 
 The gcd is computed over the integral layer Q[p^+-1, q^+-1][t^+-1]: the
 scalar content of the inputs (a gcd of bivariate parameter polynomials)
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable, Iterable
 
 from .errors import DivisionByZero, NotDivisible, NotInvertible, NotAUnit
 from .scalar import (
     ParamPoly,
     Scalar,
+    _divides,
     _field_euclid,
     _normalize_param,
     _poly,
@@ -38,8 +42,9 @@ from .scalar import (
     param_lcm,
 )
 
-# {(k, i, j): nonzero int} for the terms c t^k p^i q^j
-Num = dict[tuple[int, int, int], int]
+# {(key, i, j): nonzero int} for the terms c p^i q^j key, where the key is a
+# t-exponent in a Laurent polynomial and a basis key in a combination
+Num = dict[tuple, int]
 
 # the denominator of every polynomial whose denominator is 1
 _ONE = ParamPoly.one()
@@ -58,6 +63,20 @@ def _mul(a: Num, b: Num) -> Num:
     return {e: c for e, c in out.items() if c}
 
 
+def _scale(num: Num, f: ParamPoly) -> Num:
+    """num times a parameter polynomial; every key keeps its basis entry."""
+    if len(f.terms) == 1:
+        ((i2, j2), c2), = f.terms.items()
+        return {(k, i + i2, j + j2): c * c2 for (k, i, j), c in num.items()}
+    out: Num = {}
+    get = out.get
+    for (k, i1, j1), c1 in num.items():
+        for (i2, j2), c2 in f.terms.items():
+            e = (k, i1 + i2, j1 + j2)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def _add(a: Num, b: Num) -> Num:
     out = dict(a)
     get = out.get
@@ -70,20 +89,15 @@ def _add(a: Num, b: Num) -> Num:
     return out
 
 
-def _lift(f: ParamPoly) -> Num:
-    """A parameter polynomial as a numerator of t-degree 0."""
-    return {(0, i, j): c for (i, j), c in f.terms.items()}
-
-
-def _split(num: Num) -> dict[int, ParamPoly]:
-    """The t-coefficients of a numerator."""
-    out: dict[int, dict] = {}
+def _split(num: Num) -> dict:
+    """The coefficient of each key of a numerator, as a ParamPoly."""
+    out: dict = {}
     for (k, i, j), c in num.items():
         out.setdefault(k, {})[(i, j)] = c
     return {k: _poly(terms) for k, terms in out.items()}
 
 
-def _join(coeffs: dict[int, ParamPoly]) -> Num:
+def _join(coeffs: dict) -> Num:
     return {(k, i, j): c for k, f in coeffs.items() for (i, j), c in f.terms.items()}
 
 
@@ -92,23 +106,23 @@ def _int_den(den: ParamPoly) -> int | None:
     return den.terms.get((0, 0)) if len(den.terms) == 1 else None
 
 
+def _den_mul(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    return a if b is _ONE else b if a is _ONE else a * b
+
+
 def _sum(an: Num, ad: ParamPoly, bn: Num, bd: ParamPoly) -> tuple[Num, ParamPoly]:
     """an/ad + bn/bd over a common denominator, not yet normalized."""
     if ad is bd or ad == bd:
         return _add(an, bn), ad
-    da, db = _int_den(ad), _int_den(bd)
-    if da is not None and db is not None:
-        g = _int_gcd(da, db)
-        num = _add(_mul(an, {(0, 0, 0): db // g}), _mul(bn, {(0, 0, 0): da // g}))
-        return num, ParamPoly.const(da // g * db)
-    return _add(_mul(an, _lift(bd)), _mul(bn, _lift(ad))), ad * bd
+    return _add(_scale(an, bd), _scale(bn, ad)), ad * bd
 
 
 def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
     """The canonical form of num/den: the denominator's monomial factor
     moved into the numerator, the parameter gcd of the denominator with
-    every t-coefficient divided out, joint integer content 1 and a
-    positive leading graded-lex coefficient in the denominator."""
+    every key's coefficient divided out (a coefficient that the gcd so far
+    divides needs no gcd call), joint integer content 1 and a positive
+    leading graded-lex coefficient in the denominator."""
     d = _int_den(den)
     if not num or d == 1:
         return num, _ONE
@@ -118,11 +132,12 @@ def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
             den = den.shift(-i0, -j0)
             num = {(k, i - i0, j - j0): c for (k, i, j), c in num.items()}
     if not den.is_constant():
-        common = den
+        common = _normalize_param(den)
         for c in _split(num).values():
-            common = param_gcd(common, c)
-            if len(common.terms) == 1:
-                break
+            if not _divides(common.terms, c.terms):
+                common = param_gcd(common, c)
+                if len(common.terms) == 1:
+                    break
         if len(common.terms) > 1:
             den = den.exact_div(common)
             num = _join({k: c.exact_div(common) for k, c in _split(num).items()})
@@ -135,56 +150,163 @@ def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
     return num, (_ONE if _int_den(den) == 1 else den)
 
 
-class LaurentPoly:
-    """Laurent polynomial in t over Q(p,q), stored as ``num / den``.
+def _linear(num: Num, den: ParamPoly, image: Callable) -> tuple[Num, ParamPoly]:
+    """The Q(p,q)-linear map key -> image(key) applied to num/den, not yet
+    normalized.  Images with denominator 1 accumulate in place on ints;
+    the others are added through ``_sum``."""
+    out: Num = {}
+    get = out.get
+    images: dict = {}
+    rational: dict = {}
+    for (key, i, j), c in num.items():
+        g = images.get(key)
+        if g is None:
+            g = images[key] = image(key)
+        if g.den is not _ONE:
+            rational.setdefault(key, {})[(i, j)] = c
+            continue
+        for (k, i2, j2), c2 in g.num.items():
+            e = (k, i + i2, j + j2)
+            out[e] = get(e, 0) + c * c2
+    out = {e: c for e, c in out.items() if c}
+    acc = _ONE
+    for key, terms in rational.items():
+        g = images[key]
+        out, acc = _sum(out, acc, _scale(g.num, _poly(terms)), g.den)
+    return out, _den_mul(acc, den)
 
-    ``num`` maps the exponents (k, i, j) of t^k p^i q^j to nonzero ints;
-    ``den`` is one ParamPoly shared by all coefficients, the object
-    ``_ONE`` whenever it is 1.  Both are in the canonical form of
-    ``_normal``; the zero polynomial has an empty numerator.
+
+class Linear:
+    """A finite Q(p,q)-linear combination of basis keys, stored as
+    ``num / den``.
+
+    ``num`` maps (key, i, j) to the nonzero int coefficient of p^i q^j in
+    the key's coefficient; ``den`` is one ParamPoly shared by all keys,
+    the object ``_ONE`` whenever it is 1.  Both are in the canonical form
+    of ``_normal``; zero has an empty numerator.  Every result keeps the
+    receiver's type.
     """
 
     __slots__ = ("num", "den")
     _nonnegative = False
 
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        num, den = {}, _ONE
-        for k, c in (coeffs or {}).items():
-            if not c.is_zero():
-                term = {(k, i, j): a for (i, j), a in c.num.terms.items()}
-                num, den = _sum(num, den, term, c.den)
+    def __init__(self, coeffs: dict | None = None):
+        """From {key: Scalar} in one pass: coefficients over 1 are merged
+        directly, integer denominators are cleared by one lcm, and only
+        the other denominators are added through ``_sum``."""
+        parts = [(k, c.num.terms, _int_den(c.den), c.den)
+                 for k, c in (coeffs or {}).items() if not c.is_zero()]
+        lcm = _int_lcm(*(d for _, _, d, _ in parts if d is not None))
+        num = {(k, i, j): a * (lcm // d)
+               for k, f, d, _ in parts if d is not None for (i, j), a in f.items()}
+        den = _ONE if lcm == 1 else ParamPoly.const(lcm)
+        for k, f, d, fden in parts:
+            if d is None:
+                num, den = _sum(num, den, {(k, i, j): a for (i, j), a in f.items()}, fden)
         made = self._make(num, den)
         self.num, self.den = made.num, made.den
 
     @classmethod
-    def _make(cls, num: Num, den: ParamPoly = _ONE) -> "LaurentPoly":
-        """The one gate of every result: normalization, and the
-        nonnegative exponents of ``PlainPoly``."""
+    def _make(cls, num: Num, den: ParamPoly = _ONE) -> "Linear":
+        """The one gate of every result: normalization, then ``_new``."""
         if den is not _ONE:
             num, den = _normal(num, den)
+        return cls._new(num, den)
+
+    @classmethod
+    def _new(cls, num: Num, den: ParamPoly) -> "Linear":
+        """A result around num/den already in canonical form; refuses the
+        negative exponents of a ``PlainPoly``."""
         if cls._nonnegative and num and min(num)[0] < 0:
             raise ValueError("plain polynomials have nonnegative exponents")
         r = object.__new__(cls)
         r.num, r.den = num, den
         return r
 
+    @classmethod
+    def zero(cls) -> "Linear":
+        return cls._new({}, _ONE)
+
+    @classmethod
+    def monomial(cls, c: Scalar, key) -> "Linear":
+        """c * key.  A Scalar is already in the canonical form of one key."""
+        num = {(key, i, j): a for (i, j), a in c.num.terms.items()}
+        return cls._new(num, _ONE if not num or _int_den(c.den) == 1 else c.den)
+
+    # -- coefficients as Scalars -------------------------------------------
+
+    @property
+    def coeffs(self) -> dict:
+        return {k: Scalar(c, self.den) for k, c in _split(self.num).items()}
+
+    def coeff(self, key) -> Scalar:
+        terms = {(i, j): c for (m, i, j), c in self.num.items() if m == key}
+        return Scalar(_poly(terms), self.den)
+
+    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "Linear":
+        return type(self)({k: fn(c) for k, c in self.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    # -- linear arithmetic -------------------------------------------------
+
+    def _coerce(self, other) -> "Linear":
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def __add__(self, other) -> "Linear":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._make(*_sum(self.num, self.den, other.num, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Linear":
+        return self._new({e: -c for e, c in self.num.items()}, self.den)
+
+    def __sub__(self, other) -> "Linear":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        neg = {e: -c for e, c in other.num.items()}
+        return self._make(*_sum(self.num, self.den, neg, other.den))
+
+    def scale(self, c: Scalar) -> "Linear":
+        den = self.den if _int_den(c.den) == 1 else _den_mul(self.den, c.den)
+        return self._make(_scale(self.num, c.num), den)
+
+    def linear_map(self, image: Callable, cls: type) -> "Linear":
+        """The Q(p,q)-linear map key -> image(key) applied to self, as a
+        ``cls``; one normalization per call."""
+        return cls._make(*_linear(self.num, self.den, image))
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.den is other.den or self.den == other.den:
+            return self.num == other.num
+        return _scale(self.num, other.den) == _scale(other.num, self.den)
+
+    __hash__ = None
+
+
+class LaurentPoly(Linear):
+    """Laurent polynomial in t over Q(p,q): a ``Linear`` whose keys are
+    the exponents of t, so ``num`` maps (k, i, j) of t^k p^i q^j to ints."""
+
+    __slots__ = ()
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls._make({})
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._make({(0, 0, 0): 1})
+        return cls._new({(0, 0, 0): 1}, _ONE)
 
     @classmethod
     def t(cls, power: int = 1) -> "LaurentPoly":
-        return cls._make({(power, 0, 0): 1})
-
-    @classmethod
-    def monomial(cls, c: Scalar, k: int) -> "LaurentPoly":
-        return cls._make({(k, i, j): a for (i, j), a in c.num.terms.items()}, c.den)
+        return cls._new({(power, 0, 0): 1}, _ONE)
 
     @classmethod
     def from_scalar(cls, c: Scalar) -> "LaurentPoly":
@@ -192,25 +314,9 @@ class LaurentPoly:
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
-        return cls._make({(0, 0, 0): n} if n else {})
-
-    # -- coefficients as Scalars -------------------------------------------
-
-    @property
-    def coeffs(self) -> dict[int, Scalar]:
-        return {k: Scalar(c, self.den) for k, c in _split(self.num).items()}
-
-    def coeff(self, k: int) -> Scalar:
-        terms = {(i, j): c for (m, i, j), c in self.num.items() if m == k}
-        return Scalar(_poly(terms), self.den)
-
-    def map_scalars(self, fn: Callable[[Scalar], Scalar]) -> "LaurentPoly":
-        return type(self)({k: fn(c) for k, c in self.coeffs.items()})
+        return cls._new({(0, 0, 0): n} if n else {}, _ONE)
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.num
 
     def is_unit(self) -> bool:
         """Units of A are exactly the single-term polynomials c*t^k."""
@@ -236,7 +342,7 @@ class LaurentPoly:
         ((k, i, j), c), = self.num.items()
         return (k, c) if i == j == 0 and c in (1, -1) else None
 
-    # -- arithmetic ----------------------------------------------------------
+    # -- ring arithmetic -----------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly":
         """Scalars, ints and Fractions act as constant polynomials."""
@@ -248,24 +354,6 @@ class LaurentPoly:
             other = Scalar.from_fraction(other)
         return self.from_scalar(other) if isinstance(other, Scalar) else NotImplemented
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._make(*_sum(self.num, self.den, other.num, other.den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return self._make({e: -c for e, c in self.num.items()}, self.den)
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        neg = {e: -c for e, c in other.num.items()}
-        return self._make(*_sum(self.num, self.den, neg, other.den))
-
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
@@ -273,16 +361,9 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.den is _ONE:
-            den = self.den
-        else:
-            den = other.den if self.den is _ONE else self.den * other.den
-        return self._make(_mul(self.num, other.num), den)
+        return self._make(_mul(self.num, other.num), _den_mul(self.den, other.den))
 
     __rmul__ = __mul__
-
-    def scale(self, c: Scalar) -> "LaurentPoly":
-        return self * self.from_scalar(c)
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by t^d."""
@@ -304,16 +385,6 @@ class LaurentPoly:
             raise NotAUnit(f"{self} is not a unit of the Laurent ring")
         ((k, c),) = _split(self.num).items()
         return self._make(_join({-k: self.den}), c)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return self.num == other.num
-        return _mul(self.num, _lift(other.den)) == _mul(other.num, _lift(self.den))
-
-    __hash__ = None
 
     def __str__(self) -> str:
         return render_laurent(self)
@@ -374,7 +445,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise DivisionByZero("exact division by zero")
     if a.is_zero():
         return a.zero()
-    num = a.num if b.den is _ONE else _mul(a.num, _lift(b.den))
+    num = a.num if b.den is _ONE else _scale(a.num, b.den)
     top, bot = _split(num), _split(b.num)
     va, vb = min(top), min(bot)
     try:
@@ -406,26 +477,6 @@ def exponent_map(f: LaurentPoly, u: LaurentPoly, cls=LaurentPoly) -> LaurentPoly
         return None
     return cls._make({(k * k0, i + a * k, j + b * k): c if c0 == 1 else c * c0 ** k
                       for (k, i, j), c in f.num.items()}, f.den)
-
-
-def termwise(f: LaurentPoly, image: Callable[[int], LaurentPoly], cls=LaurentPoly) -> LaurentPoly:
-    """The Q(p,q)-linear map t^n -> image(n) applied to f, as a ``cls``."""
-    out: Num = {}
-    get = out.get
-    images: dict[int, LaurentPoly] = {}
-    for (n, i, j), c in f.num.items():
-        g = images.get(n)
-        if g is None:
-            g = images[n] = image(n)
-            if g.den is not _ONE:
-                total = cls.zero()
-                for m, a in f.coeffs.items():
-                    total = total + image(m).scale(a)
-                return total
-        for (k, i2, j2), c2 in g.num.items():
-            e = (k, i + i2, j + j2)
-            out[e] = get(e, 0) + c * c2
-    return cls._make({e: c for e, c in out.items() if c}, f.den)
 
 
 # -- monomial endomorphisms --------------------------------------------------
@@ -483,7 +534,7 @@ class Endo:
 def apply_endo(e: Endo, f: LaurentPoly) -> LaurentPoly:
     """Substitute t -> c*t^k, i.e. t^n -> c^n t^(k n)."""
     got = exponent_map(f, e.power(1))
-    return termwise(f, e.power) if got is None else got
+    return f.linear_map(e.power, LaurentPoly) if got is None else got
 
 
 def compose_endo(e1: Endo, e2: Endo) -> Endo:

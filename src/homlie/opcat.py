@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable
 
 from .errors import BadSize, NotDivisible
-from .laurent import _ONE, LaurentPoly, exact_div, exponent_map, termwise
+from .laurent import _ONE, LaurentPoly, exact_div, exponent_map
 from .report import Report
 from .scalar import P, Q, Scalar
 
@@ -50,7 +50,7 @@ class PlainPoly(LaurentPoly):
                     e = (m, i + a * (k - m), j + b * (k - m))
                     out[e] = get(e, 0) + c * comb(k, m) * c0 ** (k - m)
             return self._make({e: c for e, c in out.items() if c}, self.den)
-        return termwise(self, image.__pow__, type(self))
+        return self.linear_map(image.__pow__, type(self))
 
     def derivative(self) -> "PlainPoly":
         return self._make({(k - 1, i, j): c * k for (k, i, j), c in self.num.items() if k},

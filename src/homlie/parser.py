@@ -8,6 +8,7 @@ Grammar (precedence ^ > unary - > * / > + -):
     power   :=  atom ('^' int)?          exponents are integer literals,
                                           at most MAX_EXPONENT in magnitude
     atom    :=  int | 'p' | 'q' | 't' | '(' expr ')'
+                                          int: at most sys.get_int_max_str_digits() digits
 
 ``parse_scalar`` rejects t; ``parse_laurent`` builds elements of the
 Laurent ring, where '/' requires an exactly-dividing (in practice
@@ -16,6 +17,7 @@ scalar or unit) divisor.  Errors carry the offending position.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import BadSize, DivisionByZero, ExprSyntaxError, NotDivisible
@@ -128,6 +130,9 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.toks.next()
         if kind == "int":
+            limit = sys.get_int_max_str_digits()
+            if limit and len(value) > limit:
+                raise BadSize(f"the integer at position {pos} has more than {limit} digits")
             n = int(value)
             return LaurentPoly.from_int(n) if self.allow_t else Scalar.from_int(n)
         if kind == "var":

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -269,3 +270,27 @@ class TestPerturbation:
         for spec in specs:
             perturb = cli._parse_perturbation(spec, [suite], 1)
             assert not run_suite(suite, 1, perturb).ok, spec
+
+
+class TestHugeNumbers:
+    """Values and literals past Python's integer-string limit are bad
+    sizes: exit 2 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("specialize", "p^10000", "1000", "1"),
+        ("specialize", "7" * (sys.get_int_max_str_digits() + 1), "1", "1"),
+        ("bracket", "--tau", "p*t", "--sigma", "q*t",
+         "-a", "7" * (sys.get_int_max_str_digits() + 1) + "*t", "-b", "1"),
+        ("bracket", "--tau", "p*t", "--sigma", "q*t",
+         "-a", "(" + "7" * sys.get_int_max_str_digits() + ")^2*t^2", "-b", "1"),
+    ], ids=["value", "literal-specialize", "literal-bracket", "value-bracket"])
+    def test_exit_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: BadSize")
+
+    def test_literal_at_the_limit_is_accepted(self, capsys):
+        digits = "7" * sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "specialize", digits, "1", "1")
+        assert code == 0 and out.strip() == digits

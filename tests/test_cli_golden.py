@@ -1,0 +1,65 @@
+"""``homlie verify`` reports, stdout and exit codes must match their golden
+copies in ``tests/golden/cli/`` byte for byte.
+
+The runs are ``verify all`` at window 4, ``verify virasoro`` at window 6
+and the five ``--perturb`` runs of the benchmark's fault workload at
+window 5, each in process through ``cli.main``.  Any change in a verdict,
+a witness or the canonical form of a scalar shows up here.  After an
+intended change of output, record them again with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from homlie.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+
+# name -> (argv without --json, expected exit code)
+RUNS = {
+    "verify-all-w4": (["verify", "all", "--window", "4"], 0),
+    "verify-virasoro-w6": (["verify", "virasoro", "--window", "6"], 0),
+    "perturb-witt": (["verify", "witt", "--window", "5", "--perturb", "witt:1,2"], 1),
+    "perturb-witt-forced": (
+        ["verify", "witt-forced", "--window", "5", "--perturb", "witt-forced:2,-1"], 1),
+    "perturb-inverse": (["verify", "inverse", "--window", "5", "--perturb", "inverse:1,2"], 1),
+    "perturb-virasoro": (
+        ["verify", "virasoro", "--window", "5", "--perturb", "virasoro:3"], 1),
+    "perturb-sl2": (["verify", "sl2", "--window", "5", "--perturb", "sl2:e,f"], 1),
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and the JSON report of one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--json", str(path)])
+        return code, out.getvalue(), path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_run_matches_golden(name):
+    argv, want_code = RUNS[name]
+    code, stdout, report = _run(argv)
+    assert code == want_code
+    assert stdout == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert report == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, (argv, want_code) in RUNS.items():
+        code, stdout, report = _run(argv)
+        if code != want_code:
+            sys.exit(f"{name}: exit {code}, expected {want_code}")
+        (GOLDEN / f"{name}.stdout").write_text(stdout, encoding="utf-8")
+        (GOLDEN / f"{name}.json").write_text(report, encoding="utf-8")
