@@ -55,8 +55,8 @@ class CocycleConditionFailed(HomlieError):
 
 class BadSize(HomlieError):
     """A window or pair count is not a positive integer, a corpus is
-    empty (the sweep would pass vacuously), or an exponent in an
-    expression exceeds the parser's bound."""
+    empty (the sweep would pass vacuously), or an exponent or a power in
+    an expression exceeds the parser's bounds."""
 
 
 class BadPerturbation(HomlieError):

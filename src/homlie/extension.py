@@ -33,7 +33,10 @@ class Cocycle:
     """Alternating Scalar-valued 2-form given by a closure on indices.
 
     Each value is computed once per instance: ``value`` looks (i, j) up
-    in the instance's memo and calls the closure only on a miss.
+    in the instance's memo and calls the closure only on a miss.  The
+    form is also carried as a bracket into the center, ``algebra``, with
+    [x, y] = g(x, y) c and [c, -] = 0, so that g(x, y) of two Combos is
+    ``algebra.bracket(x, y).coeff(CENTRAL)``, summed on the linear core.
     """
 
     def __init__(
@@ -46,6 +49,7 @@ class Cocycle:
         self._memo: dict[tuple[int, int], Scalar] = {}
         self.zero_sum_supported = zero_sum_supported
         self._guard = specialization_guard
+        self.algebra = GradedAlgebra("g", self._central, Combo.basis)
 
     def value(self, i: int, j: int) -> Scalar:
         v = self._memo.get((i, j))
@@ -53,30 +57,20 @@ class Cocycle:
             v = self._memo[(i, j)] = self._value(i, j)
         return v
 
-    def bilinear(self, x: Combo, y: Combo) -> Scalar:
-        total = Scalar.zero()
-        for i, a in x.terms.items():
-            if i == CENTRAL:
-                continue
-            for j, b in y.terms.items():
-                if j == CENTRAL:
-                    continue
-                total = total + a * b * self.value(i, j)
-        return total
+    def _central(self, i: Key, j: Key) -> Combo:
+        if i == CENTRAL or j == CENTRAL:
+            return Combo.zero()
+        return Combo.basis(CENTRAL, self.value(i, j))
 
     @staticmethod
     def zero() -> "Cocycle":
         return Cocycle(lambda i, j: Scalar.zero(), zero_sum_supported=True)
 
     def perturbed(self, at: tuple[int, int], delta: Scalar) -> "Cocycle":
-        def value(i: int, j: int) -> Scalar:
-            base = self.value(i, j)
-            if (i, j) == at:
-                return base + delta
-            return base
-
-        return Cocycle(value, zero_sum_supported=self.zero_sum_supported,
-                       specialization_guard=self._guard)
+        return Cocycle(
+            lambda i, j: self.value(i, j) + delta if (i, j) == at else self.value(i, j),
+            zero_sum_supported=self.zero_sum_supported, specialization_guard=self._guard,
+        )
 
     def specialize(self, n: int, m: int, p0, q0) -> Fraction:
         p0, q0 = Fraction(p0), Fraction(q0)
@@ -144,17 +138,17 @@ def verify_cocycle_condition(
             triples = [(n, m, k) for n in rng for m in rng for k in rng]
 
     for (n, m, k) in triples:
-        residue = Scalar.zero()
-        for x, y, z in ((n, m, k), (m, k, n), (k, n, m)):
-            residue = residue + g.bilinear(
-                alg.twist_gen(x), alg.bracket_gen(y, z)
-            )
+        residue = sum(
+            (g.algebra.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
+             for x, y, z in ((n, m, k), (m, k, n), (k, n, m))),
+            Combo.zero(),
+        )
         ok = residue.is_zero()
         report.check(
             f"triple-({n},{m},{k})",
             "cocycle-condition",
             ok,
-            witness=None if ok else f"residue = {residue}",
+            witness=None if ok else f"residue = {residue.coeff(CENTRAL)}",
         )
     return report
 
@@ -213,11 +207,7 @@ def _assemble_extension(
     def bracket_gen(i: Key, j: Key) -> Combo:
         if i == CENTRAL or j == CENTRAL:
             return Combo.zero()
-        out = base.bracket_gen(i, j)
-        central = g.value(i, j)
-        if not central.is_zero():
-            out = out + Combo.basis(CENTRAL, central)
-        return out
+        return base.bracket_gen(i, j) + g.algebra.bracket_gen(i, j)
 
     def twist_gen(i: Key) -> Combo:
         if i == CENTRAL:
@@ -289,7 +279,7 @@ def verify_f_compatibility(
     rng = range(-window, window + 1)
     for n in rng:
         for m in rng:
-            lhs = g.bilinear(base.twist_gen(n), base.twist_gen(m))
+            lhs = g.algebra.bracket(base.twist_gen(n), base.twist_gen(m)).coeff(CENTRAL)
             rhs = f(base.bracket_gen(n, m), g.value(n, m))
             ok = lhs == rhs
             report.check(

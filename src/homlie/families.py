@@ -14,6 +14,7 @@ recomputes a bracket through ``bracket_general`` plus exact division.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
@@ -21,7 +22,7 @@ from .bracket import bracket_general, verify_hom_jacobi
 from .derivation import DerivationContext, make_context, make_sigma_sigma_context
 from .laurent import Endo, LaurentPoly
 from .report import Report
-from .scalar import ONE, P, Q, Scalar, pq_number_of
+from .scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
 
 # -- expansion between A-coefficients and the d-basis -------------------------
 
@@ -45,22 +46,34 @@ def bracket_via_context(ctx, coeff: Callable[[Key], LaurentPoly], i: Key, j: Key
 
 # -- Witt deformations ---------------------------------------------------------
 
+_TWO = Scalar.from_int(2)
+
+
+def _diagonal(
+    name: str,
+    s: Callable[[int, int], Scalar],
+    a: Callable[[int], Scalar],
+    shift: int = 0,
+    provenance: dict | None = None,
+) -> GradedAlgebra:
+    """The Z-graded family with [d_n,d_m] = s(n,m) d_{n+m+shift} and
+    twist d_n -> a(n) d_n."""
+    return GradedAlgebra(
+        name,
+        lambda n, m: Combo.basis(n + m + shift, s(n, m)),
+        lambda n: Combo.basis(n, a(n)),
+        provenance=provenance,
+    )
+
 
 def _witt_family(a: Scalar, b: Scalar, name: str, provenance: dict | None = None) -> GradedAlgebra:
     """[d_n,d_m] = ([n]/a^n - [m]/a^m) d_{n+m} with (a,b)-deformed
-    integers, twist d_n -> (1 + (b/a)^n) d_n."""
+    integers, twist d_n -> (1 + (b/a)^n) d_n; [n]/a^n is computed once
+    per index."""
     ratio = b / a
-
-    def coeff(n: int) -> Scalar:
-        return pq_number_of(a, b, n) / a ** n
-
-    def bracket_gen(n: int, m: int) -> Combo:
-        return Combo.basis(n + m, coeff(n) - coeff(m))
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(n, ONE + ratio ** n)
-
-    return GradedAlgebra(name, bracket_gen, twist_gen, provenance=provenance)
+    coeff = cache(lambda n: pq_number_of(a, b, n) / a ** n)
+    return _diagonal(name, lambda n, m: coeff(n) - coeff(m), lambda n: ONE + ratio ** n,
+                     provenance=provenance)
 
 
 def witt_pq() -> GradedAlgebra:
@@ -81,22 +94,15 @@ def witt_r() -> GradedAlgebra:
 
 def forced_coefficient(n: int, m: int, use_p: bool = False) -> Scalar:
     base = P if use_p else Q
-    return base ** m * pq_number_of(P, Q, n) - base ** n * pq_number_of(P, Q, m)
+    return base ** m * pq_number(n) - base ** n * pq_number(m)
 
 
 def witt_pq_forced() -> GradedAlgebra:
     """The forced-bracket deformation [d_n,d_m]' = (q^m [n] - q^n [m]) d_{n+m}
     with twist d_n -> (p^n + q^n) d_n."""
     ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
-
-    def bracket_gen(n: int, m: int) -> Combo:
-        return Combo.basis(n + m, forced_coefficient(n, m))
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(n, P ** n + Q ** n)
-
-    return GradedAlgebra(
-        "W_{p,q}-forced", bracket_gen, twist_gen,
+    return _diagonal(
+        "W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n,
         provenance={"ctx": ctx, "coeff": coefficient_of_d, "bracket": "forced"},
     )
 
@@ -104,14 +110,7 @@ def witt_pq_forced() -> GradedAlgebra:
 def classical_witt() -> GradedAlgebra:
     """[d_n,d_m] = (n-m) d_{n+m}, carried with twist 2*id so it lines up
     with the q = p degenerations."""
-
-    def bracket_gen(n: int, m: int) -> Combo:
-        return Combo.basis(n + m, Scalar.from_int(n - m))
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(n, Scalar.from_int(2))
-
-    return GradedAlgebra("W", bracket_gen, twist_gen)
+    return _diagonal("W", lambda n, m: Scalar.from_int(n - m), lambda n: _TWO)
 
 
 def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
@@ -122,47 +121,26 @@ def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
     give Lie algebras (twist 2*id) isomorphic to the classical Witt
     algebra.
     """
-    ctx = make_sigma_sigma_context(P)
-    if generator == "partial":
-        def bracket_gen(n: int, m: int) -> Combo:
-            return Combo.basis(n + m - 1, Scalar.from_int(n - m) / P)
-
-        def coeff(n: int) -> LaurentPoly:
-            return -LaurentPoly.t(n)
-    elif generator == "t-partial":
-        def bracket_gen(n: int, m: int) -> Combo:
-            return Combo.basis(n + m, Scalar.from_int(n - m) / P)
-
-        def coeff(n: int) -> LaurentPoly:
-            return -LaurentPoly.t(n + 1)
-    else:
+    if generator not in ("partial", "t-partial"):
         raise ValueError("generator must be 'partial' or 't-partial'")
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(n, Scalar.from_int(2))
-
-    return GradedAlgebra(
-        f"W_{{p,p}}[{generator}]", bracket_gen, twist_gen,
-        provenance={"ctx": ctx, "coeff": coeff, "bracket": "general",
-                    "generator": generator},
+    shift = -1 if generator == "partial" else 0
+    return _diagonal(
+        f"W_{{p,p}}[{generator}]", lambda n, m: Scalar.from_int(n - m) / P, lambda n: _TWO,
+        shift=shift,
+        provenance={"ctx": make_sigma_sigma_context(P),
+                    "coeff": lambda n: -LaurentPoly.t(n + 1 + shift),
+                    "bracket": "general", "generator": generator},
     )
 
 
 def sigma_sigma_witt_forced() -> GradedAlgebra:
     """Forced bracket on the t-partial generator:
     [d_n,d_m]' = (n-m) p^(n+m-1) d_{n+m}, twist d_n -> 2 p^n d_n."""
-    ctx = make_sigma_sigma_context(P)
-
-    def bracket_gen(n: int, m: int) -> Combo:
-        return Combo.basis(n + m, Scalar.from_int(n - m) * P ** (n + m - 1))
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(n, Scalar.from_int(2) * P ** n)
-
-    return GradedAlgebra(
-        "W_{p,p}-forced", bracket_gen, twist_gen,
-        provenance={"ctx": ctx, "coeff": lambda n: -LaurentPoly.t(n + 1),
-                    "bracket": "forced"},
+    return _diagonal(
+        "W_{p,p}-forced", lambda n, m: Scalar.from_int(n - m) * P ** (n + m - 1),
+        lambda n: _TWO * P ** n,
+        provenance={"ctx": make_sigma_sigma_context(P),
+                    "coeff": lambda n: -LaurentPoly.t(n + 1), "bracket": "forced"},
     )
 
 
@@ -171,34 +149,31 @@ def sigma_sigma_witt_forced() -> GradedAlgebra:
 SL2_BASIS = ("e", "f", "h")
 
 
+def _sl2_table(
+    name: str, he: Scalar, hf: Scalar, ef: Scalar,
+    twist: tuple[Scalar, Scalar, Scalar], provenance: dict | None = None,
+) -> GradedAlgebra:
+    """[h,e] = he e, [h,f] = hf f, [e,f] = ef h, extended antisymmetrically,
+    and the diagonal twist with the values ``twist`` on e, f, h."""
+    table: dict[tuple[str, str], Combo] = {}
+    for x, y, z, c in (("h", "e", "e", he), ("h", "f", "f", hf), ("e", "f", "h", ef)):
+        table[(x, y)] = Combo.basis(z, c)
+        table[(y, x)] = Combo.basis(z, -c)
+    diagonal = dict(zip(SL2_BASIS, twist))
+    return GradedAlgebra(
+        name, lambda x, y: table.get((x, y), Combo.zero()),
+        lambda x: Combo.basis(x, diagonal[x]), basis=SL2_BASIS, provenance=provenance,
+    )
+
+
 def _sl2_family(a: Scalar, b: Scalar, name: str, provenance: dict | None = None) -> GradedAlgebra:
     """[h,e] = 2 a^-1 e, [h,f] = -2 b a^-2 f, [e,f] = (a+b)/(2a^2) h,
     with the diagonal twist from the quasi-bracket construction."""
     ratio = b / a
-    two = Scalar.from_int(2)
-    table: dict[tuple[str, str], Combo] = {
-        ("h", "e"): Combo.basis("e", two / a),
-        ("h", "f"): Combo.basis("f", -(two * b) / a ** 2),
-        ("e", "f"): Combo.basis("h", (a + b) / (two * a ** 2)),
-    }
-    twist = {
-        "e": Combo.basis("e", ONE + ratio),
-        "f": Combo.basis("f", ratio * (ONE + ratio)),
-        "h": Combo.basis("h", two * ratio),
-    }
-
-    def bracket_gen(x: str, y: str) -> Combo:
-        if (x, y) in table:
-            return table[(x, y)]
-        if (y, x) in table:
-            return -table[(y, x)]
-        return Combo.zero()
-
-    def twist_gen(x: str) -> Combo:
-        return twist[x]
-
-    return GradedAlgebra(name, bracket_gen, twist_gen, basis=SL2_BASIS,
-                         provenance=provenance)
+    return _sl2_table(
+        name, _TWO / a, -(_TWO * b) / a ** 2, (a + b) / (_TWO * a ** 2),
+        (ONE + ratio, ratio * (ONE + ratio), _TWO * ratio), provenance,
+    )
 
 
 SL2_COEFF = {
@@ -237,27 +212,8 @@ def classical_sl2() -> GradedAlgebra:
 def sl2_pp_forced() -> GradedAlgebra:
     """Forced bracket at q = p on the partial generator:
     [h,e]' = 2e, [h,f]' = -2p^2 f, [e,f]' = p h, twist 2*sigma-bar."""
-    two = Scalar.from_int(2)
-    table = {
-        ("h", "e"): Combo.basis("e", two),
-        ("h", "f"): Combo.basis("f", -(two * P ** 2)),
-        ("e", "f"): Combo.basis("h", P),
-    }
-    twist = {
-        "e": Combo.basis("e", two),
-        "f": Combo.basis("f", two * P ** 2),
-        "h": Combo.basis("h", two * P),
-    }
-
-    def bracket_gen(x, y):
-        if (x, y) in table:
-            return table[(x, y)]
-        if (y, x) in table:
-            return -table[(y, x)]
-        return Combo.zero()
-
-    return GradedAlgebra("sl(2)_{p,p}-forced", bracket_gen, lambda x: twist[x],
-                         basis=SL2_BASIS)
+    return _sl2_table("sl(2)_{p,p}-forced", _TWO, -(_TWO * P ** 2), P,
+                      (_TWO, _TWO * P ** 2, _TWO * P))
 
 
 def sl2_expand(w: LaurentPoly) -> Combo:
@@ -289,16 +245,10 @@ def inverse_twist_example() -> GradedAlgebra:
     alpha(d_n) = q^-n d_{-n} - d_n, i.e. sigma-bar tau-bar^-1 - id.
     """
     ctx = inverse_twist_context()
-
-    def bracket_gen(n: int, m: int) -> Combo:
-        w = bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))
-        return expand_in_d_basis(w)
-
-    def twist_gen(n: int) -> Combo:
-        return Combo.basis(-n, Q ** (-n)) - Combo.basis(n)
-
     return GradedAlgebra(
-        "W-inv", bracket_gen, twist_gen,
+        "W-inv",
+        lambda n, m: expand_in_d_basis(bracket_via_context(ctx, coefficient_of_d, n, m)),
+        lambda n: Combo.basis(-n, Q ** (-n)) - Combo.basis(n),
         provenance={"ctx": ctx, "coeff": coefficient_of_d, "bracket": "general"},
     )
 
@@ -588,9 +538,7 @@ def _solve_for_nu(src: GradedAlgebra, dst: GradedAlgebra, window: int, nu1: int)
 
 
 def _constraint_text(involved: dict[int, int], known: dict[int, SymbolicScale], ratio: Scalar) -> str:
-    names = []
-    for i, e in sorted(involved.items()):
-        names.append(f"c_{i}" if e == 1 else f"c_{i}^{e}")
+    names = [f"c_{i}" if e == 1 else f"c_{i}^{e}" for i, e in sorted(involved.items())]
     return f"({ratio}) * {' * '.join(names)} = 1"
 
 
@@ -599,14 +547,9 @@ def _constraint_text(involved: dict[int, int], known: dict[int, SymbolicScale], 
 
 def subst_algebra(alg: GradedAlgebra, p_image: Scalar, q_image: Scalar, name: str) -> GradedAlgebra:
     """Apply a parameter substitution to every structure constant."""
-
-    def bracket_gen(i: Key, j: Key) -> Combo:
-        return alg.bracket_gen(i, j).map_scalars(lambda s: s.subst(p_image, q_image))
-
-    def twist_gen(i: Key) -> Combo:
-        return alg.twist_gen(i).map_scalars(lambda s: s.subst(p_image, q_image))
-
-    return GradedAlgebra(name, bracket_gen, twist_gen, basis=alg.basis)
+    sub = lambda combo: combo.map_scalars(lambda s: s.subst(p_image, q_image))
+    return GradedAlgebra(name, lambda i, j: sub(alg.bracket_gen(i, j)),
+                         lambda i: sub(alg.twist_gen(i)), basis=alg.basis)
 
 
 def diagram_report(window: int = 4) -> Report:
@@ -614,6 +557,10 @@ def diagram_report(window: int = 4) -> Report:
     from .bracket import twist_algebra
 
     report = Report(suite="diagram", window=window)
+
+    def same(edge: str, anchor: str, alg: GradedAlgebra, target: GradedAlgebra) -> None:
+        ok, why = algebras_equal_on_window(alg, target, window)
+        report.check(edge, anchor, ok, witness=why)
 
     w_pq, w_r = witt_pq(), witt_r()
     w_forced = witt_pq_forced()
@@ -631,24 +578,18 @@ def diagram_report(window: int = 4) -> Report:
 
     # twist equivalences with rho(d_n) = p^n d_n
     rho = lambda combo: combo.linear_map(lambda n: Combo.basis(n, P ** n), Combo)
-    twisted = twist_algebra(w_pq, rho, window=window, name="W_{p,q}^rho")
-    ok, why = algebras_equal_on_window(twisted, w_forced, window)
-    report.check("witt-twist-equivalence", "twist-equivalence", ok, witness=why)
-
-    twisted_pp = twist_algebra(w_pp, rho, window=window, name="W_{p,p}^rho")
-    ok, why = algebras_equal_on_window(twisted_pp, w_pp_forced, window)
-    report.check("witt-pp-twist-equivalence", "twist-equivalence", ok, witness=why)
+    same("witt-twist-equivalence", "twist-equivalence",
+         twist_algebra(w_pq, rho, window=window, name="W_{p,q}^rho"), w_forced)
+    same("witt-pp-twist-equivalence", "twist-equivalence",
+         twist_algebra(w_pp, rho, window=window, name="W_{p,p}^rho"), w_pp_forced)
 
     # q = p degenerations
-    ok, why = algebras_equal_on_window(
-        subst_algebra(w_r, P, P, "W_{q/p}|q=p"), w_classical, window)
-    report.check("witt-r-degeneration", "degeneration", ok, witness=why)
-    ok, why = algebras_equal_on_window(
-        subst_algebra(w_pq, P, P, "W_{p,q}|q=p"), w_pp, window)
-    report.check("witt-pq-degeneration", "degeneration", ok, witness=why)
-    ok, why = algebras_equal_on_window(
-        subst_algebra(w_forced, P, P, "W'|q=p"), w_pp_forced, window)
-    report.check("witt-forced-degeneration", "degeneration", ok, witness=why)
+    same("witt-r-degeneration", "degeneration",
+         subst_algebra(w_r, P, P, "W_{q/p}|q=p"), w_classical)
+    same("witt-pq-degeneration", "degeneration",
+         subst_algebra(w_pq, P, P, "W_{p,q}|q=p"), w_pp)
+    same("witt-forced-degeneration", "degeneration",
+         subst_algebra(w_forced, P, P, "W'|q=p"), w_pp_forced)
 
     # sl(2) column.  The generator scalings a, b, c on e, f, h intertwine
     # the brackets exactly when c = p and a*b = p^2; multiplication by p
@@ -683,11 +624,8 @@ def diagram_report(window: int = 4) -> Report:
     ok = ok and verify_hom_jacobi(s_pp_forced, triples).ok
     report.check("sl2-twist-equivalence", "twist-equivalence", ok)
 
-    ok, why = algebras_equal_on_window(
-        subst_algebra(s_pq, P, P, "sl2|q=p"), s_pp, window)
-    report.check("sl2-pq-degeneration", "degeneration", ok, witness=why)
-    ok, why = algebras_equal_on_window(
-        subst_algebra(s_r, P, P, "sl2r|q=p"), s_classical, window)
-    report.check("sl2-r-degeneration", "degeneration", ok, witness=why)
+    same("sl2-pq-degeneration", "degeneration", subst_algebra(s_pq, P, P, "sl2|q=p"), s_pp)
+    same("sl2-r-degeneration", "degeneration",
+         subst_algebra(s_r, P, P, "sl2r|q=p"), s_classical)
 
     return report

@@ -10,6 +10,11 @@ Grammar (precedence ^ > unary - > * / > + -):
     atom    :=  int | 'p' | 'q' | 't' | '(' expr ')'
                                           int: at most sys.get_int_max_str_digits() digits
 
+A power base^n is refused with BadSize before it is expanded when, for
+the numerator or the denominator of the base, n times the estimated
+terms of its n-th power, prod(span * n + 1) over p, q and t, or n times
+the bits of its largest integer coefficient exceeds POWER_BUDGET = 10^5.
+
 ``parse_scalar`` rejects t; ``parse_laurent`` builds elements of the
 Laurent ring, where '/' requires an exactly-dividing (in practice
 scalar or unit) divisor.  Errors carry the offending position.
@@ -25,6 +30,7 @@ from .laurent import LaurentPoly, exact_div
 from .scalar import Scalar
 
 MAX_EXPONENT = 10 ** 4
+POWER_BUDGET = 10 ** 5
 
 
 class _Tokens:
@@ -124,7 +130,9 @@ class _Parser:
             # compare digits first: int() refuses literals past 4300 digits
             if len(tok[1].lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok[1]) > MAX_EXPONENT:
                 raise BadSize(f"the exponent at position {tok[2]} exceeds {MAX_EXPONENT}")
-            return base ** (sign * int(tok[1]))
+            n = int(tok[1])
+            _check_power(base, n, tok[2])
+            return base ** (sign * n)
         return base
 
     def atom(self):
@@ -165,6 +173,18 @@ class _Parser:
         except NotDivisible:
             raise ExprSyntaxError(pos, "an exactly dividing divisor",
                                   f"at position {pos}: inexact division") from None
+
+
+def _check_power(base, n: int, pos: int) -> None:
+    """BadSize if base^n is beyond POWER_BUDGET (see the module docstring)."""
+    num = base.num.terms if isinstance(base, Scalar) else base.num
+    for poly in (num, base.den.terms):
+        terms = 1
+        for exps in zip(*poly):
+            terms *= (max(exps) - min(exps)) * n + 1
+        bits = max((abs(c).bit_length() for c in poly.values()), default=0)
+        if max(terms, bits) * n > POWER_BUDGET:
+            raise BadSize(f"the power at position {pos} exceeds the budget of {POWER_BUDGET}")
 
 
 def parse_scalar(text: str) -> Scalar:

@@ -20,7 +20,7 @@ positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZero, PoleAtPoint
@@ -686,8 +686,10 @@ def pq_number_of(a: Scalar, b: Scalar, n: int) -> Scalar:
     return total
 
 
+@cache
 def pq_number(n: int) -> Scalar:
-    """[n] = (p^n - q^n)/(p - q), as a Laurent polynomial in p and q."""
+    """[n] = (p^n - q^n)/(p - q), as a Laurent polynomial in p and q;
+    computed once per n, and the Scalar is shared."""
     return pq_number_of(P, Q, n)
 
 

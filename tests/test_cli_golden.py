@@ -1,10 +1,12 @@
-"""``homlie verify`` reports, stdout and exit codes must match their golden
-copies in ``tests/golden/cli/`` byte for byte.
+"""``homlie verify`` and ``homlie table`` reports, stdout and exit codes must
+match their golden copies in ``tests/golden/cli/`` byte for byte.
 
-The runs are ``verify all`` at window 4, ``verify virasoro`` at window 6
-and the five ``--perturb`` runs of the benchmark's fault workload at
-window 5, each in process through ``cli.main``.  Any change in a verdict,
-a witness or the canonical form of a scalar shows up here.  After an
+The runs are ``verify all`` at window 4, ``verify virasoro`` at window 6,
+the five ``--perturb`` runs of the benchmark's fault workload at
+window 5, and the ``table`` of every family (window 3, the Virasoro
+cocycle at window 4, sl(2) specialized at (2, 3)), each in process
+through ``cli.main``.  Any change in a verdict, a witness, a structure
+constant or the canonical form of a scalar shows up here.  After an
 intended change of output, record them again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie.cli import main
+from homlie.cli import FAMILIES, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 
@@ -33,6 +35,9 @@ RUNS = {
     "perturb-virasoro": (
         ["verify", "virasoro", "--window", "5", "--perturb", "virasoro:3"], 1),
     "perturb-sl2": (["verify", "sl2", "--window", "5", "--perturb", "sl2:e,f"], 1),
+    **{f"table-{family}-w3": (["table", family, "--window", "3"], 0) for family in FAMILIES},
+    "table-virasoro-w4": (["table", "virasoro", "--window", "4"], 0),
+    "table-sl2-specialized": (["table", "sl2", "--specialize", "2", "3"], 0),
 }
 
 

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from homlie import cli, families
 from homlie.algebra import Combo, algebras_equal_on_window
 from homlie.bracket import index_triples, verify_hom_jacobi
 from homlie.families import (
@@ -29,7 +32,7 @@ from homlie.families import (
     witt_pq_forced,
     witt_r,
 )
-from homlie.scalar import ONE, P, Q, Scalar, pq_number, q_number
+from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of, q_number
 
 two = Scalar.from_int(2)
 
@@ -286,3 +289,19 @@ class TestDiagram:
         rep = diagram_report(window=3)
         assert rep.ok, rep.first_failure().witness
         assert len(rep.entries) == 12
+
+
+class TestDeformedIntegersOnce:
+    def test_witt_suite_computes_each_index_once(self, monkeypatch):
+        """[n]/p^n is computed once per index, not once per structure
+        constant that needs it."""
+        calls = Counter()
+
+        def counting(a, b, n):
+            calls[n] += 1
+            return pq_number_of(a, b, n)
+
+        monkeypatch.setattr(families, "pq_number_of", counting)
+        assert cli.run_suite("witt", 4).ok
+        assert set(calls) >= set(range(-4, 5))
+        assert max(calls.values()) == 1, calls

@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +134,38 @@ class TestExponentBound:
         assert code == 2
         assert out.out == ""
         assert len(out.err.splitlines()) == 1 and out.err.startswith("error: BadSize")
+
+
+class TestPowerBudget:
+    """A power is refused before it is expanded when the expansion would
+    exceed ``POWER_BUDGET``; each command below used to run for minutes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["specialize", "((1+p)^100)^100", "1", "1"],
+        ["specialize", "(1+p+q)^10000", "1", "1"],
+        ["specialize", "(1+p)^3000", "1", "1"],
+        ["bracket", "--tau", "p*t", "--sigma", "q*t", "-a", "(1+t)^3000", "-b", "t"],
+    ], ids=["nested", "trinomial", "binomial", "laurent"])
+    def test_cli_exits_two_quickly(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        start = time.monotonic()
+        run = subprocess.run([sys.executable, "-m", "homlie", *argv], env=env,
+                             capture_output=True, text=True, timeout=10)
+        elapsed = time.monotonic() - start
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: BadSize")
+        assert elapsed < 2
+
+    @pytest.mark.parametrize("text", ["(2^10000)^10000", "(p+q)^400", "(1+t)^400"])
+    def test_over_budget_is_bad_size(self, text):
+        with pytest.raises(BadSize):
+            parse_laurent(text)
+
+    def test_within_budget_expands(self):
+        assert parse_scalar("(1+p)^99") == (ONE + P) ** 99
+        assert parse_scalar("(p-q)^-20") == ONE / (P - Q) ** 20
+        assert parse_laurent("(1+t)^30") == (LaurentPoly.one() + t()) ** 30
+        assert parse_scalar("0^10000").is_zero()
