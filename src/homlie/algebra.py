@@ -7,13 +7,14 @@ strings for finite bases like {e, f, h}, and "c" for a central element.
 A ``GradedAlgebra`` packages a bracket closure and a twist closure on
 generators.  Structure constants are computed lazily through the
 closures; nothing is materialized beyond what a verification window
-requests.
+requests.  ``cyclic_terms`` is the one rotation loop of the cyclic
+verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .laurent import _ONE, Linear, _den_mul, _linear, _mul
 from .scalar import Scalar
@@ -94,6 +95,36 @@ class GradedAlgebra:
 
     def __repr__(self) -> str:
         return f"GradedAlgebra({self.name})"
+
+
+def cyclic_terms(
+    triples: Iterable[tuple],
+    term: Callable,
+    key: Callable[..., Hashable | None] | None = None,
+) -> Iterator[tuple[tuple, tuple]]:
+    """Each triple (a, b, c) with its three rotation terms
+    term(a, b, c), term(b, c, a) and term(c, a, b), in that order.
+
+    A rotation-closed set of triples needs each term three times; here
+    it is computed once per sweep and memoized under the keys of its
+    arguments, ``key(x)`` (the argument itself when ``key`` is None).
+    A term with an argument whose key is None is computed every time
+    and never stored.
+    """
+    memo: dict = {}
+    for triple in triples:
+        a, b, c = triple
+        terms = []
+        for args in ((a, b, c), (b, c, a), (c, a, b)):
+            keys = args if key is None else tuple(map(key, args))
+            if None in keys:
+                terms.append(term(*args))
+                continue
+            got = memo.get(keys)
+            if got is None:
+                got = memo[keys] = term(*args)
+            terms.append(got)
+        yield triple, tuple(terms)
 
 
 def perturb_algebra(alg: GradedAlgebra, at: tuple[Key, Key], delta: Combo) -> GradedAlgebra:

@@ -17,7 +17,8 @@ The cyclic verifiers check the six-term quasi-Jacobi identity
 
     cyc( [sigma(tau^-1(a)).D, [b.D, c.D]] + delta * [a.D, [b.D, c.D]] ) = 0
 
-and the three-term Hom-Jacobi identity on graded algebras.
+and the three-term Hom-Jacobi identity on graded algebras, each
+rotation term once per sweep through ``algebra.cyclic_terms``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key
+from .algebra import Combo, GradedAlgebra, Key, cyclic_terms
 from .errors import ConditionsFailed, NotDivisible, NotInvertible, NotWeakMorphism
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
@@ -152,7 +153,10 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
     """Evaluate the six-term cyclic identity exactly for each triple.
 
     Both three-term groups are computed independently and reported next
-    to their sum so a failure localizes to one group.
+    to their sum so a failure localizes to one group.  Each rotation
+    term is computed once per sweep (``cyclic_terms``): monomial
+    arguments +-t^n are keyed by ``signed_monomial``, which keeps the
+    sign; a term with any other argument is computed every time.
     """
     report = Report(suite="quasi-jacobi")
     sti, _ = _require_invertible(ctx)
@@ -174,13 +178,14 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
             return got if my[1] == mz[1] else -got
         return bracket_general(ctx, y, z)
 
-    for idx, (a, b, c) in enumerate(triples):
-        group1 = LaurentPoly.zero()
-        group2 = LaurentPoly.zero()
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            w = inner(y, z)
-            group1 = group1 + bracket_general(ctx, apply_endo(sti, x), w)
-            group2 = group2 + delta * bracket_general(ctx, x, w)
+    def term(x: LaurentPoly, y: LaurentPoly, z: LaurentPoly):
+        w = inner(y, z)
+        return bracket_general(ctx, apply_endo(sti, x), w), delta * bracket_general(ctx, x, w)
+
+    sweep = cyclic_terms(triples, term, key=LaurentPoly.signed_monomial)
+    for idx, ((a, b, c), terms) in enumerate(sweep):
+        group1 = sum((t1 for t1, _ in terms), LaurentPoly.zero())
+        group2 = sum((t2 for _, t2 in terms), LaurentPoly.zero())
         total = group1 + group2
         ok = total.is_zero()
         report.check(
@@ -209,14 +214,17 @@ def verify_hom_jacobi(
     triples: Iterable[tuple[Key, Key, Key]],
     alpha: Callable[[Combo], Combo] | None = None,
 ) -> Report:
-    """Cyclic Hom-Jacobi check on generator triples of a graded algebra."""
+    """Cyclic Hom-Jacobi check on generator triples of a graded algebra;
+    each rotation term [alpha(x), [y, z]] is computed once per sweep,
+    keyed by its generators (``cyclic_terms``)."""
     report = Report(suite="hom-jacobi")
     twist = alpha if alpha is not None else alg.twist
 
-    for (i, j, k) in triples:
-        residue = Combo.zero()
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            residue = residue + alg.bracket(twist(Combo.basis(x)), alg.bracket_gen(y, z))
+    def term(x: Key, y: Key, z: Key) -> Combo:
+        return alg.bracket(twist(Combo.basis(x)), alg.bracket_gen(y, z))
+
+    for (i, j, k), terms in cyclic_terms(triples, term):
+        residue = sum(terms, Combo.zero())
         ok = residue.is_zero()
         report.check(
             f"triple-({i},{j},{k})",

@@ -590,14 +590,19 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inverse() ** (-n)
-        r = Scalar.one()
+        if n == 0:
+            return Scalar.one()
+        # square-and-multiply without the product by one and the last,
+        # unused squaring
+        r = None
         b = self
-        while n:
+        while True:
             if n & 1:
-                r = r * b
-            b = b * b
+                r = b if r is None else r * b
             n >>= 1
-        return r
+            if not n:
+                return r
+            b = b * b
 
     def __eq__(self, other) -> bool:
         other = Scalar._coerce(other)
@@ -619,11 +624,16 @@ class Scalar:
         return nv / dv
 
     def subst(self, p_image: "Scalar", q_image: "Scalar") -> "Scalar":
-        """Apply the field endomorphism p -> p_image, q -> q_image."""
+        """Apply the field endomorphism p -> p_image, q -> q_image; each
+        power of an image is computed once per call."""
+        exps = [e for poly in (self.num, self.den) for e in poly.terms]
+        p_pow = {i: p_image ** i for i in {i for i, _ in exps}}
+        q_pow = {j: q_image ** j for j in {j for _, j in exps}}
+
         def image(poly: ParamPoly) -> Scalar:
             total = Scalar.zero()
             for (i, j), c in poly.terms.items():
-                total = total + Scalar.from_fraction(c) * (p_image ** i) * (q_image ** j)
+                total = total + Scalar.from_fraction(c) * p_pow[i] * q_pow[j]
             return total
 
         nv = image(self.num)

@@ -1,0 +1,249 @@
+"""The one cyclic sweep of the quasi-Jacobi, Hom-Jacobi and cocycle checks.
+
+``cyclic_terms`` computes each rotation term once per sweep.  The tests
+count the evaluations it saves, and compare every verdict and witness of
+each verifier with a test-local loop that computes all three rotation
+terms of every triple afresh, on triple lists that are not closed under
+rotation, on quasi-Jacobi arguments that mix t^n with -t^n or are not
+monomials, and on algebras and contexts whose identities fail (so that
+each witness shows the summed terms).
+"""
+
+import copy
+import random
+
+import pytest
+
+from homlie import bracket
+from homlie.algebra import Combo, GradedAlgebra, cyclic_terms, perturb_algebra
+from homlie.bracket import (
+    bracket_general,
+    index_triples,
+    monomial_triples,
+    verify_hom_jacobi,
+    verify_quasi_jacobi,
+)
+from homlie.extension import CENTRAL, verify_cocycle_condition, virasoro_cocycle
+from homlie.families import inverse_twist_example, witt_pq
+from homlie.laurent import LaurentPoly, apply_endo
+from homlie.scalar import P, Q
+
+t = LaurentPoly.t
+ROTATIONS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def rotations(triple):
+    return [tuple(triple[i] for i in r) for r in ROTATIONS]
+
+
+def entries(report):
+    return [(e.id, e.status, e.witness) for e in report.entries]
+
+
+def outcome(entry_id, residue, witness):
+    ok = residue.is_zero()
+    return (entry_id, "pass" if ok else "fail", None if ok else witness)
+
+
+def reference_hom_jacobi(alg, triples):
+    out = []
+    for triple in triples:
+        residue = Combo.zero()
+        for x, y, z in rotations(triple):
+            residue = residue + alg.bracket(alg.twist(Combo.basis(x)), alg.bracket_gen(y, z))
+        out.append(outcome("triple-(%s,%s,%s)" % triple, residue, f"residue = {residue}"))
+    return out
+
+
+def reference_quasi_jacobi(ctx, triples):
+    sti, delta = ctx.sigma_tau_inv, ctx.delta
+    out = []
+    for idx, (a, b, c) in enumerate(triples):
+        group1 = group2 = LaurentPoly.zero()
+        for x, y, z in rotations((a, b, c)):
+            w = bracket_general(ctx, y, z)
+            group1 = group1 + bracket_general(ctx, apply_endo(sti, x), w)
+            group2 = group2 + delta * bracket_general(ctx, x, w)
+        total = group1 + group2
+        out.append(outcome(f"triple-{idx}", total, f"a={a}, b={b}, c={c}: "
+                           f"group1={group1}, group2={group2}, sum={total}"))
+    return out
+
+
+def reference_cocycle(g, alg, triples):
+    out = []
+    for triple in triples:
+        residue = Combo.zero()
+        for x, y, z in rotations(triple):
+            residue = residue + g.algebra.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
+        out.append(outcome("triple-(%s,%s,%s)" % triple, residue,
+                           f"residue = {residue.coeff(CENTRAL)}"))
+    return out
+
+
+def open_triples(window, count, seed):
+    """A sample of the window's triples, with repeats, that is not closed
+    under rotation."""
+    rng = random.Random(seed)
+    triples = rng.sample(index_triples(window), count)
+    triples += triples[:5]
+    assert any(r not in triples for tr in triples for r in rotations(tr))
+    return triples
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """Counts of ``GradedAlgebra.bracket`` calls, per algebra."""
+    calls = {}
+    real = GradedAlgebra.bracket
+
+    def counting(self, x, y):
+        calls[self] = calls.get(self, 0) + 1
+        return real(self, x, y)
+
+    monkeypatch.setattr(GradedAlgebra, "bracket", counting)
+    return calls
+
+
+@pytest.fixture
+def general_calls(monkeypatch):
+    calls = []
+    real = bracket.bracket_general
+
+    def counting(ctx, a, b):
+        calls.append((a, b))
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(bracket, "bracket_general", counting)
+    return calls
+
+
+def failing_ctx():
+    """The (p,q)-Witt context with a wrong delta: every quasi-Jacobi triple
+    that is not identically zero fails, and its witness shows both groups."""
+    ctx = copy.copy(witt_pq().provenance["ctx"])
+    ctx.delta = ctx.delta + t(1)
+    return ctx
+
+
+class TestHelper:
+    def test_terms_in_rotation_order_each_computed_once(self):
+        seen = []
+
+        def term(x, y, z):
+            seen.append((x, y, z))
+            return (x, y, z)
+
+        triples = [(1, 2, 3), (2, 3, 1), (1, 1, 1), (3, 1, 2), (1, 2, 3)]
+        got = list(cyclic_terms(triples, term))
+        assert got == [(tr, tuple(rotations(tr))) for tr in triples]
+        assert sorted(seen) == sorted(set(rotations((1, 2, 3))) | {(1, 1, 1)})
+
+    def test_unkeyed_arguments_are_computed_every_time(self):
+        seen = []
+
+        def term(x, y, z):
+            seen.append((x, y, z))
+            return x + y + z
+
+        key = lambda x: x if x >= 0 else None
+        triples = [(-1, 2, 3), (-1, 2, 3), (4, 5, 6)]
+        assert [terms for _, terms in cyclic_terms(triples, term, key)] == [(4, 4, 4)] * 2 + [(15,) * 3]
+        assert len(seen) == 9
+
+
+class TestEvaluationCounts:
+    def test_hom_jacobi_brackets_once_per_term(self, bracket_calls):
+        alg = witt_pq()
+        assert verify_hom_jacobi(alg, index_triples(2)).ok
+        assert bracket_calls == {alg: 125}  # 375 with three per triple
+
+    def test_quasi_jacobi_general_brackets_once_per_term(self, general_calls):
+        ctx = witt_pq().provenance["ctx"]
+        assert verify_quasi_jacobi(ctx, monomial_triples(2)).ok
+        # two per distinct term and one per inner pair; 775 with six per triple
+        assert len(general_calls) == 2 * 125 + 25
+
+    def test_non_monomial_terms_are_not_memoized(self, general_calls):
+        ctx = witt_pq().provenance["ctx"]
+        triple = (1 + t(1), -t(2), t(-1))
+        verify_quasi_jacobi(ctx, [triple, triple])
+        # two outer brackets for each of the six terms, the two inner brackets
+        # with a non-monomial argument every time, and the monomial inner
+        # bracket [-t^2, t^-1] once
+        assert len(general_calls) == 2 * 3 * 2 + 2 * 2 + 1
+
+    def test_cocycle_sweep_restricted(self, bracket_calls):
+        g = virasoro_cocycle()
+        assert verify_cocycle_condition(g, witt_pq(), window=2).ok
+        assert bracket_calls == {g.algebra: 19}  # 57 with three per triple
+
+    def test_cocycle_sweep_full_cube(self, bracket_calls):
+        g = virasoro_cocycle()
+        rep = verify_cocycle_condition(g, inverse_twist_example(), window=2)
+        assert len(rep.entries) == 125
+        assert bracket_calls == {g.algebra: 125}  # 375 with three per triple
+
+
+class TestHomJacobiAgainstReference:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_open_triples(self, perturbed):
+        alg = witt_pq()
+        if perturbed:
+            alg = perturb_algebra(alg, (1, 2), Combo.basis(3, P + Q))
+        triples = open_triples(3, 150, seed=5)
+        rep = verify_hom_jacobi(alg, triples)
+        assert entries(rep) == reference_hom_jacobi(alg, triples)
+        assert rep.ok is not perturbed
+
+    def test_perturbed_non_diagonal_twist(self):
+        alg = perturb_algebra(inverse_twist_example(), (-1, 2), Combo.basis(0, Q))
+        triples = index_triples(2)
+        rep = verify_hom_jacobi(alg, triples)
+        assert entries(rep) == reference_hom_jacobi(alg, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+
+
+class TestQuasiJacobiAgainstReference:
+    def mixed_sign_triples(self):
+        args = [t(-1), -t(-1), t(2), -t(2), -t(0)]
+        return [(a, b, c) for a in args for b in args for c in args][::3]
+
+    def non_monomial_triples(self):
+        others = [1 + t(1), t(3) - t(1), 2 * t(2), t(1).scale(P), t(-2) + t(2)]
+        triples = []
+        for x in others:
+            triples += [(x, -t(2), t(-1)), (t(1), x, -t(1)), (-t(0), t(2), x)]
+        return triples + [(others[0], others[1], -t(1))]
+
+    @pytest.mark.parametrize("which", ["mixed_sign_triples", "non_monomial_triples"])
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_matches_reference(self, which, failing):
+        ctx = failing_ctx() if failing else witt_pq().provenance["ctx"]
+        triples = getattr(self, which)()
+        rep = verify_quasi_jacobi(ctx, triples)
+        assert entries(rep) == reference_quasi_jacobi(ctx, triples)
+        assert rep.ok is not failing
+
+    def test_inversion_context_open_triples(self):
+        ctx = inverse_twist_example().provenance["ctx"]
+        triples = [tuple(-t(n) for n in tr) for tr in open_triples(2, 40, seed=3)]
+        rep = verify_quasi_jacobi(ctx, triples)
+        assert rep.ok
+        assert entries(rep) == reference_quasi_jacobi(ctx, triples)
+
+
+class TestCocycleAgainstReference:
+    def test_open_triples_on_perturbed_algebra(self):
+        g = virasoro_cocycle()
+        alg = perturb_algebra(witt_pq(), (1, -3), Combo.basis(-2, P))
+        triples = open_triples(3, 150, seed=9)
+        rep = verify_cocycle_condition(g, alg, triples, window=3)
+        assert entries(rep) == reference_cocycle(g, alg, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+
+    def test_default_sweep_of_perturbed_cocycle(self):
+        g = virasoro_cocycle().perturbed((2, -2), P)
+        alg = inverse_twist_example()
+        rep = verify_cocycle_condition(g, alg, window=2)
+        assert entries(rep) == reference_cocycle(g, alg, index_triples(2))

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from homlie import cli, extension
-from homlie.algebra import Combo
+from homlie.algebra import Combo, perturb_algebra
 from homlie.bracket import verify_hom_jacobi
 from homlie.errors import CocycleConditionFailed, PoleAtSpecialization
 from homlie.extension import (
@@ -16,7 +16,7 @@ from homlie.extension import (
     verify_f_compatibility,
     virasoro_cocycle,
 )
-from homlie.families import witt_pq
+from homlie.families import inverse_twist_example, witt_pq
 from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
 
 
@@ -183,3 +183,40 @@ class TestCocycleMemo:
             assert bad.value(2, -2) != base
         assert g.value(2, -2) == base
         assert bad.value(3, -3) == g.value(3, -3)
+
+
+def index_sum(entry_id: str) -> int:
+    """n + m + k of a ``triple-(n,m,k)`` entry."""
+    return sum(map(int, entry_id[len("triple-("):-1].split(",")))
+
+
+class TestCocycleSweepDomain:
+    """The default sweep keeps only n + m + k = 0 when that cannot hide a
+    failure: g supported on i + j = 0, brackets of degree n + m and a
+    diagonal twist on the window."""
+
+    def test_non_diagonal_twist_sweeps_the_full_cube(self, g):
+        rep = verify_cocycle_condition(g, inverse_twist_example(), window=2)
+        assert len(rep.entries) == 125
+        assert not rep.ok
+        assert "triple-(-2,-1,2)" in {e.id for e in rep.failures}
+
+    def test_off_degree_bracket_sweeps_the_full_cube(self, g, witt):
+        alg = perturb_algebra(witt, (1, -2), Combo.basis(2))
+        rep = verify_cocycle_condition(g, alg, window=2)
+        assert len(rep.entries) == 125
+        assert any(index_sum(e.id) != 0 for e in rep.failures)
+
+    def test_cocycle_perturbed_off_the_line_sweeps_the_full_cube(self, g, witt):
+        bad = g.perturbed((1, 2), ONE)
+        assert not bad.zero_sum_supported
+        rep = verify_cocycle_condition(bad, witt, window=3)
+        assert len(rep.entries) == 343
+        assert "triple-(-1,1,3)" in {e.id for e in rep.failures}
+        assert g.perturbed((2, -2), ONE).zero_sum_supported
+
+    def test_degree_preserving_sweep_is_restricted(self, g, witt):
+        rep = verify_cocycle_condition(g, witt, window=2)
+        assert rep.ok
+        assert len(rep.entries) == 19
+        assert all(index_sum(e.id) == 0 for e in rep.entries)

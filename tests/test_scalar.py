@@ -270,3 +270,49 @@ class TestIntegerKernel:
         if not b.is_zero():
             results.append(a / b)
         assert all(int_coefficients(s) for s in results)
+
+
+class TestPowersOnce:
+    @given(scalars(), st.integers(min_value=-4, max_value=7))
+    @settings(max_examples=60, deadline=None)
+    def test_pow_is_the_repeated_product(self, a, n):
+        if n < 0 and a.is_zero():
+            return
+        base = a if n >= 0 else a.inverse()
+        want = Scalar.one()
+        for _ in range(abs(n)):
+            want = want * base
+        got = a ** n
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+    @pytest.mark.parametrize("n,products", [(1, 0), (2, 1), (5, 3), (8, 3), (15, 6)])
+    def test_pow_makes_no_idle_product(self, monkeypatch, n, products):
+        calls = []
+        real = Scalar.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        (P + Q) ** n
+        # squarings up to the top bit, one product per further set bit
+        assert len(calls) == products
+
+    def test_subst_computes_each_power_once(self, monkeypatch):
+        num = sum((P ** i * Q ** j for i in range(4) for j in range(4)), Scalar.zero())
+        s = num / (ONE + P ** 2 * Q)
+        p_image, q_image = P + Q, P * Q - 1
+        want = sum((p_image ** i * q_image ** j for i in range(4) for j in range(4)),
+                   Scalar.zero()) / (ONE + p_image ** 2 * q_image)
+        calls = []
+        real = Scalar.__pow__
+
+        def counting(self, n):
+            calls.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(Scalar, "__pow__", counting)
+        assert s.subst(p_image, q_image) == want
+        # exponents 0..3 of p and of q, each once: not once per term
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
