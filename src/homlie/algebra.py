@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .laurent import _ONE, Linear, _den_mul, _linear, _mul
-from .scalar import Scalar
+from .laurent import Linear, _den_mul, _linear, _mul
+from .scalar import _ONE, Scalar
 
 Key = int | str
 

@@ -288,7 +288,6 @@ def twist_algebra(
         bracket_gen=lambda i, j: rho(alg.bracket_gen(i, j)),
         twist_gen=lambda i: rho(alg.twist_gen(i)),
         basis=alg.basis,
-        provenance={"twisted_from": alg.name},
     )
     small = keys if alg.basis is not None else alg.keys(max(2, window - 2))
     check = verify_hom_jacobi(twisted, [(i, j, k) for i in small for j in small for k in small])

@@ -293,11 +293,8 @@ def cmd_verify(args) -> int:
         print(f"[{marker}] {rep.summary()}")
         if not rep.ok:
             print(f"       witness: {rep.witness(labelled=True)}")
-    if args.json:
-        payload = [r.to_dict() for r in reports]
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2)
-            fh.write("\n")
+    payload = [r.to_dict() for r in reports]
+    _write_json(payload if len(payload) > 1 else payload[0], args.json)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -316,7 +313,7 @@ def cmd_table(args) -> int:
                 rows.append({"n": n, "coefficient": _shown(value.specialize(*specialize))})
             else:
                 rows.append({"n": n, "coefficient": str(value)})
-        _emit_table(rows, args.json)
+        _write_json(rows, args.json)
         return 0
 
     alg = FAMILIES[args.family]()
@@ -339,14 +336,16 @@ def cmd_table(args) -> int:
             shown = " + ".join(
                 f"({c['scalar']}) {label(c['index'])}" for c in coefficients) or "0"
             print(f"[{label(i)}, {label(j)}] = {shown}")
-    _emit_table(rows, args.json)
+    _write_json(rows, args.json)
     return 0
 
 
-def _emit_table(rows, path: str | None) -> None:
+def _write_json(payload, path: str | None) -> None:
+    """The --json report of every subcommand: indented, newline-terminated;
+    nothing is written without a path."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
 
 
@@ -355,14 +354,10 @@ def cmd_diagram(args) -> int:
     rep = diagram_report(window=window)
     for e in rep.entries:
         print(f"[{e.status:4}] {e.id}" + (f"  ({e.witness})" if e.witness else ""))
-    if args.json:
-        edges = [
-            {"edge": e.id, "status": e.status, **({"witness": e.witness} if e.witness else {})}
-            for e in rep.entries
-        ]
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(edges, fh, indent=2)
-            fh.write("\n")
+    _write_json([
+        {"edge": e.id, "status": e.status, **({"witness": e.witness} if e.witness else {})}
+        for e in rep.entries
+    ], args.json)
     return 0 if rep.ok else 1
 
 
@@ -376,10 +371,7 @@ def cmd_catalogue(args) -> int:
         rows.append({"name": entry.name, "pair": entry.pair,
                      "status": "pass" if sub.ok else "fail"})
         print(f"[{'ok ' if sub.ok else 'FAIL'}] {entry.name:34} {entry.pair}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+    _write_json(rows, args.json)
     return 0 if rep.ok else 1
 
 

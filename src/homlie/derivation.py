@@ -13,7 +13,7 @@ operator d with d(t^n) = n*(ct)^(n-1) for the dilation sigma(t) = c*t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EqualMorphisms,
@@ -136,25 +136,20 @@ class SigmaSigmaContext(RankOneContext):
         return f"SigmaSigmaContext(sigma: {self.sigma})"
 
 
-def _image_window(tau: Endo, sigma: Endo, window: int) -> list[LaurentPoly]:
-    out = []
+def _images(tau: Endo, sigma: Endo, window: int) -> Iterator[tuple[int, LaurentPoly]]:
+    """(n, (tau - sigma)(t^n)) for each exponent n of the window whose
+    image is nonzero."""
     for n in range(-window, window + 1):
         tn = LaurentPoly.t(n)
         img = apply_endo(tau, tn) - apply_endo(sigma, tn)
         if not img.is_zero():
-            out.append(img)
-    return out
+            yield n, img
 
 
 def _validate_gcd(tau: Endo, sigma: Endo, g: LaurentPoly, window: int) -> int | None:
     """First exponent in the validation window whose image g fails to
     divide, or None when all pass."""
-    for n in range(-window, window + 1):
-        tn = LaurentPoly.t(n)
-        img = apply_endo(tau, tn) - apply_endo(sigma, tn)
-        if not img.is_zero() and not divides(g, img):
-            return n
-    return None
+    return next((n for n, img in _images(tau, sigma, window) if not divides(g, img)), None)
 
 
 def make_context(
@@ -180,12 +175,10 @@ def make_context(
             raise InvalidGcd(f"override g does not divide the image of t^{bad}")
         return DerivationContext(tau, sigma, override_g)
 
-    images = _image_window(tau, sigma, window)
-    g = gcd_up_to_unit(images)
+    g = gcd_up_to_unit(img for _, img in _images(tau, sigma, window))
     bad = _validate_gcd(tau, sigma, g, 2 * window)
     if bad is not None:
-        images = _image_window(tau, sigma, 2 * window)
-        g = gcd_up_to_unit(images)
+        g = gcd_up_to_unit(img for _, img in _images(tau, sigma, 2 * window))
         bad = _validate_gcd(tau, sigma, g, 4 * window)
         if bad is not None:
             raise InvalidGcd(f"window gcd fails divisibility at exponent {bad}")

@@ -130,14 +130,19 @@ def verify_cocycle_condition(
     by its indices (``cyclic_terms``).
 
     The default sweep is the full cube of the window.  It keeps only the
-    triples with n + m + k = 0 when g is supported on i + j = 0 and the
-    algebra is degree-preserving with a diagonal twist on the window
-    (``_preserves_degree``): then every term of any other triple is zero.
+    triples with n + m + k = 0 when g is flagged ``zero_sum_supported``,
+    the algebra is degree-preserving with a diagonal twist on the window
+    (``_preserves_degree``), and g(x, s) is zero for every x in the
+    window and every s != -x with |s| <= 2 * window: then every term of
+    any other triple reads one of those zero values.  The flag alone is
+    never trusted.
     """
     report = Report(suite="cocycle-condition", window=window)
     if triples is None:
         rng = range(-window, window + 1)
-        if g.zero_sum_supported and _preserves_degree(alg, rng):
+        reach = range(-2 * window, 2 * window + 1)
+        if (g.zero_sum_supported and _preserves_degree(alg, rng)
+                and all(g.value(x, s).is_zero() for x in rng for s in reach if x + s)):
             triples = [
                 (n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window
             ]
@@ -229,9 +234,7 @@ def _assemble_extension(
             return Combo.basis(CENTRAL)
         return base.twist_gen(i)
 
-    ext_alg = GradedAlgebra(
-        f"{base.name}^", bracket_gen, twist_gen, provenance={"base": base.name}
-    )
+    ext_alg = GradedAlgebra(f"{base.name}^", bracket_gen, twist_gen)
     ext = CentralExtension(base=base, cocycle=g, algebra=ext_alg)
 
     from .bracket import verify_hom_jacobi

@@ -82,7 +82,7 @@ def witt_pq() -> GradedAlgebra:
     ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
     return _witt_family(
         P, Q, "W_{p,q}",
-        provenance={"ctx": ctx, "coeff": coefficient_of_d, "bracket": "general"},
+        provenance={"ctx": ctx, "coeff": coefficient_of_d},
     )
 
 
@@ -103,7 +103,7 @@ def witt_pq_forced() -> GradedAlgebra:
     ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
     return _diagonal(
         "W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n,
-        provenance={"ctx": ctx, "coeff": coefficient_of_d, "bracket": "forced"},
+        provenance={"ctx": ctx, "coeff": coefficient_of_d},
     )
 
 
@@ -128,8 +128,7 @@ def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
         f"W_{{p,p}}[{generator}]", lambda n, m: Scalar.from_int(n - m) / P, lambda n: _TWO,
         shift=shift,
         provenance={"ctx": make_sigma_sigma_context(P),
-                    "coeff": lambda n: -LaurentPoly.t(n + 1 + shift),
-                    "bracket": "general", "generator": generator},
+                    "coeff": lambda n: -LaurentPoly.t(n + 1 + shift)},
     )
 
 
@@ -140,7 +139,7 @@ def sigma_sigma_witt_forced() -> GradedAlgebra:
         "W_{p,p}-forced", lambda n, m: Scalar.from_int(n - m) * P ** (n + m - 1),
         lambda n: _TWO * P ** n,
         provenance={"ctx": make_sigma_sigma_context(P),
-                    "coeff": lambda n: -LaurentPoly.t(n + 1), "bracket": "forced"},
+                    "coeff": lambda n: -LaurentPoly.t(n + 1)},
     )
 
 
@@ -192,8 +191,7 @@ def sl2_context() -> DerivationContext:
 def sl2_pq() -> GradedAlgebra:
     return _sl2_family(
         P, Q, "sl(2)_{p,q}",
-        provenance={"ctx": sl2_context(), "coeff": lambda k: SL2_COEFF[k],
-                    "bracket": "general"},
+        provenance={"ctx": sl2_context(), "coeff": lambda k: SL2_COEFF[k]},
     )
 
 
@@ -249,7 +247,7 @@ def inverse_twist_example() -> GradedAlgebra:
         "W-inv",
         lambda n, m: expand_in_d_basis(bracket_via_context(ctx, coefficient_of_d, n, m)),
         lambda n: Combo.basis(-n, Q ** (-n)) - Combo.basis(n),
-        provenance={"ctx": ctx, "coeff": coefficient_of_d, "bracket": "general"},
+        provenance={"ctx": ctx, "coeff": coefficient_of_d},
     )
 
 

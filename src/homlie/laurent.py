@@ -8,13 +8,14 @@ exactly the nonzero monomials).
 Every Q(p,q)-linear combination of the package stands on one core,
 ``Linear``: one integer numerator over (key, p, q) and one common
 ``ParamPoly`` denominator, with sums, scaling, equality and the linear
-extension ``linear_map``.  Every result is normalized once (one joint
-integer content, and one parameter gcd only when the denominator is not
-constant).  A ``LaurentPoly`` is the ``Linear`` keyed by the exponents of
-t, with the ring product on top; ``algebra.Combo`` is the one keyed by
-basis elements.  The ``Scalar`` coefficients of ``coeff`` and ``coeffs``
-are built from that form on demand; ``Scalar`` is canonical, so the
-rendering does not depend on how a value was computed.
+extension ``linear_map``.  Every result is normalized once, by
+``scalar._normal``, the one canonical form of num/den, of which a
+``Scalar`` is the one-key case.  A ``LaurentPoly`` is the ``Linear``
+keyed by the exponents of t, with the ring product on top;
+``algebra.Combo`` is the one keyed by basis elements.  A ``Scalar``
+enters and leaves the core with its parts as they are (``monomial``,
+``scale``, ``coeff``, ``coeffs``), so the rendering does not depend on
+how a value was computed.
 
 The gcd is computed over the integral layer Q[p^+-1, q^+-1][t^+-1]: the
 scalar content of the inputs (a gcd of bivariate parameter polynomials)
@@ -27,27 +28,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable, Iterable
 
 from .errors import DivisionByZero, NotDivisible, NotInvertible, NotAUnit
 from .scalar import (
+    _ONE,
+    Num,
     ParamPoly,
     Scalar,
-    _divides,
     _field_euclid,
+    _join,
+    _normal,
     _normalize_param,
     _poly,
+    _split,
     param_gcd,
     param_lcm,
 )
-
-# {(key, i, j): nonzero int} for the terms c p^i q^j key, where the key is a
-# t-exponent in a Laurent polynomial and a basis key in a combination
-Num = dict[tuple, int]
-
-# the denominator of every polynomial whose denominator is 1
-_ONE = ParamPoly.one()
 
 
 def _mul(a: Num, b: Num) -> Num:
@@ -89,23 +86,6 @@ def _add(a: Num, b: Num) -> Num:
     return out
 
 
-def _split(num: Num) -> dict:
-    """The coefficient of each key of a numerator, as a ParamPoly."""
-    out: dict = {}
-    for (k, i, j), c in num.items():
-        out.setdefault(k, {})[(i, j)] = c
-    return {k: _poly(terms) for k, terms in out.items()}
-
-
-def _join(coeffs: dict) -> Num:
-    return {(k, i, j): c for k, f in coeffs.items() for (i, j), c in f.terms.items()}
-
-
-def _int_den(den: ParamPoly) -> int | None:
-    """The value of a constant denominator, None for a non-constant one."""
-    return den.terms.get((0, 0)) if len(den.terms) == 1 else None
-
-
 def _den_mul(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return a if b is _ONE else b if a is _ONE else a * b
 
@@ -115,39 +95,6 @@ def _sum(an: Num, ad: ParamPoly, bn: Num, bd: ParamPoly) -> tuple[Num, ParamPoly
     if ad is bd or ad == bd:
         return _add(an, bn), ad
     return _add(_scale(an, bd), _scale(bn, ad)), ad * bd
-
-
-def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
-    """The canonical form of num/den: the denominator's monomial factor
-    moved into the numerator, the parameter gcd of the denominator with
-    every key's coefficient divided out (a coefficient that the gcd so far
-    divides needs no gcd call), joint integer content 1 and a positive
-    leading graded-lex coefficient in the denominator."""
-    d = _int_den(den)
-    if not num or d == 1:
-        return num, _ONE
-    if d is None:
-        i0, j0 = den.min_exponents()
-        if i0 or j0:
-            den = den.shift(-i0, -j0)
-            num = {(k, i - i0, j - j0): c for (k, i, j), c in num.items()}
-    if not den.is_constant():
-        common = _normalize_param(den)
-        for c in _split(num).values():
-            if not _divides(common.terms, c.terms):
-                common = param_gcd(common, c)
-                if len(common.terms) == 1:
-                    break
-        if len(common.terms) > 1:
-            den = den.exact_div(common)
-            num = _join({k: c.exact_div(common) for k, c in _split(num).items()})
-    content = _int_gcd(*num.values(), *den.terms.values())
-    if den.leading()[1] < 0:
-        content = -content
-    if content != 1:
-        num = {e: c // content for e, c in num.items()}
-        den = _poly({e: c // content for e, c in den.terms.items()})
-    return num, (_ONE if _int_den(den) == 1 else den)
 
 
 def _linear(num: Num, den: ParamPoly, image: Callable) -> tuple[Num, ParamPoly]:
@@ -181,28 +128,23 @@ class Linear:
     ``num / den``.
 
     ``num`` maps (key, i, j) to the nonzero int coefficient of p^i q^j in
-    the key's coefficient; ``den`` is one ParamPoly shared by all keys,
-    the object ``_ONE`` whenever it is 1.  Both are in the canonical form
-    of ``_normal``; zero has an empty numerator.  Every result keeps the
-    receiver's type.
+    the key's coefficient; ``den`` is one ParamPoly shared by all keys.
+    Both are in the canonical form of ``scalar._normal`` (so ``den`` is
+    ``_ONE`` whenever it is 1); zero has an empty numerator.  Every
+    result keeps the receiver's type.
     """
 
     __slots__ = ("num", "den")
     _nonnegative = False
 
     def __init__(self, coeffs: dict | None = None):
-        """From {key: Scalar} in one pass: coefficients over 1 are merged
-        directly, integer denominators are cleared by one lcm, and only
-        the other denominators are added through ``_sum``."""
-        parts = [(k, c.num.terms, _int_den(c.den), c.den)
-                 for k, c in (coeffs or {}).items() if not c.is_zero()]
-        lcm = _int_lcm(*(d for _, _, d, _ in parts if d is not None))
-        num = {(k, i, j): a * (lcm // d)
-               for k, f, d, _ in parts if d is not None for (i, j), a in f.items()}
-        den = _ONE if lcm == 1 else ParamPoly.const(lcm)
-        for k, f, d, fden in parts:
-            if d is None:
-                num, den = _sum(num, den, {(k, i, j): a for (i, j), a in f.items()}, fden)
+        """From {key: Scalar}: one sum over the nonzero coefficients,
+        normalized once."""
+        num, den = {}, _ONE
+        for k, c in (coeffs or {}).items():
+            if not c.is_zero():
+                num, den = _sum(num, den, {(k, i, j): a for (i, j), a in c.num.terms.items()},
+                                c.den)
         made = self._make(num, den)
         self.num, self.den = made.num, made.den
 
@@ -229,9 +171,9 @@ class Linear:
 
     @classmethod
     def monomial(cls, c: Scalar, key) -> "Linear":
-        """c * key.  A Scalar is already in the canonical form of one key."""
-        num = {(key, i, j): a for (i, j), a in c.num.terms.items()}
-        return cls._new(num, _ONE if not num or _int_den(c.den) == 1 else c.den)
+        """c * key, with the parts of c as they are: a Scalar is the one-key
+        case of the canonical form."""
+        return cls._new({(key, i, j): a for (i, j), a in c.num.terms.items()}, c.den)
 
     # -- coefficients as Scalars -------------------------------------------
 
@@ -273,8 +215,7 @@ class Linear:
         return self._make(*_sum(self.num, self.den, neg, other.den))
 
     def scale(self, c: Scalar) -> "Linear":
-        den = self.den if _int_den(c.den) == 1 else _den_mul(self.den, c.den)
-        return self._make(_scale(self.num, c.num), den)
+        return self._make(_scale(self.num, c.num), _den_mul(self.den, c.den))
 
     def linear_map(self, image: Callable, cls: type) -> "Linear":
         """The Q(p,q)-linear map key -> image(key) applied to self, as a
@@ -610,7 +551,7 @@ def render_laurent(f: LaurentPoly) -> str:
         if body.startswith("-") and "+" not in body and " - " not in body:
             neg = True
             body = body[1:]
-        simple = c.den == ParamPoly.one() and (_atomic(c.num) or _atomic((-c).num))
+        simple = c.den is _ONE and (_atomic(c.num) or _atomic((-c).num))
         if t_part:
             if body == "1":
                 body = t_part

@@ -9,19 +9,24 @@ acceptance test of the heuristic gcd.  A ``Scalar`` is a quotient of two
 such polynomials.
 
 Equality of scalars is decided by cross-multiplication of the stored
-numerators and denominators, never by polynomial gcd, so it is exact even
-though quotients are not reduced to lowest terms.  The canonical form is
-best-effort: monomial factors p^i q^j are moved into the numerator, both
-parts carry int coefficients with joint content 1, and the
-denominator's leading coefficient (graded-lex order on (i, j)) is
-positive.
+numerators and denominators, never by polynomial gcd, so it does not
+depend on how far a quotient is reduced.  The canonical form of a
+quotient num/den is written once, ``_normal``: for any number of keys
+(the coefficients of a Laurent polynomial or of a generator combination
+in ``laurent.Linear``) over one common denominator, a ``Scalar`` being
+the one-key case.  Monomial factors p^i q^j of the denominator are moved
+into the numerator, the parameter gcd of the denominator with every
+coefficient is divided out, both parts carry int coefficients with joint
+content 1, the denominator's leading coefficient (graded-lex order on
+(i, j)) is positive, and a denominator equal to 1 is the shared object
+``_ONE``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .errors import DivisionByZero, PoleAtPoint
 
@@ -199,6 +204,10 @@ def _poly(terms: dict[Exps, Coeff]) -> ParamPoly:
     return r
 
 
+# the denominator of every quotient whose denominator is 1
+_ONE = ParamPoly.one()
+
+
 def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
     """a / b, an int whenever both are ints and b divides a."""
     if type(a) is int and type(b) is int:
@@ -259,21 +268,12 @@ def render_param_poly(poly: ParamPoly) -> str:
 # canonical associate.
 
 
-def _integer_normal(*polys: ParamPoly) -> list[ParamPoly]:
-    """Scale nonzero polynomials by one rational factor, so that together
-    they have int coefficients with content 1 and the last one has a
-    positive leading graded-lex coefficient."""
-    lcm = 1
-    for f in polys:
-        for c in f.terms.values():
-            if c.denominator != 1:
-                lcm = lcm * c.denominator // _int_gcd(lcm, c.denominator)
-    ints = [{e: c.numerator * (lcm // c.denominator) for e, c in f.terms.items()}
+def _cleared(*polys: ParamPoly) -> list[dict[Exps, int]]:
+    """The coefficient maps of the polynomials times the lcm of all their
+    coefficient denominators: int coefficients throughout."""
+    lcm = _int_lcm(*(c.denominator for f in polys for c in f.terms.values()))
+    return [{e: c.numerator * (lcm // c.denominator) for e, c in f.terms.items()}
             for f in polys]
-    content = _int_gcd(*(c for t in ints for c in t.values()))
-    if polys[-1].leading()[1] < 0:
-        content = -content
-    return [_poly({e: c // content for e, c in t.items()}) for t in ints]
 
 
 def _normalize_param(f: ParamPoly) -> ParamPoly:
@@ -282,7 +282,11 @@ def _normalize_param(f: ParamPoly) -> ParamPoly:
     if f.is_zero():
         return f
     i0, j0 = f.min_exponents()
-    return _integer_normal(f.shift(-i0, -j0))[0]
+    ints, = _cleared(f.shift(-i0, -j0))
+    content = _int_gcd(*ints.values())
+    if f.leading()[1] < 0:
+        content = -content
+    return _poly({e: c // content for e, c in ints.items()})
 
 
 def _univar_gcd_q(a: ParamPoly, b: ParamPoly) -> ParamPoly:
@@ -459,41 +463,89 @@ def param_lcm(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     return _normalize_param((f * g).exact_div(param_gcd(f, g)))
 
 
+# -- the canonical form of a quotient ----------------------------------------
+#
+# {(key, i, j): nonzero int} for the terms c p^i q^j key of a numerator: the
+# key is a t-exponent in a Laurent polynomial, a basis key in a generator
+# combination, and 0 in a Scalar.
+Num = dict[tuple, int]
+
+
+def _split(num: Num) -> dict:
+    """The coefficient of each key of a numerator, as a ParamPoly."""
+    out: dict = {}
+    for (k, i, j), c in num.items():
+        out.setdefault(k, {})[(i, j)] = c
+    return {k: _poly(terms) for k, terms in out.items()}
+
+
+def _join(coeffs: dict) -> Num:
+    return {(k, i, j): c for k, f in coeffs.items() for (i, j), c in f.terms.items()}
+
+
+def _int_den(den: ParamPoly) -> int | None:
+    """The value of a constant denominator, None for a non-constant one."""
+    return den.terms.get((0, 0)) if len(den.terms) == 1 else None
+
+
+def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
+    """The canonical form of num/den, for int coefficients and a nonzero
+    denominator: the denominator's monomial factor moved into the
+    numerator, the parameter gcd of the denominator with every key's
+    coefficient divided out, joint integer content 1, a positive leading
+    graded-lex coefficient in the denominator, and ``_ONE`` for a
+    denominator equal to 1.  No gcd is called for a coefficient that the
+    gcd so far divides, nor for a single-term coefficient (which leaves
+    no common factor)."""
+    d = _int_den(den)
+    if not num or d == 1:
+        return num, _ONE
+    if d is None:
+        i0, j0 = den.min_exponents()
+        if i0 or j0:
+            den = den.shift(-i0, -j0)
+            num = {(k, i - i0, j - j0): c for (k, i, j), c in num.items()}
+    if not den.is_constant():
+        common = _normalize_param(den)
+        for c in _split(num).values():
+            if len(c.terms) == 1:
+                common = _ONE
+            elif not _divides(common.terms, c.terms):
+                common = param_gcd(common, c)
+            if len(common.terms) == 1:
+                break
+        if len(common.terms) > 1:
+            den = den.exact_div(common)
+            num = _join({k: c.exact_div(common) for k, c in _split(num).items()})
+    content = _int_gcd(*num.values(), *den.terms.values())
+    if den.leading()[1] < 0:
+        content = -content
+    if content != 1:
+        num = {e: c // content for e, c in num.items()}
+        den = _poly({e: c // content for e, c in den.terms.items()})
+    return num, (_ONE if _int_den(den) == 1 else den)
+
+
 class Scalar:
-    """Element of the field Q(p,q), stored as ``num / den``; both parts
-    have int coefficients."""
+    """Element of the field Q(p,q), stored as ``num / den`` in the
+    canonical form of ``_normal`` (one key); both parts have int
+    coefficients."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
-        den_is_one = den is None or (
-            len(den.terms) == 1 and den.terms.get((0, 0)) == 1
-        )
-        if den_is_one:
+        if den is None or _int_den(den) == 1:
             # fast path: integral numerators over denominator 1 are already
             # in canonical form, and they dominate the inner loops
             if all(type(c) is int for c in num.terms.values()):
-                self.num, self.den = num, ParamPoly.one()
+                self.num, self.den = num, _ONE
                 return
-            den = ParamPoly.one()
+            den = _ONE
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ParamPoly.zero(), ParamPoly.one()
-            return
-        # move the denominator's monomial factor into the numerator
-        i0, j0 = den.min_exponents()
-        if (i0, j0) != (0, 0):
-            den = den.shift(-i0, -j0)
-            num = num.shift(-i0, -j0)
-        # reduce by the polynomial gcd when the denominator is non-constant;
-        # equality never depends on this, but it bounds coefficient growth
-        if not den.is_constant() and len(num.terms) > 1:
-            common = param_gcd(num, den)
-            if len(common.terms) > 1:
-                num = num.exact_div(common)
-                den = den.exact_div(common)
-        self.num, self.den = _integer_normal(num, den)
+        ints, den_ints = _cleared(num, den)
+        joined, self.den = _normal({(0, i, j): c for (i, j), c in ints.items()}, _poly(den_ints))
+        self.num = _poly({(i, j): c for (_, i, j), c in joined.items()})
 
     # -- constructors ----------------------------------------------------
 
@@ -664,7 +716,7 @@ def _atomic(poly: ParamPoly) -> bool:
 
 
 def render_scalar(s: Scalar) -> str:
-    if s.den == ParamPoly.one():
+    if s.den is _ONE:
         return render_param_poly(s.num)
     num = render_param_poly(s.num)
     den = render_param_poly(s.den)

@@ -215,6 +215,16 @@ class TestCocycleSweepDomain:
         assert "triple-(-1,1,3)" in {e.id for e in rep.failures}
         assert g.perturbed((2, -2), ONE).zero_sum_supported
 
+    def test_zero_sum_flag_is_not_trusted(self, g, witt):
+        # a caller's flag on a value that is nonzero off i + j = 0
+        bad = Cocycle(lambda i, j: g.value(i, j) + P if (i, j) == (1, 2) else g.value(i, j),
+                      zero_sum_supported=True)
+        assert bad.zero_sum_supported
+        rep = verify_cocycle_condition(bad, witt, window=3)
+        assert len(rep.entries) == 343
+        assert not rep.ok
+        assert "triple-(-1,1,3)" in {e.id for e in rep.failures}
+
     def test_degree_preserving_sweep_is_restricted(self, g, witt):
         rep = verify_cocycle_condition(g, witt, window=2)
         assert rep.ok

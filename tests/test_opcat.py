@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -68,6 +69,14 @@ class TestProductRules:
     def test_shift_unit_argument(self):
         entry = ROWS["shift"]
         assert verify_entry(entry, corpus=[(PlainPoly.one(), t(3) + t(1))]).ok
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_rule_is_the_rows_pair(self, name):
+        # the rule is read from the row's (tau, sigma), so a wrong tau fails
+        entry = ROWS[name]
+        square = PlainPoly.monomial(ONE, 2)
+        wrong = dataclasses.replace(entry, tau=lambda f: f.subst(square))
+        assert not verify_entry(wrong, pairs=5).ok
 
     def test_p_dilatation_documented_pair(self):
         entry = ROWS["p-dilatation-derivative"]
