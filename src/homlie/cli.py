@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .algebra import Combo, GradedAlgebra, perturb_algebra
@@ -147,7 +148,7 @@ def _parse_perturbation(spec: str, names: list[str], window: int):
     if target not in _REACH or target not in names:
         raise BadPerturbation(f"{spec!r} names no suite of this run that takes a fault")
     keys = tuple(
-        int(piece) if piece.lstrip("-").isdigit() else piece
+        int(piece) if re.fullmatch(r"-?[0-9]+", piece) else piece
         for piece in (piece.strip() for piece in where.split(","))
     )
     reach = _REACH[target](window)

@@ -1,10 +1,12 @@
 """Twisted derivation contexts on A = Q(p,q)[t, t^-1].
 
 A context holds two different endomorphisms tau, sigma together with a
-common divisor g of the image set (tau - sigma)(A).  The associated
-generator Delta = (tau - sigma)/g spans the space of (tau,sigma)-
-derivations as a rank-one A-module, and every element is a*Delta acting
-by f -> a*(tau(f) - sigma(f))/g with the division exact.
+common divisor g of the image set (tau - sigma)(A), which the image of
+t generates: tau(t)^n - sigma(t)^n = (tau(t) - sigma(t)) [n] for the
+(tau(t), sigma(t))-deformed integer [n].  The associated generator
+Delta = (tau - sigma)/g spans the space of (tau,sigma)-derivations as a
+rank-one A-module, and every element is a*Delta acting by
+f -> a*(tau(f) - sigma(f))/g with the division exact.
 
 The degenerate tau = sigma case has its own context built around the
 operator d with d(t^n) = n*(ct)^(n-1) for the dilation sigma(t) = c*t.
@@ -13,14 +15,13 @@ operator d with d(t^n) = n*(ct)^(n-1) for the dilation sigma(t) = c*t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EqualMorphisms,
     HypothesisViolated,
     InvalidGcd,
     NotAUnit,
-    NotDivisible,
     NotInvertible,
 )
 from .laurent import (
@@ -136,61 +137,29 @@ class SigmaSigmaContext(RankOneContext):
         return f"SigmaSigmaContext(sigma: {self.sigma})"
 
 
-def _images(tau: Endo, sigma: Endo, window: int) -> Iterator[tuple[int, LaurentPoly]]:
-    """(n, (tau - sigma)(t^n)) for each exponent n of the window whose
-    image is nonzero."""
-    for n in range(-window, window + 1):
-        tn = LaurentPoly.t(n)
-        img = apply_endo(tau, tn) - apply_endo(sigma, tn)
-        if not img.is_zero():
-            yield n, img
-
-
-def _validate_gcd(tau: Endo, sigma: Endo, g: LaurentPoly, window: int) -> int | None:
-    """First exponent in the validation window whose image g fails to
-    divide, or None when all pass."""
-    return next((n for n, img in _images(tau, sigma, window) if not divides(g, img)), None)
-
-
 def make_context(
-    tau: Endo,
-    sigma: Endo,
-    override_g: LaurentPoly | None = None,
-    window: int = DEFAULT_WINDOW,
+    tau: Endo, sigma: Endo, override_g: LaurentPoly | None = None
 ) -> DerivationContext:
     """Build a derivation context, choosing g canonically unless overridden.
 
-    The default g is the gcd of the images (tau - sigma)(t^n) over the
-    window, validated against the doubled window.  When that gcd has a
-    genuine t-dependence and is associated to (tau - sigma)(t), the image
-    of t itself is preferred, which keeps Delta(t) equal to 1.
+    Both maps send t to a unit, x = tau(t) and y = sigma(t), and
+    x^n - y^n = (x - y) [n]_{x,y} (times the unit (xy)^n for n < 0), so
+    the image (tau - sigma)(t) = x - y generates the ideal
+    (tau - sigma)(A).  The default g is that image when it has two
+    t-terms, which keeps Delta(t) equal to 1, and its canonical scalar
+    associate (e.g. p - q for two dilations) when it is a single term.
+    A supplied g is accepted exactly when it divides the image of t.
     """
     if tau == sigma:
         raise EqualMorphisms("tau = sigma; use make_sigma_sigma_context")
-    if override_g is not None:
-        if override_g.is_zero():
-            raise InvalidGcd("zero is not a valid gcd")
-        bad = _validate_gcd(tau, sigma, override_g, 2 * window)
-        if bad is not None:
-            raise InvalidGcd(f"override g does not divide the image of t^{bad}")
-        return DerivationContext(tau, sigma, override_g)
-
-    g = gcd_up_to_unit(img for _, img in _images(tau, sigma, window))
-    bad = _validate_gcd(tau, sigma, g, 2 * window)
-    if bad is not None:
-        g = gcd_up_to_unit(img for _, img in _images(tau, sigma, 2 * window))
-        bad = _validate_gcd(tau, sigma, g, 4 * window)
-        if bad is not None:
-            raise InvalidGcd(f"window gcd fails divisibility at exponent {bad}")
-
-    if not g.is_scalar():
-        image_t = apply_endo(tau, LaurentPoly.t()) - apply_endo(sigma, LaurentPoly.t())
-        try:
-            cofactor = exact_div(image_t, g)
-            if cofactor.is_unit():
-                g = image_t
-        except NotDivisible:
-            pass
+    t = LaurentPoly.t()
+    image = apply_endo(tau, t) - apply_endo(sigma, t)
+    if override_g is None:
+        g = gcd_up_to_unit([image]) if image.is_unit() else image
+    elif override_g.is_zero() or not divides(override_g, image):
+        raise InvalidGcd("override g does not divide the image of t")
+    else:
+        g = override_g
     return DerivationContext(tau, sigma, g)
 
 

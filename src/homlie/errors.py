@@ -34,7 +34,7 @@ class EqualMorphisms(HomlieError):
 
 
 class InvalidGcd(HomlieError):
-    """A supplied or computed gcd failed divisibility validation."""
+    """A supplied g does not divide the image (tau - sigma)(t)."""
 
 
 class HypothesisViolated(HomlieError):

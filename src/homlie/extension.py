@@ -42,12 +42,10 @@ class Cocycle:
     def __init__(
         self,
         value: Callable[[int, int], Scalar],
-        zero_sum_supported: bool = False,
         specialization_guard: Callable[[int, int, Fraction, Fraction], None] | None = None,
     ):
         self._value = value
         self._memo: dict[tuple[int, int], Scalar] = {}
-        self.zero_sum_supported = zero_sum_supported
         self._guard = specialization_guard
         self.algebra = GradedAlgebra("g", self._central, Combo.basis)
 
@@ -64,14 +62,12 @@ class Cocycle:
 
     @staticmethod
     def zero() -> "Cocycle":
-        return Cocycle(lambda i, j: Scalar.zero(), zero_sum_supported=True)
+        return Cocycle(lambda i, j: Scalar.zero())
 
     def perturbed(self, at: tuple[int, int], delta: Scalar) -> "Cocycle":
-        """A copy with ``delta`` added to g(at); supported on i + j = 0
-        only when g is and ``at`` lies on that line."""
+        """A copy with ``delta`` added to g(at)."""
         return Cocycle(
             lambda i, j: self.value(i, j) + delta if (i, j) == at else self.value(i, j),
-            zero_sum_supported=self.zero_sum_supported and sum(at) == 0,
             specialization_guard=self._guard,
         )
 
@@ -116,7 +112,7 @@ def virasoro_cocycle() -> Cocycle:
                 f"1 + (q/p)^{n} vanishes at ({p0}, {q0}); q/p is a root of unity"
             )
 
-    return Cocycle(value, zero_sum_supported=True, specialization_guard=guard)
+    return Cocycle(value, specialization_guard=guard)
 
 
 def verify_cocycle_condition(
@@ -130,18 +126,17 @@ def verify_cocycle_condition(
     by its indices (``cyclic_terms``).
 
     The default sweep is the full cube of the window.  It keeps only the
-    triples with n + m + k = 0 when g is flagged ``zero_sum_supported``,
-    the algebra is degree-preserving with a diagonal twist on the window
-    (``_preserves_degree``), and g(x, s) is zero for every x in the
-    window and every s != -x with |s| <= 2 * window: then every term of
-    any other triple reads one of those zero values.  The flag alone is
-    never trusted.
+    triples with n + m + k = 0 when the algebra is degree-preserving with
+    a diagonal twist on the window (``_preserves_degree``) and g(x, s) is
+    zero for every x in the window and every s != -x with
+    |s| <= 2 * window: then every term of any other triple reads one of
+    those zero values.
     """
     report = Report(suite="cocycle-condition", window=window)
     if triples is None:
         rng = range(-window, window + 1)
         reach = range(-2 * window, 2 * window + 1)
-        if (g.zero_sum_supported and _preserves_degree(alg, rng)
+        if (_preserves_degree(alg, rng)
                 and all(g.value(x, s).is_zero() for x in rng for s in reach if x + s)):
             triples = [
                 (n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window

@@ -196,8 +196,15 @@ def parse_laurent(text: str) -> LaurentPoly:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Rational literals for specialization points: '3', '-1/2'."""
+    """Rational literals for specialization points: '3', '-1/2', '2.5',
+    '1e3'.  BadSize, before any value is built, when the literal or its
+    decimal exponent exceeds sys.get_int_max_str_digits()."""
+    text = text.strip()
+    limit = sys.get_int_max_str_digits()
+    exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if limit and (len(text) > limit or exponent.isdecimal() and int(exponent) > limit):
+        raise BadSize(f"the rational {text[:20]!r} has more than {limit} digits")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ExprSyntaxError(0, "a rational number like 2 or -1/2", str(exc)) from None

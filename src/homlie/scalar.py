@@ -604,7 +604,10 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den)
+        # negation keeps the canonical form, so no normalization is needed
+        neg = object.__new__(Scalar)
+        neg.num, neg.den = -self.num, self.den
+        return neg
 
     def __sub__(self, other) -> "Scalar":
         other = Scalar._coerce(other)
@@ -736,16 +739,11 @@ ONE = Scalar.one()
 
 
 def pq_number_of(a: Scalar, b: Scalar, n: int) -> Scalar:
-    """The (a,b)-deformed integer: sum_{k=0}^{n-1} a^(n-1-k) b^k for n >= 0,
-    extended to negative n by [-n] = -(ab)^(-n) [n]."""
-    if n == 0:
-        return Scalar.zero()
-    if n < 0:
-        return -((a * b) ** n) * pq_number_of(a, b, -n)
-    total = Scalar.zero()
-    for k in range(n):
-        total = total + (a ** (n - 1 - k)) * (b ** k)
-    return total
+    """The (a,b)-deformed integer [n] = (a^n - b^n)/(a - b), and its limit
+    n a^(n-1) when a = b; [-n] = -(ab)^(-n) [n] follows."""
+    if a == b:
+        return n * a ** (n - 1)
+    return (a ** n - b ** n) / (a - b)
 
 
 @cache
@@ -757,9 +755,7 @@ def pq_number(n: int) -> Scalar:
 
 def pq_number_equal(n: int) -> Scalar:
     """The q = p degeneration n * p^(n-1)."""
-    if n == 0:
-        return Scalar.zero()
-    return Scalar.monomial(n, n - 1, 0)
+    return pq_number_of(P, P, n)
 
 
 def q_number(n: int) -> Scalar:

@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from homlie import laurent
+from homlie import laurent, scalar
 from homlie.algebra import Combo
 from homlie.laurent import LaurentPoly
 from homlie.scalar import ONE, P, Q, ParamPoly, Scalar, param_gcd
@@ -101,3 +101,22 @@ def test_scalar_passes_through_the_linear_core(s):
     assert c.num.terms == s.num.terms
     assert c.den.terms == s.den.terms
     assert (c.den is laurent._ONE) == (s.den is laurent._ONE)
+
+
+def test_negation_keeps_the_form_without_a_gcd(monkeypatch):
+    s = (P ** 2 + Q) / (P - Q)
+    calls = []
+    real = scalar.param_gcd
+    monkeypatch.setattr(scalar, "param_gcd", lambda f, g: calls.append(1) or real(f, g))
+    neg = -s
+    assert calls == []
+    want = Scalar(-s.num, s.den)
+    assert (neg.num, neg.den) == (want.num, want.den)
+    assert (-Scalar.zero()).den is laurent._ONE
+
+
+@given(scalars)
+@settings(max_examples=80, deadline=None)
+def test_negation_matches_the_normalized_route(s):
+    want = Scalar(-s.num, s.den)
+    assert ((-s).num.terms, (-s).den.terms) == (want.num.terms, want.den.terms)

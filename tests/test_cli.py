@@ -241,7 +241,10 @@ class TestPerturbation:
         ("verify", "sl2", "--window", "1", "--perturb", "sl2:zz,e"),
         ("verify", "witt", "--window", "2", "--perturb", "witt:50,50"),
         ("verify", "virasoro", "--window", "3", "--perturb", "virasoro:40"),
-    ], ids=["non-integer-key", "no-suite", "unknown-key", "outside-window", "virasoro-outside"])
+        ("verify", "witt", "--window", "2", "--perturb", "witt:--1,2"),
+        ("verify", "witt", "--window", "2", "--perturb", "witt:\u00b2,2"),
+    ], ids=["non-integer-key", "no-suite", "unknown-key", "outside-window", "virasoro-outside",
+            "double-minus-key", "superscript-key"])
     def test_unreachable_fault_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

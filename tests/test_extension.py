@@ -153,7 +153,7 @@ class TestCocycleMemo:
                 evaluations[(i, j)] += 1
                 return real.value(i, j)
 
-            return Cocycle(value, zero_sum_supported=True)
+            return Cocycle(value)
 
         sweeps = []
 
@@ -209,17 +209,15 @@ class TestCocycleSweepDomain:
 
     def test_cocycle_perturbed_off_the_line_sweeps_the_full_cube(self, g, witt):
         bad = g.perturbed((1, 2), ONE)
-        assert not bad.zero_sum_supported
         rep = verify_cocycle_condition(bad, witt, window=3)
         assert len(rep.entries) == 343
         assert "triple-(-1,1,3)" in {e.id for e in rep.failures}
-        assert g.perturbed((2, -2), ONE).zero_sum_supported
+        on_line = verify_cocycle_condition(g.perturbed((2, -2), ONE), witt, window=3)
+        assert len(on_line.entries) == 37
 
     def test_zero_sum_flag_is_not_trusted(self, g, witt):
-        # a caller's flag on a value that is nonzero off i + j = 0
-        bad = Cocycle(lambda i, j: g.value(i, j) + P if (i, j) == (1, 2) else g.value(i, j),
-                      zero_sum_supported=True)
-        assert bad.zero_sum_supported
+        # the values alone decide the sweep: one nonzero off i + j = 0
+        bad = Cocycle(lambda i, j: g.value(i, j) + P if (i, j) == (1, 2) else g.value(i, j))
         rep = verify_cocycle_condition(bad, witt, window=3)
         assert len(rep.entries) == 343
         assert not rep.ok

@@ -112,6 +112,14 @@ class TestRational:
     def test_values(self):
         assert parse_rational("3") == Fraction(3)
         assert parse_rational("-1/2") == Fraction(-1, 2)
+        assert parse_rational("2.5") == Fraction(5, 2)
+        assert parse_rational("1e3") == Fraction(1000)
+
+    @pytest.mark.parametrize("text", ["1e9999999", "1e-9999999"])
+    def test_huge_decimal_exponent_is_bad_size(self, text):
+        # refused before Fraction builds a ten-million-digit integer
+        with pytest.raises(BadSize):
+            parse_rational(text)
 
     def test_bad_input(self):
         with pytest.raises(ExprSyntaxError):
