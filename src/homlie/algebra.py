@@ -59,9 +59,9 @@ class GradedAlgebra:
     """A bracket structure given by closures on generator indices.
 
     ``bracket_gen(i, j)`` and ``twist_gen(i)`` return Combos; both are
-    cached.  ``provenance`` optionally records the derivation context and
-    defining coefficients the algebra was built from, so tests can
-    cross-check the closed-form constants against operator computations.
+    cached.  An algebra is structure data only: the derivation context a
+    family comes from is named where its operator route runs (see
+    ``families``).
     """
 
     def __init__(
@@ -70,13 +70,11 @@ class GradedAlgebra:
         bracket_gen: Callable[[Key, Key], Combo],
         twist_gen: Callable[[Key], Combo],
         basis: Iterable[Key] | None = None,
-        provenance: dict | None = None,
     ):
         self.name = name
         self.basis = tuple(basis) if basis is not None else None  # None: Z-graded
         self.bracket_gen = lru_cache(maxsize=None)(bracket_gen)
         self.twist_gen = lru_cache(maxsize=None)(twist_gen)
-        self.provenance = provenance or {}
 
     def keys(self, window: int) -> list[Key]:
         if self.basis is not None:
@@ -137,13 +135,8 @@ def perturb_algebra(alg: GradedAlgebra, at: tuple[Key, Key], delta: Combo) -> Gr
             return base + delta
         return base
 
-    return GradedAlgebra(
-        f"{alg.name}[perturbed@{at}]",
-        bracket_gen,
-        alg.twist_gen,
-        basis=alg.basis,
-        provenance=alg.provenance,
-    )
+    return GradedAlgebra(f"{alg.name}[perturbed@{at}]", bracket_gen, alg.twist_gen,
+                         basis=alg.basis)
 
 
 def algebras_equal_on_window(

@@ -37,20 +37,23 @@ from .families import (
     SL2_BASIS,
     SL2_COEFF,
     ScaleMorphism,
-    bracket_via_context,
     check_morphism,
     classical_witt,
+    coefficient_of_d,
     diagram_report,
     expand_in_d_basis,
+    inverse_twist_context,
     inverse_twist_example,
     sigma_sigma_witt,
+    sl2_context,
     sl2_expand,
     sl2_pq,
+    witt_context,
     witt_pq,
     witt_pq_forced,
     witt_r,
 )
-from .laurent import Endo, LaurentPoly
+from .laurent import Endo
 from .opcat import catalogue, verify_catalogue
 from .parser import parse_laurent, parse_rational, parse_scalar
 from .report import Report
@@ -173,11 +176,11 @@ def _apply_perturbation(alg: GradedAlgebra, name: str, perturb) -> GradedAlgebra
 def _suite_witt(window: int, perturb) -> Report:
     alg = _apply_perturbation(witt_pq(), "witt", perturb)
     report = Report(suite="witt", window=window)
-    ctx = alg.provenance["ctx"]
-    coeff = alg.provenance["coeff"]
+    ctx = witt_context()
     for n in range(-window, window + 1):
         for m in range(-window, window + 1):
-            via_ops = expand_in_d_basis(bracket_general(ctx, coeff(n), coeff(m)))
+            via_ops = expand_in_d_basis(
+                bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m)))
             ok = via_ops == alg.bracket_gen(n, m)
             report.check(
                 f"structure-({n},{m})", "witt-structure", ok,
@@ -193,13 +196,12 @@ def _suite_witt(window: int, perturb) -> Report:
 def _suite_witt_forced(window: int, perturb) -> Report:
     alg = _apply_perturbation(witt_pq_forced(), "witt-forced", perturb)
     report = Report(suite="witt-forced", window=window)
-    ctx = alg.provenance["ctx"]
+    ctx = witt_context()
     report.absorb("conditions", "forced-conditions", check_forced_conditions(ctx, window=window))
     for n in range(-window, window + 1):
         for m in range(-window, window + 1):
             via_ops = expand_in_d_basis(
-                bracket_forced(ctx, -LaurentPoly.t(n), -LaurentPoly.t(m))
-            )
+                bracket_forced(ctx, coefficient_of_d(n), coefficient_of_d(m)))
             ok = via_ops == alg.bracket_gen(n, m)
             report.check(f"structure-({n},{m})", "forced-structure", ok,
                          witness=None if ok else f"{via_ops} vs {alg.bracket_gen(n, m)}")
@@ -214,14 +216,13 @@ def _suite_sl2(window: int, perturb) -> Report:
     basis = alg.keys(window)
     triples = [(x, y, z) for x in basis for y in basis for z in basis]
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
-    ctx = alg.provenance.get("ctx")
-    if ctx is not None:
-        for x in basis:
-            for y in basis:
-                via = sl2_expand(bracket_via_context(ctx, lambda k: SL2_COEFF[k], x, y))
-                ok = via == alg.bracket_gen(x, y)
-                report.check(f"structure-({x},{y})", "sl2-structure", ok,
-                             witness=None if ok else f"{via} vs {alg.bracket_gen(x, y)}")
+    ctx = sl2_context()
+    for x in basis:
+        for y in basis:
+            via = sl2_expand(bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y]))
+            ok = via == alg.bracket_gen(x, y)
+            report.check(f"structure-({x},{y})", "sl2-structure", ok,
+                         witness=None if ok else f"{via} vs {alg.bracket_gen(x, y)}")
     return report
 
 
@@ -241,8 +242,8 @@ def _suite_inverse(window: int, perturb) -> Report:
     report = Report(suite="inverse", window=window)
     small = max(2, window - 2)
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
-    ctx = alg.provenance["ctx"]
-    report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, monomial_triples(small)))
+    report.absorb("quasi-jacobi", "quasi-jacobi",
+                  verify_quasi_jacobi(inverse_twist_context(), monomial_triples(small)))
     return report
 
 
@@ -309,11 +310,10 @@ def cmd_table(args) -> int:
         g = virasoro_cocycle()
         rows = []
         for n in range(-window, window + 1):
-            value = g.value(n, -n)
             if specialize:
-                rows.append({"n": n, "coefficient": _shown(value.specialize(*specialize))})
+                rows.append({"n": n, "coefficient": _shown(g.specialize(n, -n, *specialize))})
             else:
-                rows.append({"n": n, "coefficient": str(value)})
+                rows.append({"n": n, "coefficient": str(g.value(n, -n))})
         _write_json(rows, args.json)
         return 0
 

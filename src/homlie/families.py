@@ -6,9 +6,10 @@ matching the sign convention used throughout; every closed formula below
 inherits it.
 
 Closed structure constants are cross-checkable against the operator
-route: each family records in its provenance the derivation context and
-the defining coefficient of each generator, and ``bracket_via_context``
-recomputes a bracket through ``bracket_general`` plus exact division.
+route: ``witt_context``, ``sl2_context`` and ``inverse_twist_context``
+are the derivation contexts of the deformed families, and a bracket of
+the generators' coefficients through ``bracket_general``, expanded back
+by exact division, gives the same constants.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
 from .bracket import bracket_general, verify_hom_jacobi
-from .derivation import DerivationContext, make_context, make_sigma_sigma_context
+from .derivation import DerivationContext, make_context
 from .laurent import Endo, LaurentPoly
 from .report import Report
 from .scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
@@ -38,52 +39,38 @@ def coefficient_of_d(n: int) -> LaurentPoly:
     return -LaurentPoly.t(n)
 
 
-def bracket_via_context(ctx, coeff: Callable[[Key], LaurentPoly], i: Key, j: Key) -> LaurentPoly:
-    """[x_i, x_j] computed through the interior bracket formula, returned
-    as the A-coefficient of the result."""
-    return bracket_general(ctx, coeff(i), coeff(j))
-
-
 # -- Witt deformations ---------------------------------------------------------
 
 _TWO = Scalar.from_int(2)
 
 
-def _diagonal(
-    name: str,
-    s: Callable[[int, int], Scalar],
-    a: Callable[[int], Scalar],
-    shift: int = 0,
-    provenance: dict | None = None,
-) -> GradedAlgebra:
+def _diagonal(name: str, s: Callable[[int, int], Scalar], a: Callable[[int], Scalar],
+              shift: int = 0) -> GradedAlgebra:
     """The Z-graded family with [d_n,d_m] = s(n,m) d_{n+m+shift} and
     twist d_n -> a(n) d_n."""
-    return GradedAlgebra(
-        name,
-        lambda n, m: Combo.basis(n + m + shift, s(n, m)),
-        lambda n: Combo.basis(n, a(n)),
-        provenance=provenance,
-    )
+    return GradedAlgebra(name, lambda n, m: Combo.basis(n + m + shift, s(n, m)),
+                         lambda n: Combo.basis(n, a(n)))
 
 
-def _witt_family(a: Scalar, b: Scalar, name: str, provenance: dict | None = None) -> GradedAlgebra:
+def _witt_family(a: Scalar, b: Scalar, name: str) -> GradedAlgebra:
     """[d_n,d_m] = ([n]/a^n - [m]/a^m) d_{n+m} with (a,b)-deformed
     integers, twist d_n -> (1 + (b/a)^n) d_n; [n]/a^n is computed once
     per index."""
     ratio = b / a
     coeff = cache(lambda n: pq_number_of(a, b, n) / a ** n)
-    return _diagonal(name, lambda n, m: coeff(n) - coeff(m), lambda n: ONE + ratio ** n,
-                     provenance=provenance)
+    return _diagonal(name, lambda n, m: coeff(n) - coeff(m), lambda n: ONE + ratio ** n)
+
+
+def witt_context() -> DerivationContext:
+    """The dilation context tau(t) = pt, sigma(t) = qt, g = p - q, of
+    W_{p,q} and of its forced bracket."""
+    return make_context(Endo.dilation(P), Endo.dilation(Q))
 
 
 def witt_pq() -> GradedAlgebra:
-    """The (p,q)-deformed Witt algebra from the general bracket on the
-    context tau(t) = pt, sigma(t) = qt, g = p - q."""
-    ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
-    return _witt_family(
-        P, Q, "W_{p,q}",
-        provenance={"ctx": ctx, "coeff": coefficient_of_d},
-    )
+    """The (p,q)-deformed Witt algebra, the general bracket on
+    ``witt_context``."""
+    return _witt_family(P, Q, "W_{p,q}")
 
 
 def witt_r() -> GradedAlgebra:
@@ -100,11 +87,7 @@ def forced_coefficient(n: int, m: int, use_p: bool = False) -> Scalar:
 def witt_pq_forced() -> GradedAlgebra:
     """The forced-bracket deformation [d_n,d_m]' = (q^m [n] - q^n [m]) d_{n+m}
     with twist d_n -> (p^n + q^n) d_n."""
-    ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
-    return _diagonal(
-        "W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n,
-        provenance={"ctx": ctx, "coeff": coefficient_of_d},
-    )
+    return _diagonal("W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n)
 
 
 def classical_witt() -> GradedAlgebra:
@@ -124,23 +107,15 @@ def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
     if generator not in ("partial", "t-partial"):
         raise ValueError("generator must be 'partial' or 't-partial'")
     shift = -1 if generator == "partial" else 0
-    return _diagonal(
-        f"W_{{p,p}}[{generator}]", lambda n, m: Scalar.from_int(n - m) / P, lambda n: _TWO,
-        shift=shift,
-        provenance={"ctx": make_sigma_sigma_context(P),
-                    "coeff": lambda n: -LaurentPoly.t(n + 1 + shift)},
-    )
+    return _diagonal(f"W_{{p,p}}[{generator}]", lambda n, m: Scalar.from_int(n - m) / P,
+                     lambda n: _TWO, shift=shift)
 
 
 def sigma_sigma_witt_forced() -> GradedAlgebra:
     """Forced bracket on the t-partial generator:
     [d_n,d_m]' = (n-m) p^(n+m-1) d_{n+m}, twist d_n -> 2 p^n d_n."""
-    return _diagonal(
-        "W_{p,p}-forced", lambda n, m: Scalar.from_int(n - m) * P ** (n + m - 1),
-        lambda n: _TWO * P ** n,
-        provenance={"ctx": make_sigma_sigma_context(P),
-                    "coeff": lambda n: -LaurentPoly.t(n + 1)},
-    )
+    return _diagonal("W_{p,p}-forced", lambda n, m: Scalar.from_int(n - m) * P ** (n + m - 1),
+                     lambda n: _TWO * P ** n)
 
 
 # -- sl(2) deformations --------------------------------------------------------
@@ -148,10 +123,8 @@ def sigma_sigma_witt_forced() -> GradedAlgebra:
 SL2_BASIS = ("e", "f", "h")
 
 
-def _sl2_table(
-    name: str, he: Scalar, hf: Scalar, ef: Scalar,
-    twist: tuple[Scalar, Scalar, Scalar], provenance: dict | None = None,
-) -> GradedAlgebra:
+def _sl2_table(name: str, he: Scalar, hf: Scalar, ef: Scalar,
+              twist: tuple[Scalar, Scalar, Scalar]) -> GradedAlgebra:
     """[h,e] = he e, [h,f] = hf f, [e,f] = ef h, extended antisymmetrically,
     and the diagonal twist with the values ``twist`` on e, f, h."""
     table: dict[tuple[str, str], Combo] = {}
@@ -159,20 +132,16 @@ def _sl2_table(
         table[(x, y)] = Combo.basis(z, c)
         table[(y, x)] = Combo.basis(z, -c)
     diagonal = dict(zip(SL2_BASIS, twist))
-    return GradedAlgebra(
-        name, lambda x, y: table.get((x, y), Combo.zero()),
-        lambda x: Combo.basis(x, diagonal[x]), basis=SL2_BASIS, provenance=provenance,
-    )
+    return GradedAlgebra(name, lambda x, y: table.get((x, y), Combo.zero()),
+                         lambda x: Combo.basis(x, diagonal[x]), basis=SL2_BASIS)
 
 
-def _sl2_family(a: Scalar, b: Scalar, name: str, provenance: dict | None = None) -> GradedAlgebra:
+def _sl2_family(a: Scalar, b: Scalar, name: str) -> GradedAlgebra:
     """[h,e] = 2 a^-1 e, [h,f] = -2 b a^-2 f, [e,f] = (a+b)/(2a^2) h,
     with the diagonal twist from the quasi-bracket construction."""
     ratio = b / a
-    return _sl2_table(
-        name, _TWO / a, -(_TWO * b) / a ** 2, (a + b) / (_TWO * a ** 2),
-        (ONE + ratio, ratio * (ONE + ratio), _TWO * ratio), provenance,
-    )
+    return _sl2_table(name, _TWO / a, -(_TWO * b) / a ** 2, (a + b) / (_TWO * a ** 2),
+                      (ONE + ratio, ratio * (ONE + ratio), _TWO * ratio))
 
 
 SL2_COEFF = {
@@ -189,10 +158,8 @@ def sl2_context() -> DerivationContext:
 
 
 def sl2_pq() -> GradedAlgebra:
-    return _sl2_family(
-        P, Q, "sl(2)_{p,q}",
-        provenance={"ctx": sl2_context(), "coeff": lambda k: SL2_COEFF[k]},
-    )
+    """The bracket of ``sl2_context`` on the span of ``SL2_COEFF``."""
+    return _sl2_family(P, Q, "sl(2)_{p,q}")
 
 
 def sl2_r() -> GradedAlgebra:
@@ -232,6 +199,7 @@ _SL2_SLOTS = {0: Combo.basis("e"), 1: Combo.basis("h", -ONE / 2), 2: Combo.basis
 
 
 def inverse_twist_context() -> DerivationContext:
+    """The inversion context tau(t) = t^-1, sigma(t) = qt, g = t^-1 - qt."""
     return make_context(Endo.inversion(), Endo.dilation(Q))
 
 
@@ -245,9 +213,9 @@ def inverse_twist_example() -> GradedAlgebra:
     ctx = inverse_twist_context()
     return GradedAlgebra(
         "W-inv",
-        lambda n, m: expand_in_d_basis(bracket_via_context(ctx, coefficient_of_d, n, m)),
+        lambda n, m: expand_in_d_basis(
+            bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))),
         lambda n: Combo.basis(-n, Q ** (-n)) - Combo.basis(n),
-        provenance={"ctx": ctx, "coeff": coefficient_of_d},
     )
 
 
@@ -256,13 +224,12 @@ def inverse_twist_example() -> GradedAlgebra:
 
 @dataclass
 class ScaleMorphism:
-    """phi(d_n) = c(n) * d_(nu1 * n)."""
+    """phi(d_n) = c(n) * d_n; ``IndexMapMorphism`` also moves the index."""
 
     c: Callable[[int], Scalar]
-    nu1: int = 1
 
     def apply_gen(self, n: int) -> Combo:
-        return Combo.basis(self.nu1 * n, self.c(n))
+        return Combo.basis(n, self.c(n))
 
 
 @dataclass

@@ -36,11 +36,11 @@ from .scalar import (
     Num,
     ParamPoly,
     Scalar,
-    _field_euclid,
     _join,
     _normal,
     _normalize_param,
     _poly,
+    _primitive_prs,
     _split,
     param_gcd,
     param_lcm,
@@ -492,7 +492,8 @@ def invert_endo(e: Endo) -> Endo:
 # -- gcd up to unit -----------------------------------------------------------
 #
 # The parameter-polynomial gcd (scalar content layer) lives in .scalar;
-# here the t-direction is handled by Euclid over the field Q(p,q).
+# here the t-direction is handled by the primitive remainder sequence
+# over Q[p^+-1, q^+-1], with ``param_gcd`` for the contents.
 
 
 def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -500,7 +501,7 @@ def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
 
     The result splits as (scalar content) * (primitive t-part): the
     content is the bivariate gcd of all coefficient polynomials, the
-    t-part comes from Euclid over Q(p,q) followed by content stripping.
+    t-part is the last remainder of a primitive remainder sequence.
     Normalization: lowest t-exponent 0 and the leading t-coefficient's
     leading graded-lex coefficient positive.
     """
@@ -521,15 +522,15 @@ def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
 
     content = _normalize_param(reduce(param_gcd, (c for e in integral for c in e.values())))
 
-    def primitive(poly: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
-        cont = reduce(param_gcd, poly.values())
-        return {k: c.exact_div(cont) for k, c in poly.items()}
+    def content_of(poly: dict[int, ParamPoly]) -> ParamPoly:
+        return reduce(param_gcd, poly.values())
 
-    prim = primitive(integral[0])
+    first = content_of(integral[0])
+    prim = {k: c.exact_div(first) for k, c in integral[0].items()}
     for entry in integral[1:]:
         if len(prim) == 1 and 0 in prim:
             break
-        prim = primitive(_field_euclid(prim, primitive(entry)))
+        prim = _primitive_prs(prim, entry, content_of)
 
     # sign normalization of the primitive part
     lead_sign = 1 if prim[max(prim)].leading()[1] > 0 else -1

@@ -27,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
+from typing import Callable
 
 from .errors import DivisionByZero, PoleAtPoint
 
@@ -264,8 +265,10 @@ def render_param_poly(poly: ParamPoly) -> str:
 # again, a bounded number of times.  When every try fails, the gcd comes
 # from the classical content/primitive-part recursion: p is the main
 # variable, the coefficients are polynomials in q, and the primitive part
-# comes from monic Euclid over the field Q(q).  Both routes give the same
-# canonical associate.
+# comes from a fraction-free primitive remainder sequence, whose contents
+# are gcds in Z[q] from the same sequence one variable down.  That route
+# builds no Scalar and calls no heuristic code, so it is an independent
+# oracle for ``param_gcd``.  Both routes give the same canonical associate.
 
 
 def _cleared(*polys: ParamPoly) -> list[dict[Exps, int]]:
@@ -289,10 +292,15 @@ def _normalize_param(f: ParamPoly) -> ParamPoly:
     return _poly({e: c // content for e, c in ints.items()})
 
 
+def _int_content(coeffs: dict[int, ParamPoly]) -> ParamPoly:
+    return ParamPoly.const(_int_gcd(*(c.terms[(0, 0)] for c in coeffs.values())))
+
+
 def _univar_gcd_q(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Euclidean gcd of two polynomials in q alone (p-degree zero)."""
+    """Gcd of two nonzero polynomials in q alone (p-degree zero) with int
+    coefficients."""
     coeffs = [{j: ParamPoly.const(c) for (_, j), c in f.terms.items()} for f in (a, b)]
-    g = _field_euclid(*coeffs)
+    g = _primitive_prs(*coeffs, _int_content)
     return _normalize_param(ParamPoly({(0, j): c.terms[(0, 0)] for j, c in g.items()}))
 
 
@@ -305,51 +313,57 @@ def _p_coefficients(f: ParamPoly) -> dict[int, ParamPoly]:
     return out
 
 
-def _content_wrt_p(f: ParamPoly) -> ParamPoly:
-    return reduce(_univar_gcd_q, _p_coefficients(f).values())
+def _q_content(coeffs: dict[int, ParamPoly]) -> ParamPoly:
+    return reduce(_univar_gcd_q, coeffs.values())
 
 
-def _field_euclid(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
-    """Euclid for polynomials in one variable over the fraction field of
-    the ParamPoly coefficients, given as {exponent >= 0: coefficient}.
-    The last nonzero remainder is returned with its denominators cleared
-    by their product; stripping its content is left to the caller."""
-    fa = {k: Scalar(c) for k, c in a.items()}
-    fb = {k: Scalar(c) for k, c in b.items()}
-    while fb:
-        dy = max(fb)
-        ly = fb[dy]
-        rem = dict(fa)
-        while rem and max(rem) >= dy:
-            dr = max(rem)
-            c = rem[dr] / ly
-            for i, co in fb.items():
-                k = i + dr - dy
-                v = rem.get(k, Scalar.zero()) - c * co
-                if v.is_zero():
-                    rem.pop(k, None)
-                else:
-                    rem[k] = v
-            rem.pop(dr, None)
-        fa, fb = fb, rem
-    common = ParamPoly.one()
-    for c in fa.values():
-        common = common * c.den
-    return {k: c.num * common.exact_div(c.den) for k, c in fa.items()}
+def _primitive_prs(a: dict[int, ParamPoly], b: dict[int, ParamPoly],
+                   content: Callable[[dict[int, ParamPoly]], ParamPoly]) -> dict[int, ParamPoly]:
+    """Gcd of two nonzero polynomials in one variable over a ring of
+    ParamPoly coefficients, given as {exponent >= 0: coefficient}: the
+    fraction-free primitive remainder sequence.  ``content`` returns a
+    gcd in that ring of the coefficients of a nonzero polynomial; both
+    inputs and every pseudo-remainder are divided by it, so the last
+    nonzero remainder, which is returned, is primitive."""
+
+    def primitive(f: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+        c = content(f)
+        return {k: v.exact_div(c) for k, v in f.items()}
+
+    a, b = primitive(a), primitive(b)
+    while b:
+        db = max(b)
+        lead = b[db]
+        rem = a
+        # rem <- lead * rem - (its leading term) * b, until deg rem < deg b
+        while rem and (dr := max(rem)) >= db:
+            top = rem[dr]
+            rem = {k: v * lead for k, v in rem.items() if k != dr}
+            for i, c in b.items():
+                if i != db:
+                    k = i + dr - db
+                    v = rem.get(k, ParamPoly()) - top * c
+                    if v.is_zero():
+                        rem.pop(k, None)
+                    else:
+                        rem[k] = v
+        a, b = b, primitive(rem) if rem else {}
+    return a
 
 
 def _euclid_in_p(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Euclid in p over the field Q(q); the result is returned as a
-    primitive ParamPoly."""
+    """Gcd of two polynomials that are primitive in p over Z[q], as a
+    canonical ParamPoly."""
     result = ParamPoly.zero()
-    for i, c in _field_euclid(_p_coefficients(a), _p_coefficients(b)).items():
+    for i, c in _primitive_prs(_p_coefficients(a), _p_coefficients(b), _q_content).items():
         result = result + c.shift(i, 0)
-    return _normalize_param(result.exact_div(_content_wrt_p(result)))
+    return _normalize_param(result)
 
 
 def _gcd_euclid(f: ParamPoly, g: ParamPoly) -> ParamPoly:
-    """Gcd by content/primitive-part Euclid: the fallback of
-    ``param_gcd`` and the oracle its tests compare with."""
+    """Gcd by content/primitive-part recursion: the fallback of
+    ``param_gcd`` and the oracle its tests compare with; it builds no
+    Scalar and calls no heuristic code."""
     f, g = _normalize_param(f), _normalize_param(g)
     if f.is_zero():
         return g
@@ -357,7 +371,7 @@ def _gcd_euclid(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         return f
     if f.degree_in(0) == 0 and g.degree_in(0) == 0:
         return _univar_gcd_q(f, g)
-    cf, cg = _content_wrt_p(f), _content_wrt_p(g)
+    cf, cg = _q_content(_p_coefficients(f)), _q_content(_p_coefficients(g))
     prim = _euclid_in_p(f.exact_div(cf), g.exact_div(cg))
     return _normalize_param(_univar_gcd_q(cf, cg) * prim)
 

@@ -38,7 +38,6 @@ from homlie.families import (
     SL2_BASIS,
     SL2_COEFF,
     ScaleMorphism,
-    bracket_via_context,
     check_morphism,
     coefficient_of_d,
     forced_coefficient,
@@ -151,7 +150,7 @@ def test_criterion_05_sl2():
     # closure: operator-route brackets expand over {e,f,h} with no residue
     for x in SL2_BASIS:
         for y in SL2_BASIS:
-            w = bracket_via_context(ctx, lambda k: SL2_COEFF[k], x, y)
+            w = bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y])
             assert sl2_expand(w) == alg.bracket_gen(x, y), (x, y)
     report("5", True, "sl(2) deformation table, twists and closure")
 

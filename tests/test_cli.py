@@ -148,6 +148,15 @@ class TestTable:
         assert code == 2
         assert "PoleAtPoint" in err
 
+    def test_virasoro_at_root_of_unity_reported(self, capsys, tmp_path):
+        # q/p = -1: 1 + (q/p)^n vanishes for odd n, where the cocycle has a pole
+        path = tmp_path / "vir.json"
+        code, _, err = run(capsys, "table", "virasoro", "--window", "4",
+                           "--specialize", "1", "-1", "--json", str(path))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: PoleAtSpecialization")
+        assert not path.exists()
+
 
 class TestOtherCommands:
     def test_diagram(self, capsys, tmp_path):

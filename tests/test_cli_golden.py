@@ -6,11 +6,11 @@ byte for byte.
 The runs are ``verify all`` at window 4, ``verify virasoro`` at window 6,
 the five ``--perturb`` runs of the benchmark's fault workload at
 window 5, the ``table`` of every family (window 3, the Virasoro
-cocycle at window 4, sl(2) specialized at (2, 3)), ``diagram`` at
-window 4, ``catalogue`` on 20 pairs, and ``bracket`` in the dilation
-context (both README examples, both forced brackets), over the
-inversion tau(t) = t^-1 and with a ``--gcd`` that divides nothing, each
-in process through ``cli.main``.  Any change in a verdict, a witness, a
+cocycle at window 4, sl(2) and the cocycle specialized at (2, 3)),
+``diagram`` at window 4, ``catalogue`` on 20 pairs, and ``bracket`` in
+the dilation context (both README examples, both forced brackets), over
+the inversion tau(t) = t^-1 and with a ``--gcd`` that divides nothing,
+each in process through ``cli.main``.  Any change in a verdict, a witness, a
 structure constant or the canonical form of a scalar shows up here.
 After an intended change of output, record them again with
 
@@ -43,6 +43,8 @@ RUNS = {
     **{f"table-{family}-w3": (["table", family, "--window", "3"], 0) for family in FAMILIES},
     "table-virasoro-w4": (["table", "virasoro", "--window", "4"], 0),
     "table-sl2-specialized": (["table", "sl2", "--specialize", "2", "3"], 0),
+    "table-virasoro-specialized": (
+        ["table", "virasoro", "--window", "4", "--specialize", "2", "3"], 0),
     "diagram-w4": (["diagram", "--window", "4"], 0),
     "catalogue-pairs20": (["catalogue", "--pairs", "20"], 0),
     "bracket-dilation-d": (

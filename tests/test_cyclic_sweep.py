@@ -24,7 +24,7 @@ from homlie.bracket import (
     verify_quasi_jacobi,
 )
 from homlie.extension import CENTRAL, verify_cocycle_condition, virasoro_cocycle
-from homlie.families import inverse_twist_example, witt_pq
+from homlie.families import inverse_twist_context, inverse_twist_example, witt_context, witt_pq
 from homlie.laurent import LaurentPoly, apply_endo
 from homlie.scalar import P, Q
 
@@ -121,7 +121,7 @@ def general_calls(monkeypatch):
 def failing_ctx():
     """The (p,q)-Witt context with a wrong delta: every quasi-Jacobi triple
     that is not identically zero fails, and its witness shows both groups."""
-    ctx = copy.copy(witt_pq().provenance["ctx"])
+    ctx = copy.copy(witt_context())
     ctx.delta = ctx.delta + t(1)
     return ctx
 
@@ -159,13 +159,13 @@ class TestEvaluationCounts:
         assert bracket_calls == {alg: 125}  # 375 with three per triple
 
     def test_quasi_jacobi_general_brackets_once_per_term(self, general_calls):
-        ctx = witt_pq().provenance["ctx"]
+        ctx = witt_context()
         assert verify_quasi_jacobi(ctx, monomial_triples(2)).ok
         # two per distinct term and one per inner pair; 775 with six per triple
         assert len(general_calls) == 2 * 125 + 25
 
     def test_non_monomial_terms_are_not_memoized(self, general_calls):
-        ctx = witt_pq().provenance["ctx"]
+        ctx = witt_context()
         triple = (1 + t(1), -t(2), t(-1))
         verify_quasi_jacobi(ctx, [triple, triple])
         # two outer brackets for each of the six terms, the two inner brackets
@@ -219,14 +219,14 @@ class TestQuasiJacobiAgainstReference:
     @pytest.mark.parametrize("which", ["mixed_sign_triples", "non_monomial_triples"])
     @pytest.mark.parametrize("failing", [False, True])
     def test_matches_reference(self, which, failing):
-        ctx = failing_ctx() if failing else witt_pq().provenance["ctx"]
+        ctx = failing_ctx() if failing else witt_context()
         triples = getattr(self, which)()
         rep = verify_quasi_jacobi(ctx, triples)
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
         assert rep.ok is not failing
 
     def test_inversion_context_open_triples(self):
-        ctx = inverse_twist_example().provenance["ctx"]
+        ctx = inverse_twist_context()
         triples = [tuple(-t(n) for n in tr) for tr in open_triples(2, 40, seed=3)]
         rep = verify_quasi_jacobi(ctx, triples)
         assert rep.ok

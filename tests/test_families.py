@@ -4,23 +4,24 @@ import pytest
 
 from homlie import cli, families
 from homlie.algebra import Combo, algebras_equal_on_window
-from homlie.bracket import index_triples, verify_hom_jacobi
+from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
 from homlie.families import (
     GeneratorMap,
     IndexMapMorphism,
     ScaleMorphism,
     SL2_BASIS,
     SL2_COEFF,
-    bracket_via_context,
     check_morphism,
     classical_witt,
     coefficient_of_d,
     diagram_report,
     expand_in_d_basis,
     forced_coefficient,
+    inverse_twist_context,
     inverse_twist_example,
     sigma_sigma_witt,
     sigma_sigma_witt_forced,
+    sl2_context,
     sl2_expand,
     sl2_pp,
     sl2_pp_forced,
@@ -28,6 +29,7 @@ from homlie.families import (
     sl2_r,
     solve_scale_isomorphism,
     subst_algebra,
+    witt_context,
     witt_pq,
     witt_pq_forced,
     witt_r,
@@ -46,10 +48,11 @@ class TestWitt:
 
     def test_closed_formula_matches_operator_route(self):
         w = witt_pq()
-        ctx = w.provenance["ctx"]
+        ctx = witt_context()
         for n in range(-4, 5):
             for m in range(-4, 5):
-                via = expand_in_d_basis(bracket_via_context(ctx, coefficient_of_d, n, m))
+                via = expand_in_d_basis(
+                    bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m)))
                 assert via == w.bracket_gen(n, m)
 
     def test_twist(self):
@@ -126,10 +129,10 @@ class TestSl2:
 
     def test_closure_via_operators(self):
         s = sl2_pq()
-        ctx = s.provenance["ctx"]
+        ctx = sl2_context()
         for x in SL2_BASIS:
             for y in SL2_BASIS:
-                w = bracket_via_context(ctx, lambda k: SL2_COEFF[k], x, y)
+                w = bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y])
                 assert sl2_expand(w) == s.bracket_gen(x, y)  # no residue terms
 
     def test_hom_jacobi(self):
@@ -167,7 +170,7 @@ class TestInverseTwist:
         alg = inverse_twist_example()
         assert alg.twist_gen(2) == Combo.basis(-2, Q ** -2) - Combo.basis(2)
         # the twist is the coefficient map sigma tau^-1 + delta id
-        ctx = alg.provenance["ctx"]
+        ctx = inverse_twist_context()
         from homlie.bracket import TwistMap
 
         tm = TwistMap("general", ctx)
@@ -305,3 +308,20 @@ class TestDeformedIntegersOnce:
         assert cli.run_suite("witt", 4).ok
         assert set(calls) >= set(range(-4, 5))
         assert max(calls.values()) == 1, calls
+
+
+class TestStructureDataOnly:
+    @pytest.mark.parametrize("family", [
+        witt_pq, witt_r, witt_pq_forced, classical_witt, sigma_sigma_witt,
+        sigma_sigma_witt_forced, sl2_pq, sl2_r, sl2_pp, sl2_pp_forced,
+    ])
+    def test_closed_form_families_build_no_context(self, monkeypatch, family):
+        """A table given in closed form needs no derivation context; the
+        suites take the context from ``witt_context`` or ``sl2_context``."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a closed-form family built a derivation context")
+
+        monkeypatch.setattr(families, "make_context", forbidden)
+        alg = family()
+        for i in alg.keys(1):
+            alg.bracket_gen(i, i)

@@ -230,6 +230,26 @@ class TestGcdHeuristic:
         assert calls
 
 
+class TestEuclidOracle:
+    @given(gcd_inputs(), gcd_inputs(), gcd_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_oracle_runs_no_code_under_test(self, f, g, c):
+        # the oracle of the gcd tests must not reach the heuristic, param_gcd
+        # or a Scalar, whose canonical form calls param_gcd
+        def forbidden(*args):
+            raise AssertionError("the Euclid oracle reached the code under test")
+
+        a, b = f * c, g * c
+        with mock.patch.object(scalar, "_gcd_heuristic", forbidden), \
+                mock.patch.object(scalar, "param_gcd", forbidden), \
+                mock.patch.object(scalar, "Scalar", forbidden):
+            h = scalar._gcd_euclid(a, b)
+            cofactor_gcd = scalar._gcd_euclid(a.exact_div(h), b.exact_div(h))
+        h.exact_div(scalar._normalize_param(c))
+        assert cofactor_gcd == ParamPoly.one()
+        assert h == param_gcd(a, b)
+
+
 def int_coefficients(s: Scalar) -> bool:
     return all(type(c) is int for part in (s.num, s.den) for c in part.terms.values())
 
