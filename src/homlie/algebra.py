@@ -91,6 +91,11 @@ class GradedAlgebra:
     def twist(self, x: Combo) -> Combo:
         return x.linear_map(self.twist_gen, Combo)
 
+    def post_composed(self, f: Callable[[Combo], Combo], name: str) -> "GradedAlgebra":
+        """The algebra on the same basis with bracket f.mu and twist f.alpha."""
+        return GradedAlgebra(name, lambda i, j: f(self.bracket_gen(i, j)),
+                             lambda i: f(self.twist_gen(i)), basis=self.basis)
+
     def __repr__(self) -> str:
         return f"GradedAlgebra({self.name})"
 

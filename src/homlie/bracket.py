@@ -283,12 +283,7 @@ def twist_algebra(
                     f"rho fails bracket intertwining at ({i},{j}): {lhs} != {rhs}"
                 )
 
-    twisted = GradedAlgebra(
-        name or f"{alg.name}^rho",
-        bracket_gen=lambda i, j: rho(alg.bracket_gen(i, j)),
-        twist_gen=lambda i: rho(alg.twist_gen(i)),
-        basis=alg.basis,
-    )
+    twisted = alg.post_composed(rho, name or f"{alg.name}^rho")
     small = keys if alg.basis is not None else alg.keys(max(2, window - 2))
     check = verify_hom_jacobi(twisted, [(i, j, k) for i in small for j in small for k in small])
     if not check.ok:

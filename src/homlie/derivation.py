@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .bracket import bracket_general
 from .errors import (
+    BadSize,
     EqualMorphisms,
     HypothesisViolated,
     InvalidGcd,
@@ -178,34 +180,35 @@ def monomial_pairs(window: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
 def verify_leibniz(
     operator,
     corpus: Iterable[tuple[LaurentPoly, LaurentPoly]],
-    tau: Endo | None = None,
-    sigma: Endo | None = None,
+    tau: Callable[[LaurentPoly], LaurentPoly] | None = None,
+    sigma: Callable[[LaurentPoly], LaurentPoly] | None = None,
 ) -> Report:
-    """Check D(fg) = D(f) tau(g) + sigma(f) D(g) exactly on each pair.
+    """Check D(fg) = D(f) tau(g) + sigma(f) D(g) exactly on each pair,
+    comparing the two sides with ``==``.
 
-    ``operator`` is a DerivationElement (its context supplies tau and
-    sigma) or any callable on A, in which case both maps are required.
+    ``operator`` is a DerivationElement, whose context supplies a map
+    not given, or any callable, which needs tau; for it a sigma of None
+    is the zero map.  tau and sigma are any callables on the operator's
+    ring (an ``Endo`` is one).  An empty corpus raises BadSize.
     """
     if isinstance(operator, DerivationElement):
-        tau = tau or operator.ctx.tau
-        sigma = sigma or operator.ctx.sigma
-        op: Callable[[LaurentPoly], LaurentPoly] = operator.apply
-    else:
-        if tau is None or sigma is None:
-            raise ValueError("tau and sigma are required for a bare operator")
-        op = operator
+        tau = operator.ctx.tau if tau is None else tau
+        sigma = operator.ctx.sigma if sigma is None else sigma
+        operator = operator.apply
+    elif tau is None:
+        raise ValueError("tau is required for a bare operator")
 
     report = Report(suite="leibniz")
     for idx, (f, g) in enumerate(corpus):
-        lhs = op(f * g)
-        rhs = op(f) * apply_endo(tau, g) + apply_endo(sigma, f) * op(g)
-        residue = lhs - rhs
-        report.check(
-            f"pair-{idx}",
-            "twisted-leibniz",
-            residue.is_zero(),
-            witness=None if residue.is_zero() else f"f={f}, g={g}, residue={residue}",
-        )
+        lhs = operator(f * g)
+        rhs = operator(f) * tau(g)
+        if sigma is not None:
+            rhs = rhs + sigma(f) * operator(g)
+        ok = lhs == rhs
+        report.check(f"pair-{idx}", "twisted-leibniz", ok,
+                     witness=None if ok else f"f={f}, g={g}, residue={lhs - rhs}")
+    if not report.entries:
+        raise BadSize("leibniz: at least one pair is needed")
     return report
 
 
@@ -296,8 +299,6 @@ def rescale_generator(ctx: DerivationContext, u: LaurentPoly, window: int = 4):
     (both sides written as A-multiples of Delta) together with the value
     delta' = (sigma tau^-1(u)/u) * delta.
     """
-    from .bracket import bracket_general
-
     if not u.is_unit():
         raise NotAUnit(f"{u} is not a unit")
     new_ctx = DerivationContext(ctx.tau, ctx.sigma, u * ctx.g)

@@ -22,7 +22,9 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import Combo, GradedAlgebra, Key, cyclic_terms
+from .bracket import verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
+from .families import witt_pq
 from .report import Report
 from .scalar import ONE, P, Q, Scalar, pq_number
 
@@ -232,8 +234,6 @@ def _assemble_extension(
     ext_alg = GradedAlgebra(f"{base.name}^", bracket_gen, twist_gen)
     ext = CentralExtension(base=base, cocycle=g, algebra=ext_alg)
 
-    from .bracket import verify_hom_jacobi
-
     small = min(window, 3)
     keys = list(range(-small, small + 1)) + [CENTRAL]
     rep = verify_hom_jacobi(ext_alg, [(i, j, k) for i in keys for j in keys for k in keys])
@@ -261,8 +261,6 @@ def verify_centrality(ext: CentralExtension, window: int = 6) -> Report:
 def virasoro_pq(window: int = 6) -> CentralExtension:
     """The deformed Virasoro algebra: central extension of the
     (p,q)-Witt algebra by the cocycle above."""
-    from .families import witt_pq
-
     return make_central_extension(witt_pq(), virasoro_cocycle(), window=window)
 
 

@@ -3,7 +3,9 @@
 Provides exact ring arithmetic, exact division, a canonical gcd up to
 unit, and the monomial endomorphisms t -> c*t^k that cover every algebra
 endomorphism of the Laurent ring (t must map to a unit, and the units are
-exactly the nonzero monomials).
+exactly the nonzero monomials).  Exact division and the remainder
+sequence of the gcd share one pseudo-division in t,
+``scalar._pseudo_divide``.
 
 Every Q(p,q)-linear combination of the package stands on one core,
 ``Linear``: one integer numerator over (key, p, q) and one common
@@ -36,14 +38,18 @@ from .scalar import (
     Num,
     ParamPoly,
     Scalar,
+    _atomic,
     _join,
     _normal,
     _normalize_param,
     _poly,
+    _power,
     _primitive_prs,
+    _pseudo_divide,
     _split,
     param_gcd,
     param_lcm,
+    render_scalar,
 )
 
 
@@ -316,10 +322,7 @@ class LaurentPoly(Linear):
         if self.is_unit():
             ((k, c),) = _split(self.num).items()
             return self._make(_join({k * n: c ** n}), self.den ** n)
-        r = self.one()
-        for _ in range(n):
-            r = r * self
-        return r
+        return _power(self, n, self.one())
 
     def unit_inverse(self) -> "LaurentPoly":
         if not self.is_unit():
@@ -334,53 +337,16 @@ class LaurentPoly(Linear):
         return f"LaurentPoly({self})"
 
 
-def _long_div(a: dict[int, ParamPoly], b: dict[int, ParamPoly]):
-    """Long division in t of polynomials with nonnegative exponents over
-    Z[p^+-1, q^+-1]: (quotient, m) with m*a = quotient*b, or NotDivisible.
-
-    A step whose leading coefficient the divisor's does not divide
-    exactly first multiplies the remainder and the quotient so far by the
-    divisor's leading coefficient (pseudo-division), so ``m`` is a power
-    of it and every coefficient stays integral."""
-    deg = max(b)
-    lead = b[deg]
-    tail = [(k, c) for k, c in b.items() if k != deg]
-    rem = dict(a)
-    out: dict[int, ParamPoly] = {}
-    mult = _ONE
-    while rem and max(rem) >= deg:
-        top = max(rem)
-        c = rem.pop(top)
-        try:
-            q = c.exact_div(lead)
-        except ValueError:
-            q = None
-        if q is None or any(type(v) is not int for v in q.terms.values()):
-            rem = {k: v * lead for k, v in rem.items()}
-            out = {k: v * lead for k, v in out.items()}
-            mult = mult * lead
-            q = c
-        out[top - deg] = q
-        for k, co in tail:
-            k += top - deg
-            v = rem.get(k, ParamPoly()) - q * co
-            if v.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = v
-    if rem:
-        raise NotDivisible("nonzero remainder in t")
-    return out, mult
-
-
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """The cofactor c with b*c = a, of the type of ``a``, or NotDivisible.
 
     Divides the numerator of ``a`` times the denominator of ``b`` by the
-    numerator of ``b``, both shifted to valuation 0, in one long division
-    in t; the t-shift difference is restored afterwards (units t^k divide
-    everything).  The quotient is taken over the field Q(p,q): a
-    parameter denominator is allowed, only a remainder in t is not.
+    numerator of ``b``, both shifted to valuation 0, with
+    ``scalar._pseudo_divide``, the division of the gcd's remainder
+    sequence; the t-shift difference is restored afterwards (units t^k
+    divide everything).  The quotient is taken over the field Q(p,q): the
+    pseudo-division multiplier becomes a parameter denominator, and only
+    a remainder in t raises.
     """
     if b.is_zero():
         raise DivisionByZero("exact division by zero")
@@ -389,12 +355,11 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     num = a.num if b.den is _ONE else _scale(a.num, b.den)
     top, bot = _split(num), _split(b.num)
     va, vb = min(top), min(bot)
-    try:
-        quotient, mult = _long_div(
-            {k - va: c for k, c in top.items()}, {k - vb: c for k, c in bot.items()}
-        )
-    except NotDivisible:
-        raise NotDivisible(f"({a}) is not divisible by ({b})") from None
+    quotient, rem, mult = _pseudo_divide(
+        {k - va: c for k, c in top.items()}, {k - vb: c for k, c in bot.items()}
+    )
+    if rem:
+        raise NotDivisible(f"({a}) is not divisible by ({b})")
     den = a.den if mult is _ONE else a.den * mult
     return a._make(_join({k + va - vb: c for k, c in quotient.items()}), den)
 
@@ -538,8 +503,6 @@ def gcd_up_to_unit(polys: Iterable[LaurentPoly]) -> LaurentPoly:
 
 
 def render_laurent(f: LaurentPoly) -> str:
-    from .scalar import render_scalar, _atomic
-
     if f.is_zero():
         return "0"
     coeffs = f.coeffs

@@ -4,8 +4,9 @@ The shift t -> t + 1 does not preserve the Laurent ring, so these
 operators act on Q(p,q)[t] with nonnegative exponents only.  Each entry
 records the operator and the substitution pair (tau, sigma) it is
 twisted by; ``verify_entry`` checks the pair's twisted Leibniz rule
-D(fg) = D(f) tau(g) + sigma(f) D(g) exactly on a corpus of random
-rational polynomials.
+D(fg) = D(f) tau(g) + sigma(f) D(g) exactly with
+``derivation.verify_leibniz``, on a corpus of random rational
+polynomials of degree at most ``DEGREE`` drawn from seed ``SEED``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .errors import BadSize, NotDivisible
+from .derivation import verify_leibniz
+from .errors import NotDivisible
 from .laurent import LaurentPoly, exact_div, exponent_map
 from .report import Report
 from .scalar import _ONE, P, Q, Scalar
+
+# the random corpus of every row: its seed and the degree of each polynomial
+SEED = 20240917
+DEGREE = 6
 
 
 class PlainPoly(LaurentPoly):
@@ -93,7 +99,8 @@ Op = Callable[[PlainPoly], PlainPoly]
 class CatalogueEntry:
     """One table row: the operator and its (tau, sigma) pair as
     substitution closures, sigma None for the zero map; the row's product
-    rule is the twisted Leibniz rule of that pair."""
+    rule is the twisted Leibniz rule of that pair, which
+    ``verify_leibniz`` checks."""
 
     name: str
     operator: Op
@@ -102,14 +109,8 @@ class CatalogueEntry:
     pair: str
     lifts_to_context: bool = True
 
-    def rule(self, f: PlainPoly, g: PlainPoly, D: Op) -> PlainPoly:
-        """D(f) tau(g) + sigma(f) D(g), the rule ``verify_leibniz`` checks."""
-        out = D(f) * self.tau(g)
-        return out if self.sigma is None else out + self.sigma(f) * D(g)
-
-    def verify(self, corpus=None, pairs: int = 100, seed: int = 20240917,
-               degree: int = 6) -> Report:
-        return verify_entry(self, corpus=corpus, pairs=pairs, seed=seed, degree=degree)
+    def verify(self, corpus=None, pairs: int = 100) -> Report:
+        return verify_entry(self, corpus=corpus, pairs=pairs)
 
 
 def _sub(image: PlainPoly) -> Op:
@@ -185,49 +186,30 @@ def catalogue() -> list[CatalogueEntry]:
     ]
 
 
-def random_poly(rng: random.Random, degree: int = 6) -> PlainPoly:
+def random_poly(rng: random.Random) -> PlainPoly:
     out: dict[int, Scalar] = {}
-    for k in range(degree + 1):
+    for k in range(DEGREE + 1):
         if rng.random() < 0.6:
             num = rng.randint(-9, 9)
             den = rng.randint(1, 5)
             if num:
                 out[k] = Scalar.from_fraction(Fraction(num, den))
     if not out:
-        out[rng.randint(0, degree)] = Scalar.from_int(rng.randint(1, 5))
+        out[rng.randint(0, DEGREE)] = Scalar.from_int(rng.randint(1, 5))
     return PlainPoly(out)
 
 
-def verify_entry(
-    entry: CatalogueEntry,
-    corpus=None,
-    pairs: int = 100,
-    seed: int = 20240917,
-    degree: int = 6,
-) -> Report:
-    """Check D(fg) against the row's twisted Leibniz rule on each pair."""
-    report = Report(suite=f"catalogue:{entry.name}")
+def verify_entry(entry: CatalogueEntry, corpus=None, pairs: int = 100) -> Report:
+    """The row's twisted Leibniz rule on ``corpus``, by default on
+    ``pairs`` seeded random pairs; BadSize for an empty corpus."""
     if corpus is None:
-        rng = random.Random(seed)
-        corpus = [
-            (random_poly(rng, degree), random_poly(rng, degree)) for _ in range(pairs)
-        ]
-    D = entry.operator
-    for idx, (f, g) in enumerate(corpus):
-        lhs = D(f * g)
-        rhs = entry.rule(f, g, D)
-        ok = lhs == rhs
-        report.check(
-            f"pair-{idx}", "product-rule", ok,
-            witness=None if ok else f"f={f}; g={g}; D(fg)={lhs}; rule={rhs}",
-        )
-    if not report.entries:
-        raise BadSize(f"{report.suite}: at least one pair is needed")
-    return report
+        rng = random.Random(SEED)
+        corpus = [(random_poly(rng), random_poly(rng)) for _ in range(pairs)]
+    return verify_leibniz(entry.operator, corpus, entry.tau, entry.sigma)
 
 
-def verify_catalogue(pairs: int = 100, seed: int = 20240917) -> Report:
+def verify_catalogue(pairs: int = 100) -> Report:
     report = Report(suite="catalogue")
     for entry in catalogue():
-        report.absorb(entry.name, "product-rule", verify_entry(entry, pairs=pairs, seed=seed))
+        report.absorb(entry.name, "product-rule", verify_entry(entry, pairs=pairs))
     return report

@@ -126,10 +126,7 @@ class ParamPoly:
             return ParamPoly.monomial(c, i * n, j * n)
         if n < 0:
             raise ValueError("negative power of a non-monomial")
-        r = ParamPoly.one()
-        for _ in range(n):
-            r = r * self
-        return r
+        return _power(self, n, _ONE)
 
     def min_exponents(self) -> Exps:
         if self.is_zero():
@@ -207,6 +204,22 @@ def _poly(terms: dict[Exps, Coeff]) -> ParamPoly:
 
 # the denominator of every quotient whose denominator is 1
 _ONE = ParamPoly.one()
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0, and ``one`` for n = 0, by square-and-multiply
+    without the product by one and the last, unused squaring: the one
+    power loop of ``ParamPoly``, ``Scalar`` and ``LaurentPoly``."""
+    if n == 0:
+        return one
+    r = None
+    while True:
+        if n & 1:
+            r = x if r is None else r * x
+        n >>= 1
+        if not n:
+            return r
+        x = x * x
 
 
 def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
@@ -292,7 +305,11 @@ def _normalize_param(f: ParamPoly) -> ParamPoly:
     return _poly({e: c // content for e, c in ints.items()})
 
 
-def _int_content(coeffs: dict[int, ParamPoly]) -> ParamPoly:
+# a polynomial in one variable over ParamPoly coefficients: {exponent: coefficient}
+UniPoly = dict[int, ParamPoly]
+
+
+def _int_content(coeffs: UniPoly) -> ParamPoly:
     return ParamPoly.const(_int_gcd(*(c.terms[(0, 0)] for c in coeffs.values())))
 
 
@@ -304,49 +321,75 @@ def _univar_gcd_q(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return _normalize_param(ParamPoly({(0, j): c.terms[(0, 0)] for j, c in g.items()}))
 
 
-def _p_coefficients(f: ParamPoly) -> dict[int, ParamPoly]:
+def _p_coefficients(f: ParamPoly) -> UniPoly:
     """Group terms by the exponent of p; values are polynomials in q."""
-    out: dict[int, ParamPoly] = {}
+    out: UniPoly = {}
     for (i, j), c in f.terms.items():
         out.setdefault(i, ParamPoly())
         out[i] = out[i] + ParamPoly.monomial(c, 0, j)
     return out
 
 
-def _q_content(coeffs: dict[int, ParamPoly]) -> ParamPoly:
+def _q_content(coeffs: UniPoly) -> ParamPoly:
     return reduce(_univar_gcd_q, coeffs.values())
 
 
-def _primitive_prs(a: dict[int, ParamPoly], b: dict[int, ParamPoly],
-                   content: Callable[[dict[int, ParamPoly]], ParamPoly]) -> dict[int, ParamPoly]:
+def _pseudo_divide(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly, ParamPoly]:
+    """Division of a by a nonzero b, polynomials in one variable over
+    Z[p^+-1, q^+-1] given as {exponent: coefficient}: (quotient,
+    remainder, m) with m*a = quotient*b + remainder and the remainder of
+    lower degree than b.
+
+    A step whose leading coefficient the divisor's does not divide
+    exactly (with int coefficients) first multiplies the remainder and
+    the quotient so far by the divisor's leading coefficient, so ``m`` is
+    a power of it, every coefficient stays integral, and m = 1 when each
+    step divides."""
+    deg = max(b)
+    lead = b[deg]
+    tail = [(k, c) for k, c in b.items() if k != deg]
+    rem = dict(a)
+    out: UniPoly = {}
+    mult = _ONE
+    while rem and max(rem) >= deg:
+        top = max(rem)
+        c = rem.pop(top)
+        try:
+            q = c.exact_div(lead)
+        except ValueError:
+            q = None
+        if q is None or any(type(v) is not int for v in q.terms.values()):
+            rem = {k: v * lead for k, v in rem.items()}
+            out = {k: v * lead for k, v in out.items()}
+            mult = mult * lead
+            q = c
+        out[top - deg] = q
+        for k, co in tail:
+            k += top - deg
+            v = rem.get(k, ParamPoly()) - q * co
+            if v.is_zero():
+                rem.pop(k, None)
+            else:
+                rem[k] = v
+    return out, rem, mult
+
+
+def _primitive_prs(a: UniPoly, b: UniPoly,
+                   content: Callable[[UniPoly], ParamPoly]) -> UniPoly:
     """Gcd of two nonzero polynomials in one variable over a ring of
-    ParamPoly coefficients, given as {exponent >= 0: coefficient}: the
+    ParamPoly coefficients, given as {exponent: coefficient}: the
     fraction-free primitive remainder sequence.  ``content`` returns a
     gcd in that ring of the coefficients of a nonzero polynomial; both
-    inputs and every pseudo-remainder are divided by it, so the last
-    nonzero remainder, which is returned, is primitive."""
+    inputs and every remainder of ``_pseudo_divide`` are divided by it,
+    so the last nonzero remainder, which is returned, is primitive."""
 
-    def primitive(f: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
+    def primitive(f: UniPoly) -> UniPoly:
         c = content(f)
         return {k: v.exact_div(c) for k, v in f.items()}
 
     a, b = primitive(a), primitive(b)
     while b:
-        db = max(b)
-        lead = b[db]
-        rem = a
-        # rem <- lead * rem - (its leading term) * b, until deg rem < deg b
-        while rem and (dr := max(rem)) >= db:
-            top = rem[dr]
-            rem = {k: v * lead for k, v in rem.items() if k != dr}
-            for i, c in b.items():
-                if i != db:
-                    k = i + dr - db
-                    v = rem.get(k, ParamPoly()) - top * c
-                    if v.is_zero():
-                        rem.pop(k, None)
-                    else:
-                        rem[k] = v
+        rem = _pseudo_divide(a, b)[1]
         a, b = b, primitive(rem) if rem else {}
     return a
 
@@ -659,19 +702,7 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return Scalar.one()
-        # square-and-multiply without the product by one and the last,
-        # unused squaring
-        r = None
-        b = self
-        while True:
-            if n & 1:
-                r = b if r is None else r * b
-            n >>= 1
-            if not n:
-                return r
-            b = b * b
+        return _power(self, n, ONE)
 
     def __eq__(self, other) -> bool:
         other = Scalar._coerce(other)

@@ -271,7 +271,7 @@ def test_criterion_10_catalogue():
     rows = catalogue()
     assert len(rows) == 8
     for entry in rows:
-        rep = verify_entry(entry, pairs=100, degree=6)
+        rep = verify_entry(entry, pairs=100)
         assert rep.ok, f"{entry.name}: {rep.first_failure().witness}"
     report("10", True, "eight product rules on 100 random pairs each")
 

@@ -9,7 +9,7 @@ from homlie.derivation import (
     rescale_generator,
     verify_leibniz,
 )
-from homlie.errors import EqualMorphisms, HypothesisViolated, InvalidGcd, NotAUnit
+from homlie.errors import BadSize, EqualMorphisms, HypothesisViolated, InvalidGcd, NotAUnit
 from homlie.laurent import Endo, LaurentPoly, apply_endo
 from homlie.scalar import P, Q, Scalar, pq_number
 
@@ -128,6 +128,19 @@ class TestLeibniz:
         c = t(2).scale(P) + t(0)
         op = lambda f: c * (apply_endo(TAU, f) - apply_endo(SIGMA, f))
         assert verify_leibniz(op, monomial_pairs(4), tau=TAU, sigma=SIGMA).ok
+
+    def test_empty_corpus_raises(self, witt_ctx):
+        with pytest.raises(BadSize):
+            verify_leibniz(witt_ctx.generator(), [])
+        with pytest.raises(BadSize):
+            verify_leibniz(lambda f: f, iter(()), tau=TAU)
+
+    def test_endomorphism_with_the_zero_sigma(self):
+        # an algebra endomorphism is a (tau, 0)-derivation for tau = itself
+        corpus = [(t(2) - t(-1), t(1).scale(P) + t(3))] + monomial_pairs(2)
+        assert verify_leibniz(SIGMA, corpus, tau=SIGMA).ok
+        rep = verify_leibniz(SIGMA, corpus, tau=TAU)
+        assert not rep.ok and "residue" in rep.first_failure().witness
 
 
 class TestRankOne:

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from homlie import cli, families
-from homlie.algebra import Combo, algebras_equal_on_window
+from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window
 from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
 from homlie.families import (
     GeneratorMap,
@@ -325,3 +325,32 @@ class TestStructureDataOnly:
         alg = family()
         for i in alg.keys(1):
             alg.bracket_gen(i, i)
+
+
+class TestPostComposed:
+    @pytest.mark.parametrize("family", [witt_pq, sl2_pq])
+    def test_equals_the_explicit_closures(self, family):
+        alg = family()
+        f = lambda combo: combo.map_scalars(lambda s: s * P + Q) - combo
+        explicit = GradedAlgebra("explicit", lambda i, j: f(alg.bracket_gen(i, j)),
+                                 lambda i: f(alg.twist_gen(i)), basis=alg.basis)
+        got = alg.post_composed(f, "composed")
+        assert got.name == "composed" and got.basis == alg.basis
+        assert algebras_equal_on_window(got, explicit, 3) == (True, None)
+        assert algebras_equal_on_window(got, alg, 3)[0] is False
+
+
+class TestContextsBuiltOnce:
+    def test_inverse_suite_makes_one_context(self, monkeypatch):
+        calls = []
+        real = families.make_context
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(families, "make_context", counting)
+        families.inverse_twist_context.cache_clear()
+        assert cli.run_suite("inverse", 5).ok
+        assert len(calls) == 1
+

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homlie import laurent
 from homlie.errors import DivisionByZero, NotDivisible, NotInvertible
 from homlie.laurent import (
     Endo,
@@ -14,7 +15,7 @@ from homlie.laurent import (
     gcd_up_to_unit,
     invert_endo,
 )
-from homlie.scalar import P, Q, Scalar
+from homlie.scalar import P, Q, ParamPoly, Scalar, pq_number
 
 t = LaurentPoly.t
 
@@ -47,6 +48,31 @@ class TestRing:
         assert u * u.unit_inverse() == LaurentPoly.one()
 
 
+class TestPowers:
+    @pytest.mark.parametrize("n,products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (15, 6)])
+    def test_square_and_multiply(self, monkeypatch, n, products):
+        base = t(1).scale(P) + t(-1) - LaurentPoly.from_scalar(Q)
+        want = LaurentPoly.one()
+        for _ in range(n):
+            want = want * base
+        calls = []
+        real = LaurentPoly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+        got = base ** n
+        assert (got.num, got.den.terms) == (want.num, want.den.terms)
+        assert len(calls) == products
+
+    def test_unit_and_negative_powers_keep_their_rule(self):
+        u = t(2).scale(P / Q)
+        assert u ** -3 == t(-6).scale((Q / P) ** 3)
+        assert u ** 4 == t(8).scale((P / Q) ** 4)
+
+
 class TestExactDiv:
     def test_inverse_twist_image(self):
         # (t^-2 - q^2 t^2) / (t^-1 - q t) = t^-1 + q t
@@ -67,6 +93,22 @@ class TestExactDiv:
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZero):
             exact_div(t(1), LaurentPoly.zero())
+
+    @pytest.mark.parametrize("n", [-3, -1, 1, 2, 5, 8])
+    def test_deformed_integer_division_needs_no_multiplier(self, monkeypatch, n):
+        # every step of t^n (p^n - q^n) / (p - q) divides exactly: m = 1
+        multipliers = []
+        real = laurent._pseudo_divide
+
+        def recording(a, b):
+            got = real(a, b)
+            multipliers.append(got[2])
+            return got
+
+        monkeypatch.setattr(laurent, "_pseudo_divide", recording)
+        got = exact_div(t(n).scale(P ** n - Q ** n), LaurentPoly.from_scalar(P - Q))
+        assert multipliers == [ParamPoly.one()]
+        assert got == t(n).scale(pq_number(n)) and got.den.terms == {(0, 0): 1}
 
     def test_roundtrip(self):
         rng = random.Random(11)

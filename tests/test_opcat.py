@@ -78,6 +78,28 @@ class TestProductRules:
         wrong = dataclasses.replace(entry, tau=lambda f: f.subst(square))
         assert not verify_entry(wrong, pairs=5).ok
 
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    @pytest.mark.parametrize("wrong_tau", [False, True], ids=["row", "wrong-tau"])
+    def test_verdicts_match_a_direct_product_rule_loop(self, name, wrong_tau):
+        """``verify_entry`` runs ``verify_leibniz``; each verdict equals the
+        comparison of D(fg) with the rule written out here."""
+        entry = ROWS[name]
+        if wrong_tau:
+            entry = dataclasses.replace(entry, tau=lambda f: f.subst(PlainPoly.monomial(ONE, 2)))
+        rng = random.Random(7)
+        corpus = [(random_poly(rng), random_poly(rng)) for _ in range(6)]
+        corpus += [(PlainPoly.one(), t(2)), (t(1), t(1))]
+        D = entry.operator
+        want = []
+        for f, g in corpus:
+            rule = D(f) * entry.tau(g)
+            if entry.sigma is not None:
+                rule = rule + entry.sigma(f) * D(g)
+            want.append(D(f * g) == rule)
+        got = [e.status == "pass" for e in verify_entry(entry, corpus=corpus).entries]
+        assert got == want
+        assert all(want) != wrong_tau
+
     def test_p_dilatation_documented_pair(self):
         entry = ROWS["p-dilatation-derivative"]
         D = entry.operator
@@ -90,7 +112,7 @@ class TestConsistency:
         jpq = ROWS["jackson-pq-derivative"].operator
         jq = ROWS["jackson-q-derivative"].operator
         for _ in range(15):
-            f = random_poly(rng, 6)
+            f = random_poly(rng)
             assert jpq(f).map_scalars(lambda s: s.subst(ONE, Q)) == jq(f)
 
     def test_jackson_divisibility(self):
@@ -98,7 +120,7 @@ class TestConsistency:
         rng = random.Random(4)
         divisor = T_P - T_Q
         for _ in range(20):
-            f = random_poly(rng, 6)
+            f = random_poly(rng)
             exact_div_plain(f.subst(T_P) - f.subst(T_Q), divisor)  # must not raise
 
     def test_not_divisible_raised(self):

@@ -196,7 +196,10 @@ def test_catalogue_row_against_defining_formula(entry):
     for _ in range(20):
         f, g = _random_dense(rng), _random_dense(rng)
         kf, kg = _plain(f), _plain(g)
-        lhs, rhs = entry.operator(kf * kg), entry.rule(kf, kg, entry.operator)
+        op = entry.operator
+        lhs, rhs = op(kf * kg), op(kf) * entry.tau(kg)
+        if entry.sigma is not None:
+            rhs = rhs + entry.sigma(kf) * op(kg)
         for p, q, t in points:
             want = D(_times(f, g), p, q, t)
             assert want == rule(f, g, lambda h: D(h, p, q, t), p, q, t)

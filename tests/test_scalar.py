@@ -319,6 +319,23 @@ class TestPowersOnce:
         # squarings up to the top bit, one product per further set bit
         assert len(calls) == products
 
+    @pytest.mark.parametrize("n,products", [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (15, 6)])
+    def test_param_poly_power_is_square_and_multiply(self, monkeypatch, n, products):
+        base = (P + Q * 2 - 1).num
+        want = ParamPoly.one()
+        for _ in range(n):
+            want = want * base
+        calls = []
+        real = ParamPoly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(ParamPoly, "__mul__", counting)
+        assert base ** n == want
+        assert len(calls) == products
+
     def test_subst_computes_each_power_once(self, monkeypatch):
         num = sum((P ** i * Q ** j for i in range(4) for j in range(4)), Scalar.zero())
         s = num / (ONE + P ** 2 * Q)
@@ -336,3 +353,34 @@ class TestPowersOnce:
         assert s.subst(p_image, q_image) == want
         # exponents 0..3 of p and of q, each once: not once per term
         assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def uni_polys(min_size=0):
+    """Polynomials in one variable over Z[p^+-1, q^+-1], as ``_pseudo_divide``
+    takes them: {exponent: nonzero ParamPoly}."""
+    coeff = st.dictionaries(
+        st.tuples(st.integers(-1, 2), st.integers(-1, 2)),
+        st.integers(-4, 4).filter(bool), min_size=1, max_size=3,
+    ).map(ParamPoly)
+    return st.dictionaries(st.integers(0, 4), coeff, min_size=min_size, max_size=4)
+
+
+class TestPseudoDivide:
+    @given(uni_polys(), uni_polys(min_size=1))
+    @settings(max_examples=80, deadline=None)
+    def test_division_identity(self, a, b):
+        quotient, rem, m = scalar._pseudo_divide(a, b)
+        # m*a = quotient*b + remainder, coefficient by coefficient
+        rhs = dict(rem)
+        for i, c in quotient.items():
+            for j, d in b.items():
+                rhs[i + j] = rhs.get(i + j, ParamPoly()) + c * d
+        keys = set(a) | set(rhs)
+        assert all((a.get(k, ParamPoly()) * m - rhs.get(k, ParamPoly())).is_zero() for k in keys)
+        assert not rem or max(rem) < max(b)
+        # m is a power of b's leading coefficient, at most one per quotient term
+        lead = b[max(b)]
+        assert any(m == lead ** k for k in range(len(quotient) + 1))
+        assert all(type(c) is int for f in (*quotient.values(), *rem.values(), m)
+                   for c in f.terms.values())
+
