@@ -363,15 +363,11 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
-    pairs = _positive("--pairs", args.pairs)
-    rep = Report(suite="catalogue")
+    rep = verify_catalogue(pairs=_positive("--pairs", args.pairs))
     rows = []
-    for entry in catalogue():
-        sub = entry.verify(pairs=pairs)
-        rep.check(entry.name, "product-rule", sub.ok)
-        rows.append({"name": entry.name, "pair": entry.pair,
-                     "status": "pass" if sub.ok else "fail"})
-        print(f"[{'ok ' if sub.ok else 'FAIL'}] {entry.name:34} {entry.pair}")
+    for entry, verdict in zip(catalogue(), rep.entries):
+        rows.append({"name": entry.name, "pair": entry.pair, "status": verdict.status})
+        print(f"[{'ok ' if verdict.status == 'pass' else 'FAIL'}] {entry.name:34} {entry.pair}")
     _write_json(rows, args.json)
     return 0 if rep.ok else 1
 

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from homlie.errors import BadSize, DivisionByZero, NotDivisible
+from homlie.derivation import verify_leibniz
+from homlie.errors import BadSize, DivisionByZero, HypothesisViolated, NotDivisible
 from homlie.laurent import exact_div
 from homlie.opcat import (
+    DEGREE,
+    CatalogueEntry,
     PlainPoly,
     T_P,
     T_Q,
+    _on_basis,
     catalogue,
     exact_div_plain,
     random_poly,
@@ -104,6 +108,39 @@ class TestProductRules:
         entry = ROWS["p-dilatation-derivative"]
         D = entry.operator
         assert D(t(2)) == D(t(1)) * t(1).subst(T_P) + t(1).subst(T_P) * D(t(1))
+
+
+class TestLinearRoute:
+    """``verify_entry`` applies a row's operator through its images of
+    t^k, each computed once, after checking on the first pair that this
+    agrees with the operator."""
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_operator_called_once_per_exponent(self, name):
+        entry = ROWS[name]
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return entry.operator(f)
+
+        rep = verify_entry(dataclasses.replace(entry, operator=counted), pairs=100)
+        assert rep.ok and len(rep.entries) == 100
+        # the exponents 0 .. 2*DEGREE of a product, plus the guard's direct call
+        assert len(calls) <= 2 * DEGREE + 2
+
+    def test_nonlinear_operator_rejected(self):
+        # f -> f*f: its linear extension is the substitution t -> t^2, an
+        # endomorphism, so the rule (t -> t^2, 0) holds for the extension only
+        square = PlainPoly.monomial(ONE, 2)
+        entry = CatalogueEntry(name="square", operator=lambda f: f * f,
+                               tau=lambda f: f.subst(square), sigma=None, pair="(t^2, 0)")
+        rng = random.Random(3)
+        corpus = [(random_poly(rng), random_poly(rng)) for _ in range(5)]
+        assert verify_leibniz(_on_basis(entry.operator), corpus, entry.tau).ok
+        assert not verify_leibniz(entry.operator, corpus, entry.tau).ok
+        with pytest.raises(HypothesisViolated, match=r"not Q\(p,q\)-linear"):
+            verify_entry(entry, corpus=corpus)
 
 
 class TestConsistency:

@@ -4,7 +4,9 @@ Polynomials are drawn here as plain data (a Fraction coefficient, the
 exponents of t, p and q, and a denominator from a short list) and
 evaluated with ``Fraction`` arithmetic written in this file.  The
 catalogue operators are evaluated from their defining formulas, for
-example (h(p t) - h(q t)) / ((p - q) t) for the (p,q)-Jackson derivative.
+example (h(p t) - h(q t)) / ((p - q) t) for the (p,q)-Jackson derivative,
+and compared both with the row's operator and with the operator as
+``verify_entry`` applies it, through its images of t^k.
 The kernel's results are specialised by reading their numerator and
 denominator directly, so no code of ``laurent`` or ``scalar`` takes part
 in the expected values.
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlie.errors import NotDivisible
 from homlie.laurent import Endo, LaurentPoly, apply_endo, exact_div
-from homlie.opcat import PlainPoly, catalogue
+from homlie.opcat import PlainPoly, _on_basis, catalogue
 from homlie.scalar import ONE, P, Q, Scalar
 
 # denominators a drawn coefficient may carry, as kernel scalar and as value
@@ -193,15 +195,18 @@ def test_catalogue_row_against_defining_formula(entry):
                rng.choice([Fraction(1, 2), Fraction(-3), Fraction(4, 5), Fraction(2)]))
               for _ in range(3)]
     D, rule = FORMULAS[entry.name]
+    # the row's formula, and the operator as verify_entry applies it
+    routes = (entry.operator, _on_basis(entry.operator))
     for _ in range(20):
         f, g = _random_dense(rng), _random_dense(rng)
         kf, kg = _plain(f), _plain(g)
-        op = entry.operator
-        lhs, rhs = op(kf * kg), op(kf) * entry.tau(kg)
-        if entry.sigma is not None:
-            rhs = rhs + entry.sigma(kf) * op(kg)
+        sides = []
+        for op in routes:
+            rhs = op(kf) * entry.tau(kg)
+            if entry.sigma is not None:
+                rhs = rhs + entry.sigma(kf) * op(kg)
+            sides += [op(kf * kg), rhs]
         for p, q, t in points:
             want = D(_times(f, g), p, q, t)
             assert want == rule(f, g, lambda h: D(h, p, q, t), p, q, t)
-            assert value(lhs, p, q, t) == want
-            assert value(rhs, p, q, t) == want
+            assert [value(side, p, q, t) for side in sides] == [want] * len(sides)
