@@ -39,7 +39,7 @@ for n, m in ((1, 0), (2, 1), (3, -2)):
     print(f"  [d_{n}, d_{m}]' = {forced.bracket_gen(n, m)}")
 print()
 
-rho = lambda combo: Combo({n: c * P ** n for n, c in combo.terms.items()})
+rho = lambda n: Combo.basis(n, P ** n)
 twisted = twist_algebra(w, rho, window=4)
 same, _ = algebras_equal_on_window(twisted, forced, 4)
 print("twisting by rho(d_n) = p^n d_n reproduces the forced bracket:", same)

@@ -44,4 +44,4 @@ print("centrality:", verify_centrality(vir, window=5).summary())
 
 keys = list(range(-3, 4)) + [CENTRAL]
 triples = [(i, j, k) for i in keys for j in keys for k in keys]
-print("extension Hom-Jacobi:", verify_hom_jacobi(vir.algebra, triples).summary())
+print("extension Hom-Jacobi:", verify_hom_jacobi(vir, triples).summary())

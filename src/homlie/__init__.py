@@ -16,7 +16,6 @@ from .bracket import (
     check_forced_conditions,
     index_triples,
     monomial_triples,
-    twist_algebra,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
@@ -27,7 +26,6 @@ from .derivation import (
     commutator_derivation,
     leibniz_extension,
     make_context,
-    make_sigma_sigma_context,
     monomial_pairs,
     rescale_generator,
     verify_leibniz,
@@ -51,7 +49,6 @@ from .errors import (
     PoleAtSpecialization,
 )
 from .extension import (
-    CentralExtension,
     Cocycle,
     make_central_extension,
     verify_cocycle_condition,
@@ -61,7 +58,6 @@ from .extension import (
 )
 from .families import (
     GeneratorMap,
-    ScaleMorphism,
     check_morphism,
     classical_sl2,
     classical_witt,
@@ -74,6 +70,7 @@ from .families import (
     sl2_pq,
     sl2_r,
     solve_scale_isomorphism,
+    twist_algebra,
     witt_pq,
     witt_pq_forced,
     witt_r,

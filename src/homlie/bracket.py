@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .algebra import Combo, GradedAlgebra, Key, cyclic_terms
-from .errors import ConditionsFailed, NotDivisible, NotInvertible, NotWeakMorphism
+from .errors import ConditionsFailed, NotDivisible, NotInvertible
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
 
@@ -212,16 +212,14 @@ def monomial_triples(window: int) -> list[Triple]:
 def verify_hom_jacobi(
     alg: GradedAlgebra,
     triples: Iterable[tuple[Key, Key, Key]],
-    alpha: Callable[[Combo], Combo] | None = None,
 ) -> Report:
     """Cyclic Hom-Jacobi check on generator triples of a graded algebra;
     each rotation term [alpha(x), [y, z]] is computed once per sweep,
     keyed by its generators (``cyclic_terms``)."""
     report = Report(suite="hom-jacobi")
-    twist = alpha if alpha is not None else alg.twist
 
     def term(x: Key, y: Key, z: Key) -> Combo:
-        return alg.bracket(twist(Combo.basis(x)), alg.bracket_gen(y, z))
+        return alg.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
 
     for (i, j, k), terms in cyclic_terms(triples, term):
         residue = sum(terms, Combo.zero())
@@ -259,34 +257,3 @@ class TwistMap:
             return apply_endo(self.ctx.sigma, a) + apply_endo(self.ctx.tau, a)
         raise ValueError(f"unknown twist kind {self.kind!r}")
 
-
-def twist_algebra(
-    alg: GradedAlgebra,
-    rho: Callable[[Combo], Combo],
-    window: int = 5,
-    name: str | None = None,
-) -> GradedAlgebra:
-    """The twist of ``alg`` along a weak morphism rho: bracket and twist
-    are post-composed with rho.
-
-    rho is verified to be a weak morphism on the window first and the
-    Hom-Jacobi identity of the result is re-checked there; both failures
-    raise rather than returning a broken algebra.
-    """
-    keys = alg.keys(window)
-    for i in keys:
-        for j in keys:
-            lhs = rho(alg.bracket_gen(i, j))
-            rhs = alg.bracket(rho(Combo.basis(i)), rho(Combo.basis(j)))
-            if lhs != rhs:
-                raise NotWeakMorphism(
-                    f"rho fails bracket intertwining at ({i},{j}): {lhs} != {rhs}"
-                )
-
-    twisted = alg.post_composed(rho, name or f"{alg.name}^rho")
-    small = keys if alg.basis is not None else alg.keys(max(2, window - 2))
-    check = verify_hom_jacobi(twisted, [(i, j, k) for i in small for j in small for k in small])
-    if not check.ok:
-        first = check.first_failure()
-        raise NotWeakMorphism(f"twisted algebra fails Hom-Jacobi: {first.witness}")
-    return twisted

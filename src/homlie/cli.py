@@ -36,7 +36,6 @@ from .extension import (
 from .families import (
     SL2_BASIS,
     SL2_COEFF,
-    ScaleMorphism,
     check_morphism,
     classical_witt,
     coefficient_of_d,
@@ -231,7 +230,7 @@ def _suite_sigma_sigma(window: int, perturb) -> Report:
     report = Report(suite="sigma-sigma", window=window)
     report.absorb("jacobi", "hom-jacobi",
                   verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
-    phi = ScaleMorphism(c=lambda n: Scalar.p())
+    phi = lambda n: Combo.basis(n, Scalar.p())
     report.absorb("lie-isomorphism", "scale-isomorphism",
                   check_morphism(phi, classical_witt(), alg, window))
     return report
@@ -320,6 +319,8 @@ def cmd_table(args) -> int:
     alg = FAMILIES[args.family]()
     keys = alg.keys(window)
     rows = []
+    # every row is built before any is printed: a pole in a later pair
+    # leaves no partial table
     for i in keys:
         for j in keys:
             combo = alg.bracket_gen(i, j)
@@ -331,12 +332,13 @@ def cmd_table(args) -> int:
                 coefficients.append({"index": k, "scalar": text})
             rows.append({"n": i, "m": j, "coefficients": coefficients})
 
-            def label(k) -> str:
-                return f"d_{k}" if isinstance(k, int) else str(k)
+    def label(k) -> str:
+        return f"d_{k}" if isinstance(k, int) else str(k)
 
-            shown = " + ".join(
-                f"({c['scalar']}) {label(c['index'])}" for c in coefficients) or "0"
-            print(f"[{label(i)}, {label(j)}] = {shown}")
+    for row in rows:
+        shown = " + ".join(
+            f"({c['scalar']}) {label(c['index'])}" for c in row["coefficients"]) or "0"
+        print(f"[{label(row['n'])}, {label(row['m'])}] = {shown}")
     _write_json(rows, args.json)
     return 0
 

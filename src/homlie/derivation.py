@@ -153,7 +153,7 @@ def make_context(
     A supplied g is accepted exactly when it divides the image of t.
     """
     if tau == sigma:
-        raise EqualMorphisms("tau = sigma; use make_sigma_sigma_context")
+        raise EqualMorphisms("tau = sigma; use SigmaSigmaContext")
     t = LaurentPoly.t()
     image = apply_endo(tau, t) - apply_endo(sigma, t)
     if override_g is None:
@@ -163,10 +163,6 @@ def make_context(
     else:
         g = override_g
     return DerivationContext(tau, sigma, g)
-
-
-def make_sigma_sigma_context(c: Scalar) -> SigmaSigmaContext:
-    return SigmaSigmaContext(c)
 
 
 # -- verification -------------------------------------------------------------

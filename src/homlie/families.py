@@ -11,6 +11,12 @@ are the derivation contexts of the deformed families, each built once
 per process, and a bracket of the generators' coefficients through
 ``bracket_general``, expanded back by exact division, gives the same
 constants.
+
+A map between algebras is its generator images: any callable
+``Key -> Combo``, such as ``lambda n: Combo.basis(n, P)``, or a
+``GeneratorMap`` for a finite table.  ``check_morphism`` checks one on a
+window, and ``twist_algebra`` post-composes bracket and twist with one
+that it has checked to be a weak morphism.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from functools import cache
 from typing import Callable
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
-from .bracket import bracket_general, twist_algebra, verify_hom_jacobi
+from .bracket import bracket_general, verify_hom_jacobi
 from .derivation import DerivationContext, make_context
+from .errors import NotWeakMorphism
 from .laurent import Endo, LaurentPoly
 from .report import Report
 from .scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
@@ -226,49 +233,26 @@ def inverse_twist_example() -> GradedAlgebra:
 # -- morphisms ------------------------------------------------------------------
 
 
-@dataclass
-class ScaleMorphism:
-    """phi(d_n) = c(n) * d_n; ``IndexMapMorphism`` also moves the index."""
+class GeneratorMap(dict):
+    """A map between algebras given by a finite table of generator images;
+    any callable ``Key -> Combo`` serves as well."""
 
-    c: Callable[[int], Scalar]
-
-    def apply_gen(self, n: int) -> Combo:
-        return Combo.basis(n, self.c(n))
+    __call__ = dict.__getitem__
 
 
-@dataclass
-class GeneratorMap:
-    """A morphism given explicitly on finitely many generators."""
-
-    images: dict[Key, Combo]
-
-    def apply_gen(self, k: Key) -> Combo:
-        return self.images[k]
-
-
-@dataclass
-class IndexMapMorphism:
-    """phi(d_n) = c(n) * d_(index_map(n)); covers reindexing isomorphisms
-    such as d_n -> p^(n+1) d_(n+1)."""
-
-    c: Callable[[int], Scalar]
-    index_map: Callable[[int], int]
-
-    def apply_gen(self, n: int) -> Combo:
-        return Combo.basis(self.index_map(n), self.c(n))
-
-
-def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6) -> Report:
+def check_morphism(phi: Callable[[Key], Combo], src: GradedAlgebra, dst: GradedAlgebra,
+                   window: int = 6) -> Report:
     """Bracket intertwining (weak morphism) and twist intertwining (full
-    morphism) on all generator pairs of the window."""
+    morphism) of the generator map phi on all generator pairs of the
+    window."""
     report = Report(suite="morphism", window=window,
                     params={"src": src.name, "dst": dst.name})
     keys = src.keys(window)
     weak = True
     for i in keys:
         for j in keys:
-            lhs = src.bracket_gen(i, j).linear_map(phi.apply_gen, Combo)
-            rhs = dst.bracket(phi.apply_gen(i), phi.apply_gen(j))
+            lhs = src.bracket_gen(i, j).linear_map(phi, Combo)
+            rhs = dst.bracket(phi(i), phi(j))
             ok = lhs == rhs
             weak = weak and ok
             report.check(
@@ -277,8 +261,8 @@ def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6)
             )
     full = True
     for i in keys:
-        lhs = src.twist_gen(i).linear_map(phi.apply_gen, Combo)
-        rhs = dst.twist(phi.apply_gen(i))
+        lhs = src.twist_gen(i).linear_map(phi, Combo)
+        rhs = dst.twist(phi(i))
         ok = lhs == rhs
         full = full and ok
         report.check(
@@ -288,6 +272,35 @@ def check_morphism(phi, src: GradedAlgebra, dst: GradedAlgebra, window: int = 6)
     report.data["weak"] = weak
     report.data["full"] = weak and full
     return report
+
+
+def twist_algebra(
+    alg: GradedAlgebra,
+    rho: Callable[[Key], Combo],
+    window: int = 5,
+    name: str | None = None,
+) -> GradedAlgebra:
+    """The twist of ``alg`` along a weak morphism rho, given by its
+    generator images: bracket and twist are post-composed with rho.
+
+    rho is verified to be a weak morphism on the window first
+    (``check_morphism``) and the Hom-Jacobi identity of the result is
+    re-checked there; both failures raise rather than returning a broken
+    algebra.
+    """
+    morphism = check_morphism(rho, alg, alg, window)
+    if not morphism.data["weak"]:
+        first = morphism.first_failure()
+        raise NotWeakMorphism(f"rho fails bracket intertwining at {first.id}: {first.witness}")
+
+    twisted = alg.post_composed(lambda combo: combo.linear_map(rho, Combo),
+                                name or f"{alg.name}^rho")
+    small = alg.keys(max(2, window - 2))  # the whole basis of a finite one
+    check = verify_hom_jacobi(twisted, [(i, j, k) for i in small for j in small for k in small])
+    if not check.ok:
+        first = check.first_failure()
+        raise NotWeakMorphism(f"twisted algebra fails Hom-Jacobi: {first.witness}")
+    return twisted
 
 
 # -- scale-isomorphism solver ----------------------------------------------------
@@ -535,7 +548,7 @@ def diagram_report(window: int = 4) -> Report:
     w_classical = classical_witt()
 
     # Hom-Lie isomorphism column: W_{q/p} -> W_{p,q}, d_n -> p d_n
-    phi = ScaleMorphism(c=lambda n: P)
+    phi = lambda n: Combo.basis(n, P)
     report.absorb("witt-hom-iso", "scale-isomorphism", check_morphism(phi, w_r, w_pq, window))
 
     # Lie column: W -> W_{p,p}, d_n -> p d_n
@@ -543,7 +556,7 @@ def diagram_report(window: int = 4) -> Report:
                   check_morphism(phi, w_classical, w_pp, window))
 
     # twist equivalences with rho(d_n) = p^n d_n
-    rho = lambda combo: combo.linear_map(lambda n: Combo.basis(n, P ** n), Combo)
+    rho = lambda n: Combo.basis(n, P ** n)
     same("witt-twist-equivalence", "twist-equivalence",
          twist_algebra(w_pq, rho, window=window, name="W_{p,q}^rho"), w_forced)
     same("witt-pp-twist-equivalence", "twist-equivalence",

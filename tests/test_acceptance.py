@@ -20,7 +20,6 @@ from homlie.bracket import (
     bracket_general_operator_oracle,
     index_triples,
     monomial_triples,
-    twist_algebra,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
@@ -37,7 +36,6 @@ from homlie.families import (
     GeneratorMap,
     SL2_BASIS,
     SL2_COEFF,
-    ScaleMorphism,
     check_morphism,
     coefficient_of_d,
     forced_coefficient,
@@ -48,6 +46,7 @@ from homlie.families import (
     sl2_r,
     solve_scale_isomorphism,
     subst_algebra,
+    twist_algebra,
     witt_pq,
     witt_pq_forced,
     witt_r,
@@ -121,7 +120,7 @@ def test_criterion_03_forced_bracket():
 def test_criterion_04_twist_equivalence():
     """rho(d_n) = p^n d_n carries the general deformation onto the forced
     one, and the equal-parameter family onto (n-m) p^(n+m-1)."""
-    rho = lambda combo: Combo({n: c * P ** n for n, c in combo.terms.items()})
+    rho = lambda n: Combo.basis(n, P ** n)
     twisted = twist_algebra(witt_pq(), rho, window=6)
     ok, why = algebras_equal_on_window(twisted, witt_pq_forced(), 6)
     assert ok, why
@@ -168,7 +167,7 @@ def test_criterion_07_isomorphisms_and_solver():
     """Multiplication by p intertwines the one-parameter and two-parameter
     deformations; the solver reports the family c_n = c_1^n / p^(n-1) and
     Infeasible (only consistent at p = 1) for general-vs-forced."""
-    rep = check_morphism(ScaleMorphism(c=lambda n: P), witt_r(), witt_pq(), 6)
+    rep = check_morphism(lambda n: Combo.basis(n, P), witt_r(), witt_pq(), 6)
     assert rep.data["full"], rep.first_failure().witness
 
     sols = solve_scale_isomorphism(witt_r(), witt_pq(), window=6, nu_candidates=(1,))
@@ -239,7 +238,7 @@ def test_criterion_08_virasoro(witt_context):
     cent = verify_centrality(ext, window=6)
     assert cent.ok, cent.first_failure().witness
     keys = list(range(-4, 5)) + [CENTRAL]
-    jac = verify_hom_jacobi(ext.algebra, [(i, j, k) for i in keys for j in keys for k in keys])
+    jac = verify_hom_jacobi(ext, [(i, j, k) for i in keys for j in keys for k in keys])
     assert jac.ok, jac.first_failure().witness
     report("8", True, "cocycle condition, centrality, extended Hom-Jacobi")
 

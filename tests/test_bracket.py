@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from homlie import bracket
-from homlie.algebra import Combo
+from homlie.algebra import Combo, GradedAlgebra
 from homlie.bracket import (
     TwistMap,
     bracket_forced,
@@ -13,13 +13,19 @@ from homlie.bracket import (
     check_forced_conditions,
     index_triples,
     monomial_triples,
-    twist_algebra,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
-from homlie.derivation import make_context, make_sigma_sigma_context
+from homlie.derivation import SigmaSigmaContext, make_context
 from homlie.errors import ConditionsFailed, NotWeakMorphism
-from homlie.families import classical_witt, witt_pq, witt_pq_forced
+from homlie.families import (
+    check_morphism,
+    classical_sl2,
+    classical_witt,
+    twist_algebra,
+    witt_pq,
+    witt_pq_forced,
+)
 from homlie.laurent import Endo, LaurentPoly
 from homlie.scalar import P, Q, Scalar, pq_number
 
@@ -132,7 +138,7 @@ class TestForcedBracket:
         assert rep.data["delta"] == LaurentPoly.one()
 
     def test_conditions_partial_sigma_sigma(self):
-        ss = make_sigma_sigma_context(P)
+        ss = SigmaSigmaContext(P)
         rep = check_forced_conditions(ss)
         assert rep.ok
         assert rep.data["delta"] == LaurentPoly.from_scalar(P)
@@ -183,8 +189,8 @@ class TestForcedBracket:
 
 class TestHomJacobi:
     def test_classical_witt(self):
-        alg = classical_witt()
-        assert verify_hom_jacobi(alg, index_triples(3), alpha=lambda x: x).ok
+        alg = GradedAlgebra("W", classical_witt().bracket_gen, Combo.basis)
+        assert verify_hom_jacobi(alg, index_triples(3)).ok
 
     def test_forced_witt_twist(self):
         alg = witt_pq_forced()
@@ -194,9 +200,9 @@ class TestHomJacobi:
         alg = classical_witt()
         rep = verify_hom_jacobi(alg, index_triples(2))  # twist 2id: fine
         assert rep.ok
-        broken = verify_hom_jacobi(
-            alg, [(1, 2, 3)], alpha=lambda x: alg.twist(x) + Combo.basis(0, P)
-        )
+        bent = GradedAlgebra("W-bent", alg.bracket_gen,
+                             lambda n: alg.twist_gen(n) + Combo.basis(0, P))
+        broken = verify_hom_jacobi(bent, [(1, 2, 3)])
         assert not broken.ok
         assert "residue" in broken.first_failure().witness
 
@@ -204,14 +210,14 @@ class TestHomJacobi:
 class TestTwistAlgebra:
     def test_identity_twist(self):
         alg = witt_pq()
-        twisted = twist_algebra(alg, lambda x: x, window=3)
+        twisted = twist_algebra(alg, Combo.basis, window=3)
         for n in range(-3, 4):
             for m in range(-3, 4):
                 assert twisted.bracket_gen(n, m) == alg.bracket_gen(n, m)
 
     def test_diagonal_twist_reaches_forced(self):
         alg = witt_pq()
-        rho = lambda combo: Combo({n: c * P ** n for n, c in combo.terms.items()})
+        rho = lambda n: Combo.basis(n, P ** n)
         twisted = twist_algebra(alg, rho, window=3)
         forced = witt_pq_forced()
         for n in range(-3, 4):
@@ -221,6 +227,22 @@ class TestTwistAlgebra:
 
     def test_non_weak_morphism_rejected(self):
         alg = witt_pq()
-        bad = lambda combo: Combo({n: c * (P + Q ** n) for n, c in combo.terms.items()})
+        bad = lambda n: Combo.basis(n, P + Q ** n)
         with pytest.raises(NotWeakMorphism):
             twist_algebra(alg, bad, window=2)
+
+    @pytest.mark.parametrize("family, rho, weak", [
+        (witt_pq, Combo.basis, True),
+        (witt_pq, lambda n: Combo.basis(n, P ** n), True),
+        (witt_pq, lambda n: Combo.basis(n, P + Q ** n), False),
+        # the sl(2) twisting map of the diagram is not a weak morphism
+        (classical_sl2, lambda k: Combo.basis(k, {"e": 1, "f": P ** 2, "h": P}[k]), False),
+    ])
+    def test_rejects_exactly_what_check_morphism_finds_not_weak(self, family, rho, weak):
+        alg = family()
+        assert check_morphism(rho, alg, alg, 2).data["weak"] is weak
+        if weak:
+            assert twist_algebra(alg, rho, window=2).name == f"{alg.name}^rho"
+        else:
+            with pytest.raises(NotWeakMorphism, match="bracket intertwining"):
+                twist_algebra(alg, rho, window=2)

@@ -148,6 +148,18 @@ class TestTable:
         assert code == 2
         assert "PoleAtPoint" in err
 
+    @pytest.mark.parametrize("family, window", [("sl2", "3"), ("witt-r", "2")])
+    def test_pole_in_a_later_pair_prints_no_partial_table(self, capsys, tmp_path,
+                                                           family, window):
+        # the first rows specialize at p = 0 and a later one has a pole there
+        path = tmp_path / "table.json"
+        code, out, err = run(capsys, "table", family, "--window", window,
+                             "--specialize", "0", "1", "--json", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: PoleAtPoint")
+        assert not path.exists()
+
     def test_virasoro_at_root_of_unity_reported(self, capsys, tmp_path):
         # q/p = -1: 1 + (q/p)^n vanishes for odd n, where the cocycle has a pole
         path = tmp_path / "vir.json"

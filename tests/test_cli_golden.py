@@ -3,9 +3,9 @@ stdout and exit codes, and ``bracket`` stdout and exit codes (it writes
 no report), must match their golden copies in ``tests/golden/cli/``
 byte for byte.
 
-The runs are ``verify all`` at window 4, ``verify virasoro`` at window 6,
-the five ``--perturb`` runs of the benchmark's fault workload at
-window 5, the ``table`` of every family (window 3, the Virasoro
+The runs are ``verify all`` at windows 4 and 5, ``verify virasoro`` at
+window 6, the five ``--perturb`` runs of the benchmark's fault workload
+at window 5, the ``table`` of every family (window 3, the Virasoro
 cocycle at window 4, sl(2) and the cocycle specialized at (2, 3)),
 ``diagram`` at window 4, ``catalogue`` on 20 pairs, and ``bracket`` in
 the dilation context (both README examples, both forced brackets), over
@@ -32,6 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
 # name -> (argv without --json, expected exit code)
 RUNS = {
     "verify-all-w4": (["verify", "all", "--window", "4"], 0),
+    "verify-all-w5": (["verify", "all", "--window", "5"], 0),
     "verify-virasoro-w6": (["verify", "virasoro", "--window", "6"], 0),
     "perturb-witt": (["verify", "witt", "--window", "5", "--perturb", "witt:1,2"], 1),
     "perturb-witt-forced": (

@@ -3,7 +3,7 @@ import pytest
 from homlie.derivation import (
     leibniz_extension,
     make_context,
-    make_sigma_sigma_context,
+    SigmaSigmaContext,
     monomial_pairs,
     commutator_derivation,
     rescale_generator,
@@ -78,13 +78,13 @@ class TestGeneratorAction:
         assert d.apply(f + g) == d.apply(f) + d.apply(g)
 
     def test_sigma_sigma_action(self):
-        ctx = make_sigma_sigma_context(P)
+        ctx = SigmaSigmaContext(P)
         assert ctx.apply_generator(t(3)) == t(2).scale(Scalar.monomial(3, 2, 0))
         assert ctx.apply_generator(t(0)).is_zero()
 
     def test_sigma_sigma_rank_one(self):
         # any (sigma,sigma)-derivation is D(t) * the canonical generator
-        ctx = make_sigma_sigma_context(P)
+        ctx = SigmaSigmaContext(P)
         h = t(2).scale(P + Q)  # prescribed image of t
         d = ctx.element(h)  # h * partial sends t -> h since partial(t) = 1
         assert d.apply(t(1)) == h

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from homlie import cli, extension
-from homlie.algebra import Combo, perturb_algebra
+from homlie.algebra import Combo, GradedAlgebra, perturb_algebra
 from homlie.bracket import verify_hom_jacobi
 from homlie.errors import CocycleConditionFailed, PoleAtSpecialization
 from homlie.extension import (
@@ -15,6 +15,7 @@ from homlie.extension import (
     verify_cocycle_condition,
     verify_f_compatibility,
     virasoro_cocycle,
+    virasoro_pq,
 )
 from homlie.families import inverse_twist_example, witt_pq
 from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
@@ -99,10 +100,10 @@ class TestExtension:
     def test_centrality(self, vir):
         assert verify_centrality(vir, window=4).ok
 
-    def test_bracket_has_central_term(self, vir, g):
+    def test_bracket_has_central_term(self, vir, g, witt):
         combo = vir.bracket_gen(2, -2)
         assert combo.coeff(CENTRAL) == g.value(2, -2)
-        assert combo.coeff(0) == vir.base.bracket_gen(2, -2).coeff(0)
+        assert combo.coeff(0) == witt.bracket_gen(2, -2).coeff(0)
 
     def test_zero_cocycle_extension_unchanged(self, witt):
         ext = make_central_extension(witt, Cocycle.zero(), window=3)
@@ -113,7 +114,7 @@ class TestExtension:
     def test_extension_hom_jacobi(self, vir):
         keys = list(range(-3, 4)) + [CENTRAL]
         triples = [(i, j, k) for i in keys for j in keys for k in keys]
-        assert verify_hom_jacobi(vir.algebra, triples).ok
+        assert verify_hom_jacobi(vir, triples).ok
 
     def test_condition_failure_blocks_construction(self, witt, g):
         with pytest.raises(CocycleConditionFailed):
@@ -124,22 +125,32 @@ class TestExtension:
             assert vir.twist_gen(n) == witt.twist_gen(n)
         assert vir.twist_gen(CENTRAL) == Combo.basis(CENTRAL)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_central_extension(witt_pq(), virasoro_cocycle(), window=3),
+        lambda: virasoro_pq(3),
+    ])
+    def test_extension_is_a_graded_algebra(self, build, g):
+        ext = build()
+        assert isinstance(ext, GradedAlgebra) and ext.name == "W_{p,q}^"
+        assert ext.bracket_gen(3, -3).coeff(CENTRAL) == g.value(3, -3)
+        keys = [-2, 2, CENTRAL]
+        assert verify_hom_jacobi(ext, [(i, j, k) for i in keys for j in keys for k in keys]).ok
+
 
 class TestFactorMap:
     def test_zero_cocycle_identity_factor(self, witt):
-        ext = make_central_extension(witt, Cocycle.zero(), window=2)
-        rep = verify_f_compatibility(ext, lambda x, a: a, window=2)
+        rep = verify_f_compatibility(witt, Cocycle.zero(), lambda x, a: a, window=2)
         assert rep.ok
 
-    def test_candidate_identity_factor_is_computed(self, vir):
+    def test_candidate_identity_factor_is_computed(self, witt, g):
         # outcome of f(x, a) = a is reported, not assumed: the twisted
         # pairs (n, -n) with n >= 2 fail inside the window
-        rep = verify_f_compatibility(vir, lambda x, a: a, window=2)
+        rep = verify_f_compatibility(witt, g, lambda x, a: a, window=2)
         failing = {e.id for e in rep.failures}
         assert failing == {"pair-(-2,2)", "pair-(2,-2)"}
 
-    def test_wrong_center_action_fails(self, vir):
-        rep = verify_f_compatibility(vir, lambda x, a: a * Scalar.from_int(2), window=1)
+    def test_wrong_center_action_fails(self, witt, g):
+        rep = verify_f_compatibility(witt, g, lambda x, a: a * Scalar.from_int(2), window=1)
         assert any(e.id.startswith("identity-on-center") for e in rep.failures)
 
 

@@ -7,8 +7,6 @@ from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window
 from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
 from homlie.families import (
     GeneratorMap,
-    IndexMapMorphism,
-    ScaleMorphism,
     SL2_BASIS,
     SL2_COEFF,
     check_morphism,
@@ -97,13 +95,13 @@ class TestSigmaSigma:
         assert w.bracket_gen(2, 0) == Combo.basis(2, two / P)
 
     def test_mult_by_p_isomorphism(self):
-        phi = ScaleMorphism(c=lambda n: P)
+        phi = lambda n: Combo.basis(n, P)
         rep = check_morphism(phi, classical_witt(), sigma_sigma_witt("t-partial"), 4)
         assert rep.data["full"]
 
     def test_shifted_isomorphism(self):
         # d_n -> p^(n+1) d_(n+1) onto the partial-generator grading
-        phi = IndexMapMorphism(c=lambda n: P ** (n + 1), index_map=lambda n: n + 1)
+        phi = lambda n: Combo.basis(n + 1, P ** (n + 1))
         rep = check_morphism(phi, classical_witt(), sigma_sigma_witt("partial"), 4)
         assert rep.data["full"]
 
@@ -183,7 +181,7 @@ class TestInverseTwist:
 
 class TestMorphisms:
     def test_witt_scale_morphism(self):
-        rep = check_morphism(ScaleMorphism(c=lambda n: P), witt_r(), witt_pq(), 5)
+        rep = check_morphism(lambda n: Combo.basis(n, P), witt_r(), witt_pq(), 5)
         assert rep.data["weak"] and rep.data["full"]
 
     def test_sl2_multiplication_by_p(self):
@@ -202,7 +200,7 @@ class TestMorphisms:
 
     def test_identity_between_general_and_forced_fails(self):
         rep = check_morphism(
-            ScaleMorphism(c=lambda n: ONE), witt_pq(), witt_pq_forced(), 3
+            Combo.basis, witt_pq(), witt_pq_forced(), 3
         )
         assert not rep.data["weak"]
 
@@ -226,7 +224,7 @@ class TestScaleSolver:
         for n in range(-4, 5):
             value = sol.family[n].mu * P ** sol.family[n].exps.get("c_1", 0)
             assert value == P
-        rep = check_morphism(ScaleMorphism(c=lambda n: P), witt_r(), witt_pq(), 4)
+        rep = check_morphism(lambda n: Combo.basis(n, P), witt_r(), witt_pq(), 4)
         assert rep.data["full"]
 
     def test_general_vs_forced_infeasible(self):
