@@ -26,6 +26,12 @@ def _key_order(k: Key):
     return (0, k, "") if isinstance(k, int) else (1, 0, k)
 
 
+def key_name(k: Key) -> str:
+    """The printed name of a basis key: d_n for an int, the bare name
+    (e, f, h, ...) otherwise."""
+    return f"d_{k}" if isinstance(k, int) else str(k)
+
+
 class Combo(Linear):
     """Finite Q(p,q)-linear combination of basis keys, on the linear core
     ``laurent.Linear`` (one int numerator over one ``ParamPoly``)."""
@@ -47,8 +53,7 @@ class Combo(Linear):
         terms = self.terms
         parts = []
         for k in sorted(terms, key=_key_order):
-            name = f"d_{k}" if isinstance(k, int) else str(k)
-            parts.append(f"({terms[k]})*{name}")
+            parts.append(f"({terms[k]})*{key_name(k)}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .algebra import Combo, GradedAlgebra, perturb_algebra
+from .algebra import Combo, GradedAlgebra, key_name, perturb_algebra
 from .bracket import (
     bracket_forced,
     bracket_general,
@@ -59,11 +59,17 @@ from .report import Report
 from .scalar import Scalar
 
 
+# The largest window or pair count.  The default windows (3 to 6) and the
+# default 100 catalogue pairs are far below it, while the Jacobi sweeps
+# grow as the cube of the window: at 1000 they hold about 8e9 triples.
+MAX_SIZE = 1000
+
+
 def _positive(name: str, value: int) -> int:
-    """Reject a window or pair count below 1: an empty sweep would pass
-    vacuously."""
-    if value < 1:
-        raise BadSize(f"{name} must be a positive integer, got {value}")
+    """Reject a window or pair count below 1, where an empty sweep would
+    pass vacuously, or above ``MAX_SIZE``, before anything is allocated."""
+    if not 1 <= value <= MAX_SIZE:
+        raise BadSize(f"{name} must be an integer from 1 to {MAX_SIZE}, got {value}")
     return value
 
 
@@ -332,13 +338,10 @@ def cmd_table(args) -> int:
                 coefficients.append({"index": k, "scalar": text})
             rows.append({"n": i, "m": j, "coefficients": coefficients})
 
-    def label(k) -> str:
-        return f"d_{k}" if isinstance(k, int) else str(k)
-
     for row in rows:
         shown = " + ".join(
-            f"({c['scalar']}) {label(c['index'])}" for c in row["coefficients"]) or "0"
-        print(f"[{label(row['n'])}, {label(row['m'])}] = {shown}")
+            f"({c['scalar']}) {key_name(c['index'])}" for c in row["coefficients"]) or "0"
+        print(f"[{key_name(row['n'])}, {key_name(row['m'])}] = {shown}")
     _write_json(rows, args.json)
     return 0
 

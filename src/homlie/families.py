@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable
 
-from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window
+from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window, key_name
 from .bracket import bracket_general, verify_hom_jacobi
 from .derivation import DerivationContext, make_context
 from .errors import NotWeakMorphism
@@ -257,7 +257,7 @@ def check_morphism(phi: Callable[[Key], Combo], src: GradedAlgebra, dst: GradedA
             weak = weak and ok
             report.check(
                 f"bracket-({i},{j})", "bracket-intertwining", ok,
-                witness=None if ok else f"phi[d_i,d_j] = {lhs} != {rhs}",
+                witness=None if ok else f"phi[{key_name(i)},{key_name(j)}] = {lhs} != {rhs}",
             )
     full = True
     for i in keys:
@@ -265,9 +265,10 @@ def check_morphism(phi: Callable[[Key], Combo], src: GradedAlgebra, dst: GradedA
         rhs = dst.twist(phi(i))
         ok = lhs == rhs
         full = full and ok
+        x = key_name(i)
         report.check(
             f"twist-{i}", "twist-intertwining", ok,
-            witness=None if ok else f"phi(alpha(x)) = {lhs} != alpha'(phi(x)) = {rhs}",
+            witness=None if ok else f"phi(alpha({x})) = {lhs} != alpha'(phi({x})) = {rhs}",
         )
     report.data["weak"] = weak
     report.data["full"] = weak and full

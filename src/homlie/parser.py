@@ -206,5 +206,7 @@ def parse_rational(text: str) -> Fraction:
         raise BadSize(f"the rational {text[:20]!r} has more than {limit} digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ExprSyntaxError(0, "a rational number like 2 or -1/2", str(exc)) from None
+    except ValueError:
+        raise ExprSyntaxError(0, "a rational number like 2 or -1/2") from None
+    except ZeroDivisionError:
+        raise ExprSyntaxError(0, "a rational number with a nonzero denominator") from None

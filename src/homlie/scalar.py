@@ -700,6 +700,9 @@ class Scalar:
         return Scalar._coerce(other) / self
 
     def __pow__(self, n: int) -> "Scalar":
+        if self.den is _ONE and len(self.num.terms) == 1:
+            # a monomial c p^i q^j: the power is one term, normalized once
+            return Scalar(self.num ** n)
         if n < 0:
             return self.inverse() ** (-n)
         return _power(self, n, ONE)
@@ -724,23 +727,36 @@ class Scalar:
         return nv / dv
 
     def subst(self, p_image: "Scalar", q_image: "Scalar") -> "Scalar":
-        """Apply the field endomorphism p -> p_image, q -> q_image; each
-        power of an image is computed once per call."""
-        exps = [e for poly in (self.num, self.den) for e in poly.terms]
-        p_pow = {i: p_image ** i for i in {i for i, _ in exps}}
-        q_pow = {j: q_image ** j for j in {j for _, j in exps}}
+        """Apply the field endomorphism p -> a/alpha, q -> b/beta given by
+        two Scalar images, fraction-free.
 
-        def image(poly: ParamPoly) -> Scalar:
-            total = Scalar.zero()
+        Let [i_lo, i_hi] be the range of the p-exponents of num and den
+        widened to hold 0, and [j_lo, j_hi] that of the q-exponents.  Both
+        parts are multiplied by a^-i_lo alpha^i_hi b^-j_lo beta^j_hi, so a
+        term c p^i q^j becomes the polynomial
+        c a^(i-i_lo) alpha^(i_hi-i) b^(j-j_lo) beta^(j_hi-j).  Each power
+        is computed once per exponent, the terms are summed in one int
+        map per part, and the quotient is normalized once.
+        DivisionByZero when a zero image carries a negative exponent;
+        PoleAtPoint when the image of the denominator vanishes."""
+        exps = [*self.num.terms, *self.den.terms]
+        p_factors = _image_factors(p_image, {i for i, _ in exps})
+        q_factors = _image_factors(q_image, {j for _, j in exps})
+
+        def image(poly: ParamPoly) -> ParamPoly:
+            out: dict[Exps, int] = {}
             for (i, j), c in poly.terms.items():
-                total = total + Scalar.from_fraction(c) * p_pow[i] * q_pow[j]
-            return total
+                q_terms = q_factors[j].terms.items()
+                for (i1, j1), c1 in p_factors[i].terms.items():
+                    for (i2, j2), c2 in q_terms:
+                        e = (i1 + i2, j1 + j2)
+                        out[e] = out.get(e, 0) + c * c1 * c2
+            return _poly({e: c for e, c in out.items() if c})
 
-        nv = image(self.num)
         dv = image(self.den)
         if dv.is_zero():
             raise PoleAtPoint("denominator vanishes under substitution")
-        return nv / dv
+        return Scalar(image(self.num), dv)
 
     # -- printing ----------------------------------------------------------
 
@@ -749,6 +765,18 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _image_factors(image: Scalar, exps: set[int]) -> dict[int, ParamPoly]:
+    """For an image x/y of one parameter and the set of its exponents in
+    a quotient, with lo and hi their range widened to hold 0: the
+    polynomial x^(e-lo) y^(hi-e) for each exponent e, the factor that
+    stands for (x/y)^e once the quotient is multiplied by x^-lo y^hi."""
+    lo, hi = min(0, *exps), max(0, *exps)
+    if lo < 0 and image.is_zero():
+        raise DivisionByZero("inverse of zero scalar")
+    x, y = image.num, image.den
+    return {e: x ** (e - lo) * y ** (hi - e) for e in exps}
 
 
 def _atomic(poly: ParamPoly) -> bool:

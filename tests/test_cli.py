@@ -196,6 +196,14 @@ class TestOtherCommands:
         assert code == 2
         assert "PoleAtPoint" in err
 
+    @pytest.mark.parametrize("point", ["1/0", "one half"])
+    def test_specialize_bad_point_names_no_python_object(self, capsys, point):
+        code, out, err = run(capsys, "specialize", "p", point, "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("syntax error: ")
+        assert "Fraction" not in err and "(" not in err
+
 
 class TestBadSizes:
     def test_negative_window(self, capsys):
@@ -227,6 +235,52 @@ class TestBadSizes:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err
+
+
+class TestSizeBound:
+    """A window or pair count above ``cli.MAX_SIZE`` exits 2 before any
+    sweep starts.  Huge values only ever meet the refusal: every sweep the
+    CLI can start is replaced by one that fails the test."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a sweep started")
+
+        monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(cli._SUITES, sweep))
+        monkeypatch.setattr(cli, "FAMILIES", dict.fromkeys(cli.FAMILIES, sweep))
+        for name in ("virasoro_cocycle", "diagram_report", "verify_catalogue"):
+            monkeypatch.setattr(cli, name, sweep)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "witt", "--window", "99999999999"),
+        ("verify", "all", "--window", str(cli.MAX_SIZE + 1)),
+        ("verify", "witt", "--window", "99999999999", "--perturb", "witt:1,2"),
+        ("table", "witt", "--window", "99999999999"),
+        ("table", "virasoro", "--window", "99999999999"),
+        ("diagram", "--window", "99999999999"),
+        ("catalogue", "--pairs", "99999999999"),
+    ])
+    def test_exit_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: BadSize")
+
+    def test_window_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOMLIE_WINDOW", "99999999999")
+        code, out, err = run(capsys, "verify", "sl2")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err
+
+    @pytest.mark.parametrize("suite", ["witt", "diagram", "catalogue"])
+    def test_library_window(self, suite):
+        with pytest.raises(BadSize):
+            run_suite(suite, cli.MAX_SIZE + 1)
+
+    def test_the_bound_itself_is_accepted(self):
+        assert cli._positive("--window", cli.MAX_SIZE) == cli.MAX_SIZE
 
 
 class TestEmptyReport:

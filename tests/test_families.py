@@ -204,6 +204,23 @@ class TestMorphisms:
         )
         assert not rep.data["weak"]
 
+    @pytest.mark.parametrize("src,dst,phi,name", [
+        (witt_pq, witt_pq_forced, Combo.basis, "d_{}"),
+        (sl2_pq, sl2_pp, GeneratorMap({k: Combo.basis(k) for k in SL2_BASIS}), "{}"),
+    ], ids=["witt", "sl2"])
+    def test_failing_pair_is_named_in_its_witness(self, src, dst, phi, name):
+        failures = check_morphism(phi, src(), dst(), 3).failures
+        brackets = [e for e in failures if e.anchor == "bracket-intertwining"]
+        twists = [e for e in failures if e.anchor == "twist-intertwining"]
+        assert brackets and twists
+        for entry in brackets:
+            i, j = entry.id.removeprefix("bracket-(").removesuffix(")").split(",")
+            assert entry.witness.startswith(f"phi[{name.format(i)},{name.format(j)}] = ")
+        for entry in twists:
+            x = name.format(entry.id.removeprefix("twist-"))
+            assert entry.witness.startswith(f"phi(alpha({x})) = ")
+            assert f"alpha'(phi({x})) = " in entry.witness
+
 
 class TestScaleSolver:
     def test_witt_family(self):

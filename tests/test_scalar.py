@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -298,10 +300,7 @@ class TestPowersOnce:
     def test_pow_is_the_repeated_product(self, a, n):
         if n < 0 and a.is_zero():
             return
-        base = a if n >= 0 else a.inverse()
-        want = Scalar.one()
-        for _ in range(abs(n)):
-            want = want * base
+        want = _repeated_product(a, n)
         got = a ** n
         assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
 
@@ -339,20 +338,153 @@ class TestPowersOnce:
     def test_subst_computes_each_power_once(self, monkeypatch):
         num = sum((P ** i * Q ** j for i in range(4) for j in range(4)), Scalar.zero())
         s = num / (ONE + P ** 2 * Q)
-        p_image, q_image = P + Q, P * Q - 1
-        want = sum((p_image ** i * q_image ** j for i in range(4) for j in range(4)),
-                   Scalar.zero()) / (ONE + p_image ** 2 * q_image)
         calls = []
-        real = Scalar.__pow__
+        real = ParamPoly.__pow__
 
         def counting(self, n):
-            calls.append(n)
+            calls.append((id(self), n))
             return real(self, n)
 
-        monkeypatch.setattr(Scalar, "__pow__", counting)
-        assert s.subst(p_image, q_image) == want
-        # exponents 0..3 of p and of q, each once: not once per term
-        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+        monkeypatch.setattr(ParamPoly, "__pow__", counting)
+        for p_image, q_image in [(P + Q, P * Q - 1), ((P + Q) / (P + 2), (P * Q - 1) / (Q - 3))]:
+            want = sum((p_image ** i * q_image ** j for i in range(4) for j in range(4)),
+                       Scalar.zero()) / (ONE + p_image ** 2 * q_image)
+            calls.clear()
+            assert s.subst(p_image, q_image) == want
+            # p -> a/alpha, q -> b/beta and exponents 0..3 of p and of q: the
+            # powers 0..3 of a, alpha, b and beta, each once, not once per term
+            bases = (p_image.num, p_image.den, q_image.num, q_image.den)
+            assert Counter(calls) == Counter((id(x), n) for x in bases for n in range(4))
+
+    @pytest.mark.parametrize("c", [1, -1, 2, -2, 3])
+    def test_monomial_power_is_one_term(self, monkeypatch, c):
+        cases = [(Scalar.monomial(c, i, j), n)
+                 for i, j in [(0, 0), (1, 0), (-2, 1), (3, -1)] for n in range(-6, 7)]
+        wants = [_repeated_product(x, n) for x, n in cases]
+        calls = []
+        real = Scalar.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(Scalar, "__mul__", counting)
+        for (x, n), want in zip(cases, wants):
+            assert _exact_form(x ** n) == _exact_form(want)
+        assert calls == []
+
+    def test_zero_to_a_negative_power(self):
+        with pytest.raises(DivisionByZero):
+            Scalar.zero() ** -1
+
+
+def _repeated_product(x: Scalar, n: int) -> Scalar:
+    """x ** n as |n| products of x, or of its inverse for n < 0."""
+    base = x if n >= 0 else x.inverse()
+    out = Scalar.one()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+def _exact_form(s: Scalar):
+    """The stored representation, coefficient types included."""
+    return (repr(sorted(s.num.terms.items())), repr(sorted(s.den.terms.items())),
+            s.den is scalar._ONE)
+
+
+def subst_termwise(s: Scalar, p_image: Scalar, q_image: Scalar) -> Scalar:
+    """The reference substitution: each power of an image by repeated
+    Scalar products, each term added as a Scalar and normalized."""
+    exps = [e for poly in (s.num, s.den) for e in poly.terms]
+    p_pow = {i: _repeated_product(p_image, i) for i in {i for i, _ in exps}}
+    q_pow = {j: _repeated_product(q_image, j) for j in {j for _, j in exps}}
+
+    def image(poly: ParamPoly) -> Scalar:
+        total = Scalar.zero()
+        for (i, j), c in poly.terms.items():
+            total = total + Scalar.from_fraction(c) * p_pow[i] * q_pow[j]
+        return total
+
+    nv = image(s.num)
+    dv = image(s.den)
+    if dv.is_zero():
+        raise PoleAtPoint("denominator vanishes under substitution")
+    return nv / dv
+
+
+def quotients(max_exp=2):
+    """Scalars over a two-term denominator c + d p^i q^j, which is not a
+    monomial and so stays in the canonical form; negative exponents
+    included."""
+    exp = st.integers(-max_exp, max_exp)
+    den = st.tuples(st.integers(1, 3), st.integers(-3, 3).filter(bool), exp, exp).filter(
+        lambda t: t[2] or t[3]).map(lambda t: ParamPoly({(0, 0): t[0], (t[2], t[3]): t[1]}))
+    return st.tuples(scalars(max_terms=2, max_exp=max_exp), den).map(
+        lambda t: t[0] / Scalar(t[1]))
+
+
+def images():
+    """Parameter images: monomials, polynomials, quotients, 1 and p.
+    Quotients are listed twice so that two draws in five carry a
+    denominator."""
+    monomial = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: Scalar.monomial(*t))
+    return st.one_of(monomial, scalars(max_terms=2, max_exp=1), quotients(max_exp=1),
+                     quotients(max_exp=1), st.sampled_from([ONE, P]))
+
+
+def _outcome(route, s, p_image, q_image):
+    """The stored parts of the substitution, or the type of its error."""
+    try:
+        got = route(s, p_image, q_image)
+    except (DivisionByZero, PoleAtPoint) as exc:
+        return type(exc)
+    return got.num.terms, got.den.terms
+
+
+class TestSubstReference:
+    @given(st.one_of(scalars(max_exp=2), quotients()), images(), images())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_termwise_route(self, s, p_image, q_image):
+        assert (_outcome(Scalar.subst, s, p_image, q_image)
+                == _outcome(subst_termwise, s, p_image, q_image))
+
+    @given(st.one_of(scalars(max_exp=2), quotients()), images(), images())
+    @settings(max_examples=80, deadline=None)
+    def test_commutes_with_specialization(self, s, p_image, q_image):
+        rng = random.Random(2006)
+        try:
+            got = s.subst(p_image, q_image)
+        except (DivisionByZero, PoleAtPoint):
+            return
+        for _ in range(3):
+            p0, q0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+            try:
+                left = got.specialize(p0, q0)
+                right = s.specialize(p_image.specialize(p0, q0), q_image.specialize(p0, q0))
+            except PoleAtPoint:
+                continue
+            assert left == right
+
+    def test_images_of_p_to_one_and_q_to_p(self):
+        s = (P ** 2 - Q) / (P * Q + 3)
+        assert s.subst(ONE, Q) == (ONE - Q) / (Q + 3)
+        assert s.subst(P, P) == (P ** 2 - P) / (P ** 2 + 3)
+        assert s.subst(Q, P) == (Q ** 2 - P) / (P * Q + 3)
+
+    def test_zero_image_under_a_negative_exponent(self):
+        with pytest.raises(DivisionByZero):
+            (ONE / P).subst(Scalar.zero(), Q)
+        with pytest.raises(DivisionByZero):
+            (P + Q ** -2).subst(P, Scalar.zero())
+        # a zero image under non-negative exponents only is a value
+        assert (P ** 2 + Q).subst(Scalar.zero(), Q) == Q
+        assert (ONE / (P + Q)).subst(Scalar.zero(), Q) == ONE / Q
+
+    def test_vanishing_denominator_is_a_pole(self):
+        with pytest.raises(PoleAtPoint):
+            (ONE / (P - Q)).subst(P, P)
 
 
 def uni_polys(min_size=0):
