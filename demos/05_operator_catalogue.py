@@ -6,12 +6,13 @@ Each row of the catalogue states its rule; verification is exact on
 random rational polynomials.
 """
 
-from homlie.opcat import PlainPoly, catalogue, verify_entry
+from homlie.opcat import PlainPoly, catalogue, seeded_corpus, verify_entry
 
 t = PlainPoly.t
 
+corpus = seeded_corpus(40)
 for entry in catalogue():
-    rep = verify_entry(entry, pairs=40)
+    rep = verify_entry(entry, corpus)
     mark = "ok " if rep.ok else "FAIL"
     print(f"[{mark}] {entry.name:34} pair {entry.pair}")
 

@@ -47,6 +47,7 @@ from .errors import (
     NotWeakMorphism,
     PoleAtPoint,
     PoleAtSpecialization,
+    UsageError,
 )
 from .extension import (
     Cocycle,
@@ -76,7 +77,7 @@ from .families import (
     witt_r,
 )
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div, gcd_up_to_unit, invert_endo
-from .opcat import CatalogueEntry, PlainPoly, catalogue, verify_catalogue, verify_entry
+from .opcat import CatalogueEntry, PlainPoly, catalogue, seeded_corpus, verify_catalogue, verify_entry
 from .parser import parse_laurent, parse_rational, parse_scalar
 from .report import Entry, Report
 from .scalar import ParamPoly, Scalar, pq_number, pq_number_equal, pq_number_of, q_number

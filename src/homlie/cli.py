@@ -10,6 +10,7 @@ The default window comes from HOMLIE_WINDOW when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -26,7 +27,7 @@ from .bracket import (
     monomial_triples,
 )
 from .derivation import make_context
-from .errors import BadPerturbation, BadSize, ExprSyntaxError, HomlieError
+from .errors import BadPerturbation, BadSize, ExprSyntaxError, HomlieError, UsageError
 from .extension import (
     _assemble_extension,
     verify_centrality,
@@ -65,10 +66,11 @@ from .scalar import Scalar
 MAX_SIZE = 1000
 
 
-def _positive(name: str, value: int) -> int:
-    """Reject a window or pair count below 1, where an empty sweep would
-    pass vacuously, or above ``MAX_SIZE``, before anything is allocated."""
-    if not 1 <= value <= MAX_SIZE:
+def _positive(name: str, value) -> int:
+    """Reject a window or pair count that is not an integer from 1 to
+    ``MAX_SIZE``, before anything is allocated: below 1 a sweep would
+    pass vacuously."""
+    if not (isinstance(value, int) and 1 <= value <= MAX_SIZE):
         raise BadSize(f"{name} must be an integer from 1 to {MAX_SIZE}, got {value}")
     return value
 
@@ -78,11 +80,9 @@ def _default_window(args_window: int | None, fallback: int) -> int:
         return _positive("--window", args_window)
     env = os.environ.get("HOMLIE_WINDOW")
     if env:
-        try:
-            window = int(env)
-        except ValueError:
-            raise BadSize(f"HOMLIE_WINDOW must be a positive integer, got {env!r}") from None
-        return _positive("HOMLIE_WINDOW", window)
+        with contextlib.suppress(ValueError):
+            env = int(env)
+        return _positive("HOMLIE_WINDOW", env)
     return fallback
 
 
@@ -385,8 +385,15 @@ def cmd_specialize(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors (its subparsers share its class) go to ``main``'s one line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="homlie",
         description="Exact kernel for twisted derivations, deformed Witt/Virasoro "
         "algebras and their verification suites.",
@@ -441,24 +448,17 @@ def _absorb_expression_values(argv: list[str]) -> list[str]:
     """Join '-a -t^2' into '-a=-t^2' so expressions that begin with a
     minus sign survive argparse."""
     joined = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("-a", "-b", "--gcd", "--tau", "--sigma") and i + 1 < len(argv):
-            joined.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            joined.append(tok)
-            i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in ("-a", "-b", "--gcd", "--tau", "--sigma") else None
+        joined.append(tok if value is None else f"{tok}={value}")
     return joined
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_absorb_expression_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_arg_parser().parse_args(_absorb_expression_values(argv))
         return args.fn(args)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -64,6 +64,10 @@ class BadPerturbation(HomlieError):
     the suite's checks never reach: the run would pass without the fault."""
 
 
+class UsageError(HomlieError):
+    """A command line that argparse refuses (a bad subcommand, flag or value)."""
+
+
 class ExprSyntaxError(HomlieError):
     """Parse error with position and expectation information."""
 

@@ -272,11 +272,6 @@ class LaurentPoly(Linear):
     def is_scalar(self) -> bool:
         return all(e[0] == 0 for e in self.num)
 
-    def degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("degree of zero")
-        return max(e[0] for e in self.num)
-
     def valuation(self) -> int:
         if self.is_zero():
             raise ValueError("valuation of zero")

@@ -5,8 +5,9 @@ operators act on Q(p,q)[t] with nonnegative exponents only.  Each entry
 records the operator and the substitution pair (tau, sigma) it is
 twisted by; ``verify_entry`` checks the pair's twisted Leibniz rule
 D(fg) = D(f) tau(g) + sigma(f) D(g) exactly with
-``derivation.verify_leibniz``, on a corpus of random rational
-polynomials of degree at most ``DEGREE`` drawn from seed ``SEED``.
+``derivation.verify_leibniz`` on a given corpus; ``verify_catalogue``
+checks every row on one ``seeded_corpus``, random rational polynomials
+of degree at most ``DEGREE`` drawn from seed ``SEED``.
 
 Every operator must be Q(p,q)-linear: ``verify_entry`` applies it
 through its images of t^k, each computed once per call by the operator
@@ -29,7 +30,7 @@ from .laurent import LaurentPoly, exact_div, exponent_map
 from .report import Report
 from .scalar import _ONE, P, Q, Scalar
 
-# the random corpus of every row: its seed and the degree of each polynomial
+# ``seeded_corpus``: its seed and the degree of each polynomial
 SEED = 20240917
 DEGREE = 6
 
@@ -42,9 +43,6 @@ class PlainPoly(LaurentPoly):
 
     # bench/tracing.py reads PlainPoly.__dict__, so the inherited product is bound here too
     __mul__ = LaurentPoly.__mul__
-
-    def degree(self) -> int:
-        return max(e[0] for e in self.num) if self.num else -1
 
     def subst(self, image: "PlainPoly") -> "PlainPoly":
         """f(t) -> f(image(t)).  A dilation is a map of exponents, a shift
@@ -116,7 +114,6 @@ class CatalogueEntry:
     tau: Op
     sigma: Op | None
     pair: str
-    lifts_to_context: bool = True
 
 
 def _sub(image: PlainPoly) -> Op:
@@ -148,21 +145,18 @@ def catalogue() -> list[CatalogueEntry]:
             operator=_sub(SHIFT),
             tau=_sub(SHIFT), sigma=None,
             pair="(S, 0)",
-            lifts_to_context=False,
         ),
         CatalogueEntry(
             name="shift-difference",
             operator=lambda f: f.subst(SHIFT) - f,
             tau=_sub(SHIFT), sigma=lambda f: f,
             pair="(S, id)",
-            lifts_to_context=False,
         ),
         CatalogueEntry(
             name="q-dilatation",
             operator=_sub(T_Q),
             tau=_sub(T_Q), sigma=None,
             pair="(T_q, 0)",
-            lifts_to_context=False,
         ),
         CatalogueEntry(
             name="jackson-q-derivative",
@@ -175,7 +169,6 @@ def catalogue() -> list[CatalogueEntry]:
             operator=_jackson(T_QINV, T_Q),
             tau=_sub(T_QINV), sigma=_sub(T_Q),
             pair="(T_q^-1, T_q)",
-            lifts_to_context=False,
         ),
         CatalogueEntry(
             name="jackson-pq-derivative",
@@ -212,14 +205,17 @@ def _on_basis(op: Op) -> Op:
     return lambda f: f.linear_map(image, PlainPoly)
 
 
-def verify_entry(entry: CatalogueEntry, corpus=None, pairs: int = 100) -> Report:
-    """The row's twisted Leibniz rule on ``corpus``, by default on
-    ``pairs`` seeded random pairs; BadSize for an empty corpus.  The
-    operator is applied through its images of t^k; HypothesisViolated
-    when that differs from the operator on the first pair's product."""
-    if corpus is None:
-        rng = random.Random(SEED)
-        corpus = [(random_poly(rng), random_poly(rng)) for _ in range(pairs)]
+def seeded_corpus(pairs: int) -> list[tuple[PlainPoly, PlainPoly]]:
+    """``pairs`` random pairs drawn from seed ``SEED``."""
+    rng = random.Random(SEED)
+    return [(random_poly(rng), random_poly(rng)) for _ in range(pairs)]
+
+
+def verify_entry(entry: CatalogueEntry, corpus) -> Report:
+    """The row's twisted Leibniz rule on ``corpus``; BadSize for an
+    empty corpus.  The operator is applied through its images of t^k;
+    HypothesisViolated when that differs from the operator on the first
+    pair's product."""
     corpus = list(corpus)
     operator = _on_basis(entry.operator)
     if corpus:
@@ -230,7 +226,9 @@ def verify_entry(entry: CatalogueEntry, corpus=None, pairs: int = 100) -> Report
 
 
 def verify_catalogue(pairs: int = 100) -> Report:
+    """Every row on one ``seeded_corpus(pairs)``."""
+    corpus = seeded_corpus(pairs)
     report = Report(suite="catalogue")
     for entry in catalogue():
-        report.absorb(entry.name, "product-rule", verify_entry(entry, pairs=pairs))
+        report.absorb(entry.name, "product-rule", verify_entry(entry, corpus))
     return report

@@ -237,6 +237,39 @@ class TestBadSizes:
         assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err
 
 
+class TestUsageErrors:
+    """A command line argparse refuses takes ``main``'s one error path:
+    exit 2, nothing on stdout, one ``error:`` line and no usage text."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "witt", "--window", "abc"),
+        ("verify", "nosuch"),
+        (),
+        ("table", "witt", "--window"),
+        ("verify", "witt", "--bogus"),
+        ("catalogue", "--pairs", "x"),
+    ], ids=["bad-int", "bad-choice", "empty", "missing-value", "unknown-flag", "bad-pairs"])
+    def test_exit_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: UsageError: ")
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: homlie verify")
+
+    def test_window_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("HOMLIE_WINDOW", "abc")
+        code, out, err = run(capsys, "verify", "sl2")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: BadSize: HOMLIE_WINDOW must be an integer from 1 to "
+                       f"{cli.MAX_SIZE}, got abc\n")
+
+
 class TestSizeBound:
     """A window or pair count above ``cli.MAX_SIZE`` exits 2 before any
     sweep starts.  Huge values only ever meet the refusal: every sweep the

@@ -37,6 +37,12 @@ from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of, q_number
 two = Scalar.from_int(2)
 
 
+def _witt_without_degree_zero() -> GradedAlgebra:
+    """Classical W with its brackets of degree 0 set to zero."""
+    return families._diagonal(
+        "X", lambda n, m: Scalar.from_int(n - m) if n + m else Scalar.zero(), lambda n: two)
+
+
 class TestWitt:
     def test_first_structure_constants(self):
         w = witt_pq()
@@ -252,6 +258,27 @@ class TestScaleSolver:
         assert sol.witness is not None
         first, second = sol.witness
         assert "c_0" in first.text and "c_0" in second.text
+
+    def test_relation_among_free_symbols_is_eliminated(self):
+        X = _witt_without_degree_zero()
+        sol = solve_scale_isomorphism(X, X, window=3, nu_candidates=(1,))[1]
+        assert sol.feasible
+        assert sol.free_symbols == ["c_-1"]
+        for k in range(-3, 4):
+            assert sol.family[k].mu == ONE
+            assert sol.family[k].exps == ({} if k == 0 else {"c_-1": -k})
+
+    def test_zero_against_nonzero_constant_is_a_witness(self):
+        sol = solve_scale_isomorphism(classical_witt(), _witt_without_degree_zero(), window=3,
+                                      nu_candidates=(1,))[1]
+        assert not sol.feasible
+        assert [c.text for c in sol.witness] == ["s_src(-1,1) = -2", "s_dst(-1,1) = 0"]
+
+    def test_twist_mismatch_is_a_witness(self):
+        dst = families._diagonal("W3", lambda n, m: Scalar.from_int(n - m), lambda n: Scalar.from_int(3))
+        sol = solve_scale_isomorphism(classical_witt(), dst, window=3, nu_candidates=(1,))[1]
+        assert not sol.feasible
+        assert [c.text for c in sol.witness] == ["src twist a(-3) = 2", "dst twist a(-3) = 3"]
 
     def test_infeasible_for_all_explored_permutations(self):
         sols = solve_scale_isomorphism(witt_pq(), witt_pq_forced(), window=3)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from homlie.opcat import (
     catalogue,
     exact_div_plain,
     random_poly,
+    seeded_corpus,
     verify_catalogue,
     verify_entry,
 )
@@ -60,7 +62,7 @@ class TestSpotValues:
 class TestProductRules:
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_row_on_random_pairs(self, name):
-        assert verify_entry(ROWS[name], pairs=30).ok
+        assert verify_entry(ROWS[name], seeded_corpus(30)).ok
 
     def test_jackson_q_documented_pair(self):
         entry = ROWS["jackson-q-derivative"]
@@ -80,7 +82,7 @@ class TestProductRules:
         entry = ROWS[name]
         square = PlainPoly.monomial(ONE, 2)
         wrong = dataclasses.replace(entry, tau=lambda f: f.subst(square))
-        assert not verify_entry(wrong, pairs=5).ok
+        assert not verify_entry(wrong, seeded_corpus(5)).ok
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     @pytest.mark.parametrize("wrong_tau", [False, True], ids=["row", "wrong-tau"])
@@ -124,7 +126,7 @@ class TestLinearRoute:
             calls.append(f)
             return entry.operator(f)
 
-        rep = verify_entry(dataclasses.replace(entry, operator=counted), pairs=100)
+        rep = verify_entry(dataclasses.replace(entry, operator=counted), seeded_corpus(100))
         assert rep.ok and len(rep.entries) == 100
         # the exponents 0 .. 2*DEGREE of a product, plus the guard's direct call
         assert len(calls) <= 2 * DEGREE + 2
@@ -167,12 +169,27 @@ class TestConsistency:
     def test_full_catalogue(self):
         assert verify_catalogue(pairs=20).ok
 
-    def test_context_lift_flags(self):
-        liftable = {name for name, e in ROWS.items() if e.lifts_to_context}
-        assert liftable == {
-            "differentiation", "jackson-q-derivative",
-            "jackson-pq-derivative", "p-dilatation-derivative",
-        }
+
+class TestOneCorpus:
+    """``verify_catalogue`` draws its seeded corpus once and checks every
+    row on it; ``verify_entry`` only checks the corpus it is given."""
+
+    def test_corpus_drawn_once_per_run(self, monkeypatch):
+        draws = []
+
+        def counted(rng):
+            draws.append(rng)
+            return random_poly(rng)
+
+        monkeypatch.setattr("homlie.opcat.random_poly", counted)
+        assert verify_catalogue(7).ok
+        assert len(draws) == 2 * 7
+
+    def test_verify_entry_takes_the_corpus(self):
+        # the entry first, the corpus by name: the benchmark calls it so
+        assert list(inspect.signature(verify_entry).parameters) == ["entry", "corpus"]
+        with pytest.raises(TypeError):
+            verify_entry(ROWS["shift"])
 
 
 class TestPlainPolyCore:
@@ -212,7 +229,12 @@ class TestPlainPolyCore:
 
 
 class TestVacuousCorpus:
-    @pytest.mark.parametrize("kwargs", [{"pairs": 0}, {"pairs": -5}, {"corpus": []}])
+    @pytest.mark.parametrize("kwargs", [{"corpus": []}, {"corpus": ()}, {"corpus": iter([])}])
     def test_empty_corpus_raises(self, kwargs):
         with pytest.raises(BadSize):
             verify_entry(ROWS["shift"], **kwargs)
+
+    @pytest.mark.parametrize("pairs", [0, -5])
+    def test_empty_catalogue_raises(self, pairs):
+        with pytest.raises(BadSize):
+            verify_catalogue(pairs)

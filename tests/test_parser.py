@@ -126,6 +126,24 @@ class TestRational:
             parse_rational("one half")
 
 
+class TestSpecializeErrors:
+    """Each error the parser raises reaches the CLI as one stderr line."""
+
+    @pytest.mark.parametrize("expr, line", [
+        ("p$q", "syntax error: at position 1: unexpected character '$'"),
+        ("(p+q", "syntax error: at position 4: expected )"),
+        ("p q", "syntax error: at position 2: expected end of input"),
+        ("1/0", "error: DivisionByZero: division by zero in expression"),
+        ("p/(q-q)", "error: DivisionByZero: division by zero in expression"),
+    ], ids=["character", "token", "end-of-input", "zero", "zero-polynomial"])
+    def test_exit_two_with_one_line(self, capsys, expr, line):
+        code = main(["specialize", expr, "1", "2"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == line + "\n"
+
+
 class TestExponentBound:
     def test_bound_is_inclusive(self):
         assert parse_scalar("p^10000") == P ** 10000
