@@ -7,7 +7,7 @@ strings for finite bases like {e, f, h}, and "c" for a central element.
 A ``GradedAlgebra`` packages a bracket closure and a twist closure on
 generators.  Structure constants are computed lazily through the
 closures; nothing is materialized beyond what a verification window
-requests.  ``cyclic_terms`` is the one rotation loop of the cyclic
+requests.  ``cyclic_sweep`` is the one rotation loop of the cyclic
 verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition).
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .laurent import Linear, _den_mul, _linear, _mul
+from .laurent import Linear
 from .scalar import _ONE, Scalar
 
 Key = int | str
@@ -87,11 +87,8 @@ class GradedAlgebra:
         return list(range(-window, window + 1))
 
     def bracket(self, x: Combo, y: Combo) -> Combo:
-        """Bilinear extension of ``bracket_gen``, normalized once: with
-        1-tuples as keys, the product of the numerators is keyed by pairs."""
-        pairs = _mul(*({((k,), i, j): c for (k, i, j), c in z.num.items()} for z in (x, y)))
-        image = lambda ij: self.bracket_gen(*ij)
-        return Combo._make(*_linear(pairs, _den_mul(x.den, y.den), image))
+        """Bilinear extension of ``bracket_gen``, normalized once."""
+        return x.bilinear_map(y, self.bracket_gen, Combo)
 
     def twist(self, x: Combo) -> Combo:
         return x.linear_map(self.twist_gen, Combo)
@@ -105,34 +102,43 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.name})"
 
 
-def cyclic_terms(
+def _rotations(triple: tuple) -> tuple[tuple, tuple, tuple]:
+    a, b, c = triple
+    return (a, b, c), (b, c, a), (c, a, b)
+
+
+def cyclic_sweep(
     triples: Iterable[tuple],
     term: Callable,
+    combine: Callable,
     key: Callable[..., Hashable | None] | None = None,
-) -> Iterator[tuple[tuple, tuple]]:
-    """Each triple (a, b, c) with its three rotation terms
-    term(a, b, c), term(b, c, a) and term(c, a, b), in that order.
+) -> Iterator[tuple[tuple, object]]:
+    """Each triple (a, b, c) with
+    combine(term(a, b, c), term(b, c, a), term(c, a, b)).
 
-    A rotation-closed set of triples needs each term three times; here
-    it is computed once per sweep and memoized under the keys of its
-    arguments, ``key(x)`` (the argument itself when ``key`` is None).
-    A term with an argument whose key is None is computed every time
-    and never stored.
+    ``combine`` must take the same value on every rotation of its
+    arguments, as a sum does; the value is then one per rotation class.
+    It is computed once per sweep and memoized under the keys of the
+    class's arguments, ``key(x)`` (the argument itself when ``key`` is
+    None), and within the class each distinct rotation term is computed
+    once, so (a, a, a) computes one term.  A triple with an argument
+    whose key is None is computed every time and never stored.
     """
     memo: dict = {}
     for triple in triples:
-        a, b, c = triple
-        terms = []
-        for args in ((a, b, c), (b, c, a), (c, a, b)):
-            keys = args if key is None else tuple(map(key, args))
-            if None in keys:
-                terms.append(term(*args))
-                continue
-            got = memo.get(keys)
-            if got is None:
-                got = memo[keys] = term(*args)
-            terms.append(got)
-        yield triple, tuple(terms)
+        keys = triple if key is None else tuple(map(key, triple))
+        if None in keys:
+            yield triple, combine(*(term(*args) for args in _rotations(triple)))
+            continue
+        got = memo.get(keys)
+        if got is None:
+            terms: dict = {}
+            for k, args in zip(_rotations(keys), _rotations(triple)):
+                if k not in terms:
+                    terms[k] = term(*args)
+            got = combine(*(terms[k] for k in _rotations(keys)))
+            memo.update(dict.fromkeys(terms, got))
+        yield triple, got
 
 
 def perturb_algebra(alg: GradedAlgebra, at: tuple[Key, Key], delta: Combo) -> GradedAlgebra:

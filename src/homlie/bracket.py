@@ -18,7 +18,7 @@ The cyclic verifiers check the six-term quasi-Jacobi identity
     cyc( [sigma(tau^-1(a)).D, [b.D, c.D]] + delta * [a.D, [b.D, c.D]] ) = 0
 
 and the three-term Hom-Jacobi identity on graded algebras, each
-rotation term once per sweep through ``algebra.cyclic_terms``.
+rotation class once per sweep through ``algebra.cyclic_sweep``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key, cyclic_terms
+from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep
 from .errors import ConditionsFailed, NotDivisible, NotInvertible
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
@@ -153,10 +153,12 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
     """Evaluate the six-term cyclic identity exactly for each triple.
 
     Both three-term groups are computed independently and reported next
-    to their sum so a failure localizes to one group.  Each rotation
-    term is computed once per sweep (``cyclic_terms``): monomial
-    arguments +-t^n are keyed by ``signed_monomial``, which keeps the
-    sign; a term with any other argument is computed every time.
+    to their sum so a failure localizes to one group.  The groups are
+    one per rotation class (``cyclic_sweep``): monomial arguments +-t^n
+    are keyed by ``signed_monomial``, which keeps the sign; a triple
+    with any other argument is computed every time.  Every bracket is
+    the Q(p,q)-bilinear extension of a table of ``bracket_general`` on
+    monomials (t^a, t^b), each computed once per call.
     """
     report = Report(suite="quasi-jacobi")
     sti, _ = _require_invertible(ctx)
@@ -164,29 +166,28 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
     if delta is None:
         raise NotInvertible("context has no delta element")
 
-    inner_cache: dict[tuple[int, int], LaurentPoly] = {}
+    table: dict[tuple[int, int], LaurentPoly] = {}
 
-    def inner(y: LaurentPoly, z: LaurentPoly) -> LaurentPoly:
-        # monomial arguments repeat across triples; key them by exponent
-        my, mz = y.signed_monomial(), z.signed_monomial()
-        if my and mz:
-            key = (my[0], mz[0])
-            got = inner_cache.get(key)
-            if got is None:
-                got = inner_cache[key] = bracket_general(ctx, LaurentPoly.t(key[0]),
-                                                         LaurentPoly.t(key[1]))
-            return got if my[1] == mz[1] else -got
-        return bracket_general(ctx, y, z)
+    def on_monomials(a: int, b: int) -> LaurentPoly:
+        got = table.get((a, b))
+        if got is None:
+            got = table[(a, b)] = bracket_general(ctx, LaurentPoly.t(a), LaurentPoly.t(b))
+        return got
+
+    def br(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+        return x.bilinear_map(y, on_monomials, LaurentPoly)
 
     def term(x: LaurentPoly, y: LaurentPoly, z: LaurentPoly):
-        w = inner(y, z)
-        return bracket_general(ctx, apply_endo(sti, x), w), delta * bracket_general(ctx, x, w)
+        w = br(y, z)
+        return br(apply_endo(sti, x), w), br(x, w)
 
-    sweep = cyclic_terms(triples, term, key=LaurentPoly.signed_monomial)
-    for idx, ((a, b, c), terms) in enumerate(sweep):
+    def groups(*terms):
         group1 = sum((t1 for t1, _ in terms), LaurentPoly.zero())
-        group2 = sum((t2 for _, t2 in terms), LaurentPoly.zero())
-        total = group1 + group2
+        group2 = delta * sum((t2 for _, t2 in terms), LaurentPoly.zero())
+        return group1, group2, group1 + group2
+
+    sweep = cyclic_sweep(triples, term, groups, key=LaurentPoly.signed_monomial)
+    for idx, ((a, b, c), (group1, group2, total)) in enumerate(sweep):
         ok = total.is_zero()
         report.check(
             f"triple-{idx}",
@@ -200,13 +201,10 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
 
 
 def monomial_triples(window: int) -> list[Triple]:
-    rng = range(-window, window + 1)
-    out = []
-    for n in rng:
-        for m in rng:
-            for k in rng:
-                out.append((-LaurentPoly.t(n), -LaurentPoly.t(m), -LaurentPoly.t(k)))
-    return out
+    """Every triple of the monomials -t^n, |n| <= window; the 2 window + 1
+    monomials are built once and shared by the triples."""
+    monomials = [-LaurentPoly.t(n) for n in range(-window, window + 1)]
+    return [(x, y, z) for x in monomials for y in monomials for z in monomials]
 
 
 def verify_hom_jacobi(
@@ -214,15 +212,16 @@ def verify_hom_jacobi(
     triples: Iterable[tuple[Key, Key, Key]],
 ) -> Report:
     """Cyclic Hom-Jacobi check on generator triples of a graded algebra;
-    each rotation term [alpha(x), [y, z]] is computed once per sweep,
-    keyed by its generators (``cyclic_terms``)."""
+    the residue is one per rotation class and each rotation term
+    [alpha(x), [y, z]] is computed once per sweep, keyed by its
+    generators (``cyclic_sweep``)."""
     report = Report(suite="hom-jacobi")
 
     def term(x: Key, y: Key, z: Key) -> Combo:
         return alg.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
 
-    for (i, j, k), terms in cyclic_terms(triples, term):
-        residue = sum(terms, Combo.zero())
+    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()))
+    for (i, j, k), residue in residues:
         ok = residue.is_zero()
         report.check(
             f"triple-({i},{j},{k})",

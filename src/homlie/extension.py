@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key, cyclic_terms
+from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep
 from .bracket import verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
 from .families import witt_pq
@@ -124,9 +124,10 @@ def verify_cocycle_condition(
     triples: Iterable[tuple[int, int, int]] | None = None,
     window: int = 6,
 ) -> Report:
-    """Exact cyclic check of the 2-cocycle condition on the window; each
-    rotation term g(alpha(x), [y, z]) is computed once per sweep, keyed
-    by its indices (``cyclic_terms``).
+    """Exact cyclic check of the 2-cocycle condition on the window; the
+    residue is one per rotation class and each rotation term
+    g(alpha(x), [y, z]) is computed once per sweep, keyed by its indices
+    (``cyclic_sweep``).
 
     The default sweep is the full cube of the window.  It keeps only the
     triples with n + m + k = 0 when the algebra is degree-preserving with
@@ -150,8 +151,8 @@ def verify_cocycle_condition(
     def term(x: int, y: int, z: int) -> Combo:
         return g.algebra.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
 
-    for (n, m, k), terms in cyclic_terms(triples, term):
-        residue = sum(terms, Combo.zero())
+    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()))
+    for (n, m, k), residue in residues:
         ok = residue.is_zero()
         report.check(
             f"triple-({n},{m},{k})",

@@ -5,12 +5,17 @@ Everything here is a ``GradedAlgebra`` over the basis d_n (n in Z) or
 matching the sign convention used throughout; every closed formula below
 inherits it.
 
+Each family constructor, like each derivation context, builds its
+algebra once per process and returns that one instance, so structure
+constants a suite has computed are reused by the suites after it;
+nothing mutates an algebra (a perturbation, a post-composition and a
+twist each build a new one).
+
 Closed structure constants are cross-checkable against the operator
 route: ``witt_context``, ``sl2_context`` and ``inverse_twist_context``
-are the derivation contexts of the deformed families, each built once
-per process, and a bracket of the generators' coefficients through
-``bracket_general``, expanded back by exact division, gives the same
-constants.
+are the derivation contexts of the deformed families, and a bracket of
+the generators' coefficients through ``bracket_general``, expanded back
+by exact division, gives the same constants.
 
 A map between algebras is its generator images: any callable
 ``Key -> Combo``, such as ``lambda n: Combo.basis(n, P)``, or a
@@ -76,12 +81,14 @@ def witt_context() -> DerivationContext:
     return make_context(Endo.dilation(P), Endo.dilation(Q))
 
 
+@cache
 def witt_pq() -> GradedAlgebra:
     """The (p,q)-deformed Witt algebra, the general bracket on
     ``witt_context``."""
     return _witt_family(P, Q, "W_{p,q}")
 
 
+@cache
 def witt_r() -> GradedAlgebra:
     """The one-parameter deformation in r = q/p; its structure constants
     are the r-deformed integers {n} - {m}."""
@@ -93,18 +100,21 @@ def forced_coefficient(n: int, m: int, use_p: bool = False) -> Scalar:
     return base ** m * pq_number(n) - base ** n * pq_number(m)
 
 
+@cache
 def witt_pq_forced() -> GradedAlgebra:
     """The forced-bracket deformation [d_n,d_m]' = (q^m [n] - q^n [m]) d_{n+m}
     with twist d_n -> (p^n + q^n) d_n."""
     return _diagonal("W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n)
 
 
+@cache
 def classical_witt() -> GradedAlgebra:
     """[d_n,d_m] = (n-m) d_{n+m}, carried with twist 2*id so it lines up
     with the q = p degenerations."""
     return _diagonal("W", lambda n, m: Scalar.from_int(n - m), lambda n: _TWO)
 
 
+@cache
 def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
     """The tau = sigma family over sigma(t) = pt.
 
@@ -120,6 +130,7 @@ def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
                      lambda n: _TWO, shift=shift)
 
 
+@cache
 def sigma_sigma_witt_forced() -> GradedAlgebra:
     """Forced bracket on the t-partial generator:
     [d_n,d_m]' = (n-m) p^(n+m-1) d_{n+m}, twist d_n -> 2 p^n d_n."""
@@ -167,23 +178,28 @@ def sl2_context() -> DerivationContext:
     return make_context(Endo.dilation(P), Endo.dilation(Q), override_g=g)
 
 
+@cache
 def sl2_pq() -> GradedAlgebra:
     """The bracket of ``sl2_context`` on the span of ``SL2_COEFF``."""
     return _sl2_family(P, Q, "sl(2)_{p,q}")
 
 
+@cache
 def sl2_r() -> GradedAlgebra:
     return _sl2_family(ONE, Q / P, "sl(2)_{q/p}")
 
 
+@cache
 def sl2_pp() -> GradedAlgebra:
     return _sl2_family(P, P, "sl(2)_{p,p}")
 
 
+@cache
 def classical_sl2() -> GradedAlgebra:
     return _sl2_family(ONE, ONE, "sl(2)")
 
 
+@cache
 def sl2_pp_forced() -> GradedAlgebra:
     """Forced bracket at q = p on the partial generator:
     [h,e]' = 2e, [h,f]' = -2p^2 f, [e,f]' = p h, twist 2*sigma-bar."""
@@ -214,6 +230,7 @@ def inverse_twist_context() -> DerivationContext:
     return make_context(Endo.inversion(), Endo.dilation(Q))
 
 
+@cache
 def inverse_twist_example() -> GradedAlgebra:
     """The family over tau(t) = t^-1, sigma(t) = qt, g = t^-1 - qt.
 

@@ -228,6 +228,20 @@ class Linear:
         ``cls``; one normalization per call."""
         return cls._make(*_linear(self.num, self.den, image))
 
+    def bilinear_map(self, other: "Linear", image: Callable, cls: type) -> "Linear":
+        """The Q(p,q)-bilinear map (a, b) -> image(a, b) on pairs of keys
+        applied to self and other, as a ``cls``: the product of the
+        numerators keyed by pairs of keys, mapped by ``_linear``; one
+        normalization per call."""
+        pairs: Num = {}
+        get = pairs.get
+        for (k1, i1, j1), c1 in self.num.items():
+            for (k2, i2, j2), c2 in other.num.items():
+                e = ((k1, k2), i1 + i2, j1 + j2)
+                pairs[e] = get(e, 0) + c1 * c2
+        pairs = {e: c for e, c in pairs.items() if c}
+        return cls._make(*_linear(pairs, _den_mul(self.den, other.den), lambda ab: image(*ab)))
+
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:

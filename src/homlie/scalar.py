@@ -771,11 +771,14 @@ def _image_factors(image: Scalar, exps: set[int]) -> dict[int, ParamPoly]:
     """For an image x/y of one parameter and the set of its exponents in
     a quotient, with lo and hi their range widened to hold 0: the
     polynomial x^(e-lo) y^(hi-e) for each exponent e, the factor that
-    stands for (x/y)^e once the quotient is multiplied by x^-lo y^hi."""
+    stands for (x/y)^e once the quotient is multiplied by x^-lo y^hi.
+    No power of y is taken when y is 1."""
     lo, hi = min(0, *exps), max(0, *exps)
     if lo < 0 and image.is_zero():
         raise DivisionByZero("inverse of zero scalar")
     x, y = image.num, image.den
+    if y is _ONE:
+        return {e: x ** (e - lo) for e in exps}
     return {e: x ** (e - lo) * y ** (hi - e) for e in exps}
 
 

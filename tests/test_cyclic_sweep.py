@@ -1,21 +1,25 @@
 """The one cyclic sweep of the quasi-Jacobi, Hom-Jacobi and cocycle checks.
 
-``cyclic_terms`` computes each rotation term once per sweep.  The tests
-count the evaluations it saves, and compare every verdict and witness of
-each verifier with a test-local loop that computes all three rotation
-terms of every triple afresh, on triple lists that are not closed under
-rotation, on quasi-Jacobi arguments that mix t^n with -t^n or are not
-monomials, and on algebras and contexts whose identities fail (so that
-each witness shows the summed terms).
+``cyclic_sweep`` combines the three rotation terms of a triple once per
+rotation class and computes each distinct rotation term once per sweep;
+quasi-Jacobi brackets are the bilinear extension of a table of brackets
+of monomials.  The tests count the evaluations this saves, and compare
+every verdict and witness of each verifier with a test-local loop that
+computes all three rotation terms of every triple afresh (quasi-Jacobi
+through ``bracket_general`` on whole polynomials), on triple lists that
+are not closed under rotation, on quasi-Jacobi arguments that mix t^n
+with -t^n or are not monomials, and on algebras and contexts whose
+identities fail (so that each witness shows the summed terms).
 """
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 
-from homlie import bracket
-from homlie.algebra import Combo, GradedAlgebra, cyclic_terms, perturb_algebra
+from homlie import bracket, extension
+from homlie.algebra import Combo, GradedAlgebra, cyclic_sweep, perturb_algebra
 from homlie.bracket import (
     bracket_general,
     index_triples,
@@ -25,7 +29,7 @@ from homlie.bracket import (
 )
 from homlie.extension import CENTRAL, verify_cocycle_condition, virasoro_cocycle
 from homlie.families import inverse_twist_context, inverse_twist_example, witt_context, witt_pq
-from homlie.laurent import LaurentPoly, apply_endo
+from homlie.laurent import Endo, LaurentPoly, apply_endo
 from homlie.scalar import P, Q
 
 t = LaurentPoly.t
@@ -118,6 +122,31 @@ def general_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts of the term and combine calls of the verifiers' sweeps."""
+    calls = Counter()
+
+    def counting(triples, term, combine, key=None):
+        def counted_term(*args):
+            calls["term"] += 1
+            return term(*args)
+
+        def counted_combine(*terms):
+            calls["combine"] += 1
+            return combine(*terms)
+
+        return cyclic_sweep(triples, counted_term, counted_combine, key)
+
+    for module in (bracket, extension):
+        monkeypatch.setattr(module, "cyclic_sweep", counting)
+    return calls
+
+
+def rotation_classes(triples):
+    return len({min(rotations(tr)) for tr in triples})
+
+
 def failing_ctx():
     """The (p,q)-Witt context with a wrong delta: every quasi-Jacobi triple
     that is not identically zero fails, and its witness shows both groups."""
@@ -126,63 +155,103 @@ def failing_ctx():
     return ctx
 
 
+def wrong_twist_ctx(ctx):
+    """A copy of the inversion context with sigma tau^-1 = t -> (p/q) t^-1
+    in place of t -> q^-1 t^-1.  A wrong delta would not do: there both
+    groups of every triple vanish on their own."""
+    ctx = copy.copy(ctx)
+    ctx.sigma_tau_inv = Endo(P / Q, -1)
+    return ctx
+
+
 class TestHelper:
     def test_terms_in_rotation_order_each_computed_once(self):
-        seen = []
+        seen, combined = [], []
 
         def term(x, y, z):
             seen.append((x, y, z))
             return (x, y, z)
 
-        triples = [(1, 2, 3), (2, 3, 1), (1, 1, 1), (3, 1, 2), (1, 2, 3)]
-        got = list(cyclic_terms(triples, term))
-        assert got == [(tr, tuple(rotations(tr))) for tr in triples]
-        assert sorted(seen) == sorted(set(rotations((1, 2, 3))) | {(1, 1, 1)})
+        def combine(*terms):
+            combined.append(terms)
+            return tuple(sorted(terms))
+
+        triples = [(1, 2, 3), (2, 3, 1), (1, 1, 1), (3, 1, 2), (1, 2, 3), (3, 2, 1), (2, 2, 1)]
+        got = list(cyclic_sweep(triples, term, combine))
+        assert got == [(tr, tuple(sorted(rotations(tr)))) for tr in triples]
+        assert sorted(seen) == sorted(
+            set(rotations((1, 2, 3)) + rotations((3, 2, 1)) + rotations((2, 2, 1))) | {(1, 1, 1)})
+        # in rotation order from the first triple of each class; (1, 1, 1)
+        # is one term
+        assert combined == [tuple(rotations(tr)) for tr in [(1, 2, 3), (1, 1, 1), (3, 2, 1),
+                                                             (2, 2, 1)]]
+        assert rotation_classes(triples) == len(combined) == 4
 
     def test_unkeyed_arguments_are_computed_every_time(self):
-        seen = []
+        seen, combined = [], []
 
         def term(x, y, z):
             seen.append((x, y, z))
-            return x + y + z
+            return x + 10 * y + 100 * z
+
+        def combine(*terms):
+            combined.append(terms)
+            return sum(terms)
 
         key = lambda x: x if x >= 0 else None
-        triples = [(-1, 2, 3), (-1, 2, 3), (4, 5, 6)]
-        assert [terms for _, terms in cyclic_terms(triples, term, key)] == [(4, 4, 4)] * 2 + [(15,) * 3]
-        assert len(seen) == 9
+        triples = [(-1, 2, 3), (-1, 2, 3), (4, 5, 6), (5, 6, 4), (-1, -1, -1)]
+        got = [value for _, value in cyclic_sweep(triples, term, combine, key)]
+        assert got == [444, 444, 1665, 1665, -333]
+        # the unkeyed triples compute three terms and one combine every
+        # time, (-1, -1, -1) included; (4, 5, 6) and (5, 6, 4) share one
+        assert len(seen) == 3 * 4 and len(combined) == 4
 
 
 class TestEvaluationCounts:
-    def test_hom_jacobi_brackets_once_per_term(self, bracket_calls):
+    def test_classes_of_the_window_cubes(self):
+        assert rotation_classes(index_triples(2)) == 45
+        assert rotation_classes(index_triples(3)) == 119
+
+    def test_hom_jacobi_brackets_once_per_term(self, bracket_calls, sweep_calls):
         alg = witt_pq()
         assert verify_hom_jacobi(alg, index_triples(2)).ok
         assert bracket_calls == {alg: 125}  # 375 with three per triple
+        assert sweep_calls == {"term": 125, "combine": 45}
 
-    def test_quasi_jacobi_general_brackets_once_per_term(self, general_calls):
+    def test_quasi_jacobi_general_brackets_once_per_monomial_pair(self, general_calls,
+                                                                  sweep_calls):
         ctx = witt_context()
         assert verify_quasi_jacobi(ctx, monomial_triples(2)).ok
-        # two per distinct term and one per inner pair; 775 with six per triple
-        assert len(general_calls) == 2 * 125 + 25
+        # [t^a, t^b] once for |a| <= 2 and |b| <= 3: [d_n, d_m] lies in
+        # span{d_(n+m)} and vanishes at n = m; 775 with six per triple
+        pairs = [(x.signed_monomial(), y.signed_monomial()) for x, y in general_calls]
+        assert sorted(pairs) == [((a, 1), (b, 1)) for a in range(-2, 3) for b in range(-3, 4)]
+        assert len(general_calls) == 35
+        assert sweep_calls == {"term": 125, "combine": 45}
 
-    def test_non_monomial_terms_are_not_memoized(self, general_calls):
+    def test_non_monomial_terms_are_not_memoized(self, sweep_calls):
         ctx = witt_context()
         triple = (1 + t(1), -t(2), t(-1))
         verify_quasi_jacobi(ctx, [triple, triple])
-        # two outer brackets for each of the six terms, the two inner brackets
-        # with a non-monomial argument every time, and the monomial inner
-        # bracket [-t^2, t^-1] once
-        assert len(general_calls) == 2 * 3 * 2 + 2 * 2 + 1
+        assert sweep_calls == {"term": 6, "combine": 2}
+        sweep_calls.clear()
+        monomials = (t(1), -t(2), t(-1))
+        verify_quasi_jacobi(ctx, [monomials, monomials])
+        assert sweep_calls == {"term": 3, "combine": 1}
 
-    def test_cocycle_sweep_restricted(self, bracket_calls):
+    def test_cocycle_sweep_restricted(self, bracket_calls, sweep_calls):
         g = virasoro_cocycle()
         assert verify_cocycle_condition(g, witt_pq(), window=2).ok
         assert bracket_calls == {g.algebra: 19}  # 57 with three per triple
+        # (0, 0, 0) and six classes of three
+        assert sweep_calls == {"term": 19, "combine": 7}
 
-    def test_cocycle_sweep_full_cube(self, bracket_calls):
+    def test_cocycle_sweep_full_cube(self, bracket_calls, sweep_calls):
         g = virasoro_cocycle()
         rep = verify_cocycle_condition(g, inverse_twist_example(), window=2)
         assert len(rep.entries) == 125
         assert bracket_calls == {g.algebra: 125}  # 375 with three per triple
+        assert sweep_calls == {"term": 125, "combine": 45}
 
 
 class TestHomJacobiAgainstReference:
@@ -225,11 +294,24 @@ class TestQuasiJacobiAgainstReference:
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
         assert rep.ok is not failing
 
+    def inversion_triples(self):
+        return ([tuple(-t(n) for n in tr) for tr in open_triples(2, 40, seed=3)]
+                + self.non_monomial_triples())
+
     def test_inversion_context_open_triples(self):
         ctx = inverse_twist_context()
-        triples = [tuple(-t(n) for n in tr) for tr in open_triples(2, 40, seed=3)]
+        triples = self.inversion_triples()
         rep = verify_quasi_jacobi(ctx, triples)
         assert rep.ok
+        assert entries(rep) == reference_quasi_jacobi(ctx, triples)
+
+    def test_inversion_context_with_a_wrong_twist(self):
+        """The inversion context's brackets of monomials have several
+        terms; with a wrong twist its witnesses show them summed."""
+        ctx = wrong_twist_ctx(inverse_twist_context())
+        triples = self.inversion_triples()
+        rep = verify_quasi_jacobi(ctx, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
 
 

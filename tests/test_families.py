@@ -1,15 +1,23 @@
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from homlie import cli, families
-from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window
+from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window, perturb_algebra
 from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
 from homlie.families import (
     GeneratorMap,
     SL2_BASIS,
     SL2_COEFF,
     check_morphism,
+    classical_sl2,
     classical_witt,
     coefficient_of_d,
     diagram_report,
@@ -339,7 +347,8 @@ class TestDiagram:
 class TestDeformedIntegersOnce:
     def test_witt_suite_computes_each_index_once(self, monkeypatch):
         """[n]/p^n is computed once per index, not once per structure
-        constant that needs it."""
+        constant that needs it, and not again by a later suite: the
+        family is built once per process."""
         calls = Counter()
 
         def counting(a, b, n):
@@ -347,9 +356,51 @@ class TestDeformedIntegersOnce:
             return pq_number_of(a, b, n)
 
         monkeypatch.setattr(families, "pq_number_of", counting)
+        families.witt_pq.cache_clear()
         assert cli.run_suite("witt", 4).ok
         assert set(calls) >= set(range(-4, 5))
         assert max(calls.values()) == 1, calls
+        calls.clear()
+        assert cli.run_suite("witt", 4).ok
+        assert not calls
+
+
+FAMILY_CONSTRUCTORS = [
+    witt_pq, witt_r, witt_pq_forced, classical_witt, sigma_sigma_witt,
+    sigma_sigma_witt_forced, sl2_pq, sl2_r, sl2_pp, classical_sl2, sl2_pp_forced,
+    inverse_twist_example,
+]
+
+
+class TestOneInstancePerFamily:
+    """Each family is built once per process; the shared instance must
+    carry no state from one run to the next."""
+
+    @pytest.mark.parametrize("family", FAMILY_CONSTRUCTORS, ids=lambda f: f.__name__)
+    def test_one_instance(self, family):
+        assert family() is family()
+
+    def test_a_perturbation_leaves_the_family_alone(self):
+        closed = Combo.basis(3, pq_number_of(P, Q, 1) / P - pq_number_of(P, Q, 2) / P ** 2)
+        assert witt_pq().bracket_gen(1, 2) == closed
+        broken = perturb_algebra(witt_pq(), (1, 2), Combo.basis(3))
+        assert not verify_hom_jacobi(broken, index_triples(2)).ok
+        assert witt_pq().bracket_gen(1, 2) == closed
+        assert verify_hom_jacobi(witt_pq(), index_triples(2)).ok
+
+    def test_diagram_after_verify_all_matches_a_fresh_process(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+        code = ("import json; from homlie.cli import run_suite; "
+                "print(json.dumps(run_suite('diagram', 4).to_dict()))")
+        fresh = subprocess.run([sys.executable, "-c", code], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "all", "--window", "4"]) == 0
+        after = json.dumps(cli.run_suite("diagram", 4).to_dict())
+        assert fresh.stdout == after + "\n"
 
 
 class TestStructureDataOnly:

@@ -352,9 +352,12 @@ class TestPowersOnce:
             calls.clear()
             assert s.subst(p_image, q_image) == want
             # p -> a/alpha, q -> b/beta and exponents 0..3 of p and of q: the
-            # powers 0..3 of a, alpha, b and beta, each once, not once per term
-            bases = (p_image.num, p_image.den, q_image.num, q_image.den)
+            # powers 0..3 of a, alpha, b and beta, each once, not once per
+            # term, and none of a denominator that is 1
+            bases = [x for x in (p_image.num, p_image.den, q_image.num, q_image.den)
+                     if x is not scalar._ONE]
             assert Counter(calls) == Counter((id(x), n) for x in bases for n in range(4))
+            assert id(scalar._ONE) not in {base for base, _ in calls}
 
     @pytest.mark.parametrize("c", [1, -1, 2, -2, 3])
     def test_monomial_power_is_one_term(self, monkeypatch, c):
