@@ -154,7 +154,7 @@ def _parse_perturbation(spec: str, names: list[str], window: int):
     or the fault would never be seen."""
     target, _, where = spec.partition(":")
     if target not in _REACH or target not in names:
-        raise BadPerturbation(f"{spec!r} names no suite of this run that takes a fault")
+        raise BadPerturbation(f"--perturb {spec} names no suite of this run that takes a fault")
     keys = tuple(
         int(piece) if re.fullmatch(r"-?[0-9]+", piece) else piece
         for piece in (piece.strip() for piece in where.split(","))
@@ -164,7 +164,7 @@ def _parse_perturbation(spec: str, names: list[str], window: int):
     if len(keys) != arity or any(k not in reach for k in keys):
         shown = f"{reach.start}..{reach.stop - 1}" if isinstance(reach, range) else ",".join(reach)
         raise BadPerturbation(
-            f"{spec!r}: {target} takes {arity} key(s) from {shown} at window {window}"
+            f"--perturb {spec}: {target} takes {arity} key(s) from {shown} at window {window}"
         )
     return target, (keys[0], -keys[0]) if target == "virasoro" else keys
 
@@ -386,10 +386,24 @@ def cmd_specialize(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Errors (its subparsers share its class) go to ``main``'s one line."""
+    """Errors (its subparsers share its class) go to ``main``'s one line,
+    which shows the user's input as typed, never as a Python repr."""
 
     def error(self, message: str):
         raise UsageError(message)
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value} (choose from {', '.join(action.choices)})")
+
+
+def _integer(text: str) -> int:
+    """``int`` for argparse, refusing in words rather than a repr."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text or 'nothing'}") from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -413,25 +427,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--window", type=int)
+    v.add_argument("--window", type=_integer)
     v.add_argument("--json", help="write the report to this path")
     v.add_argument("--perturb", help="inject a fault, e.g. witt:1,2 or virasoro:3")
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("table", help="print structure constants")
     t.add_argument("family", choices=tuple(FAMILIES) + ("virasoro",))
-    t.add_argument("--window", type=int)
+    t.add_argument("--window", type=_integer)
     t.add_argument("--specialize", nargs=2, metavar=("P0", "Q0"))
     t.add_argument("--json")
     t.set_defaults(fn=cmd_table)
 
     d = sub.add_parser("diagram", help="verify the deformation-summary diagrams")
-    d.add_argument("--window", type=int)
+    d.add_argument("--window", type=_integer)
     d.add_argument("--json")
     d.set_defaults(fn=cmd_diagram)
 
     c = sub.add_parser("catalogue", help="verify the operator catalogue")
-    c.add_argument("--pairs", type=int, default=100)
+    c.add_argument("--pairs", type=_integer, default=100)
     c.add_argument("--json")
     c.set_defaults(fn=cmd_catalogue)
 

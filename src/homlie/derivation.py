@@ -173,6 +173,25 @@ def monomial_pairs(window: int) -> list[tuple[LaurentPoly, LaurentPoly]]:
     return [(LaurentPoly.t(n), LaurentPoly.t(m)) for n in rng for m in rng]
 
 
+def leibniz_report(
+    corpus: Iterable[tuple[LaurentPoly, LaurentPoly]],
+    residue: Callable[[LaurentPoly, LaurentPoly], LaurentPoly],
+) -> Report:
+    """One ``pair-i`` check per pair (f, g) of ``corpus``: it passes when
+    ``residue(f, g)`` = D(fg) - D(f) tau(g) - sigma(f) D(g) is zero and
+    otherwise carries f, g and that residue as its witness.  An empty
+    corpus raises BadSize."""
+    report = Report(suite="leibniz")
+    for idx, (f, g) in enumerate(corpus):
+        r = residue(f, g)
+        ok = r.is_zero()
+        report.check(f"pair-{idx}", "twisted-leibniz", ok,
+                     witness=None if ok else f"f={f}, g={g}, residue={r}")
+    if not report.entries:
+        raise BadSize("leibniz: at least one pair is needed")
+    return report
+
+
 def verify_leibniz(
     operator,
     corpus: Iterable[tuple[LaurentPoly, LaurentPoly]],
@@ -180,12 +199,13 @@ def verify_leibniz(
     sigma: Callable[[LaurentPoly], LaurentPoly] | None = None,
 ) -> Report:
     """Check D(fg) = D(f) tau(g) + sigma(f) D(g) exactly on each pair,
-    comparing the two sides with ``==``.
+    applying every map to the pair's own polynomials.
 
     ``operator`` is a DerivationElement, whose context supplies a map
     not given, or any callable, which needs tau; for it a sigma of None
     is the zero map.  tau and sigma are any callables on the operator's
-    ring (an ``Endo`` is one).  An empty corpus raises BadSize.
+    ring (an ``Endo`` is one), and none of them need be linear.  An
+    empty corpus raises BadSize.
     """
     if isinstance(operator, DerivationElement):
         tau = operator.ctx.tau if tau is None else tau
@@ -194,18 +214,13 @@ def verify_leibniz(
     elif tau is None:
         raise ValueError("tau is required for a bare operator")
 
-    report = Report(suite="leibniz")
-    for idx, (f, g) in enumerate(corpus):
-        lhs = operator(f * g)
+    def residue(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         rhs = operator(f) * tau(g)
         if sigma is not None:
             rhs = rhs + sigma(f) * operator(g)
-        ok = lhs == rhs
-        report.check(f"pair-{idx}", "twisted-leibniz", ok,
-                     witness=None if ok else f"f={f}, g={g}, residue={lhs - rhs}")
-    if not report.entries:
-        raise BadSize("leibniz: at least one pair is needed")
-    return report
+        return operator(f * g) - rhs
+
+    return leibniz_report(corpus, residue)
 
 
 def _operators_commute(a, b, corpus: Sequence[LaurentPoly]) -> bool:

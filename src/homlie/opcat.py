@@ -4,15 +4,22 @@ The shift t -> t + 1 does not preserve the Laurent ring, so these
 operators act on Q(p,q)[t] with nonnegative exponents only.  Each entry
 records the operator and the substitution pair (tau, sigma) it is
 twisted by; ``verify_entry`` checks the pair's twisted Leibniz rule
-D(fg) = D(f) tau(g) + sigma(f) D(g) exactly with
-``derivation.verify_leibniz`` on a given corpus; ``verify_catalogue``
-checks every row on one ``seeded_corpus``, random rational polynomials
-of degree at most ``DEGREE`` drawn from seed ``SEED``.
+D(fg) = D(f) tau(g) + sigma(f) D(g) exactly on a given corpus;
+``verify_catalogue`` checks every row on one ``seeded_corpus``, random
+rational polynomials of degree at most ``DEGREE`` drawn from seed
+``SEED``.
 
-Every operator must be Q(p,q)-linear: ``verify_entry`` applies it
-through its images of t^k, each computed once per call by the operator
-itself, and first checks on the corpus's first pair that this linear
-extension agrees with the operator (HypothesisViolated otherwise).
+D, tau and sigma must be Q(p,q)-linear, so the rule's residue
+D(fg) - D(f) tau(g) - sigma(f) D(g) is bilinear in (f, g).
+``verify_entry`` first checks on the corpus's first pair that the
+linear extensions of their images of t^k agree with the maps
+themselves on fg, g and f (HypothesisViolated otherwise).  It then
+builds one table of basis residues R(a, b) = D(t^(a+b)) - D(t^a)
+tau(t^b) - sigma(t^a) D(t^b), each entry and each image computed once
+per call, and takes each pair's residue as the bilinear extension of
+that table.  ``derivation.verify_leibniz`` is the direct route: it
+applies the maps to each pair itself, needs no linearity, and shares
+with the table only the report loop ``derivation.leibniz_report``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import cache
 from math import comb
 from typing import Callable
 
-from .derivation import verify_leibniz
+from .derivation import leibniz_report
 from .errors import HypothesisViolated, NotDivisible
 from .laurent import LaurentPoly, exact_div, exponent_map
 from .report import Report
@@ -103,11 +110,10 @@ Op = Callable[[PlainPoly], PlainPoly]
 class CatalogueEntry:
     """One table row: the operator and its (tau, sigma) pair as
     substitution closures, sigma None for the zero map; the row's product
-    rule is the twisted Leibniz rule of that pair, which
-    ``verify_leibniz`` checks.  ``operator`` is the defining formula and
-    must be Q(p,q)-linear: ``verify_entry`` applies it through its images
-    of t^k, computed once per call and checked against the formula on
-    the first pair."""
+    rule is the twisted Leibniz rule of that pair.  ``operator`` is the
+    defining formula; it, tau and sigma must be Q(p,q)-linear:
+    ``verify_entry`` reads them through their images of t^k, computed
+    once per call and checked against the maps on the first pair."""
 
     name: str
     operator: Op
@@ -198,11 +204,9 @@ def random_poly(rng: random.Random) -> PlainPoly:
     return PlainPoly(out)
 
 
-def _on_basis(op: Op) -> Op:
-    """The Q(p,q)-linear map that sends t^k to op(t^k), each image
-    computed once."""
-    image = cache(lambda k: op(PlainPoly.t(k)))
-    return lambda f: f.linear_map(image, PlainPoly)
+def _images(op: Op) -> Callable[[int], PlainPoly]:
+    """k -> op(t^k), each image computed once."""
+    return cache(lambda k: op(PlainPoly.t(k)))
 
 
 def seeded_corpus(pairs: int) -> list[tuple[PlainPoly, PlainPoly]]:
@@ -213,16 +217,28 @@ def seeded_corpus(pairs: int) -> list[tuple[PlainPoly, PlainPoly]]:
 
 def verify_entry(entry: CatalogueEntry, corpus) -> Report:
     """The row's twisted Leibniz rule on ``corpus``; BadSize for an
-    empty corpus.  The operator is applied through its images of t^k;
-    HypothesisViolated when that differs from the operator on the first
-    pair's product."""
+    empty corpus.  Each pair's residue is the bilinear extension of the
+    basis residues R(a, b) = D(t^(a+b)) - D(t^a) tau(t^b) - sigma(t^a) D(t^b),
+    each computed once; HypothesisViolated when the linear extension of
+    D, tau or sigma differs from the map itself on the first pair's fg,
+    g or f."""
     corpus = list(corpus)
-    operator = _on_basis(entry.operator)
+    D, tau = _images(entry.operator), _images(entry.tau)
+    sigma = None if entry.sigma is None else _images(entry.sigma)
     if corpus:
-        fg = corpus[0][0] * corpus[0][1]
-        if operator(fg) != entry.operator(fg):
-            raise HypothesisViolated("operator is not Q(p,q)-linear on the corpus")
-    return verify_leibniz(operator, corpus, entry.tau, entry.sigma)
+        f, g = corpus[0]
+        for name, image, op, x in (("operator", D, entry.operator, f * g),
+                                   ("tau", tau, entry.tau, g),
+                                   ("sigma", sigma, entry.sigma, f)):
+            if image is not None and x.linear_map(image, PlainPoly) != op(x):
+                raise HypothesisViolated(f"{name} is not Q(p,q)-linear on the corpus")
+
+    @cache
+    def residue(a: int, b: int) -> PlainPoly:
+        r = D(a + b) - D(a) * tau(b)
+        return r if sigma is None else r - sigma(a) * D(b)
+
+    return leibniz_report(corpus, lambda f, g: f.bilinear_map(g, residue, PlainPoly))
 
 
 def verify_catalogue(pairs: int = 100) -> Report:

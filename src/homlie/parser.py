@@ -203,7 +203,7 @@ def parse_rational(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     exponent = text.lower().partition("e")[2].lstrip("+-").replace("_", "")
     if limit and (len(text) > limit or exponent.isdecimal() and int(exponent) > limit):
-        raise BadSize(f"the rational {text[:20]!r} has more than {limit} digits")
+        raise BadSize(f"the rational {text[:20]} has more than {limit} digits")
     try:
         return Fraction(text)
     except ValueError:

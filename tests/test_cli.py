@@ -255,6 +255,17 @@ class TestUsageErrors:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: UsageError: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "witt", "--window", "abc"), "argument --window: expected an integer, got abc"),
+        (("catalogue", "--pairs", ""), "argument --pairs: expected an integer, got nothing"),
+        (("verify", "nosuch"), "argument suite: invalid choice: nosuch (choose from witt, "
+         "witt-forced, sl2, sigma-sigma, inverse, virasoro, diagram, catalogue, all)"),
+    ], ids=["bad-int", "empty-int", "bad-choice"])
+    def test_input_shown_as_typed(self, capsys, argv, message):
+        # argparse's own text would quote the value as a Python repr
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: UsageError: {message}\n")
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])

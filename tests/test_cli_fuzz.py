@@ -9,6 +9,9 @@ the families and contexts see every run.  The contract:
 - the exit code is 0, 1 or 2, and nothing prints a traceback;
 - exit 2 prints exactly one stderr line, starting ``error:`` or
   ``syntax error:``;
+- an ``error:`` line shows the input as typed, never as a Python repr:
+  it holds no quote character, and no drawn token holds one (a
+  ``syntax error:`` line quotes the one character it stopped at);
 - exit 1 happens only on a run with ``--perturb``;
 - after a perturbed run, a clean ``verify witt --window 3`` still exits 0.
 
@@ -109,6 +112,8 @@ def test_exit_code_contract(argv, env_window):
         lines = err.splitlines()
         assert len(lines) == 1, err
         assert lines[0].startswith(("error:", "syntax error:")), err
+        if lines[0].startswith("error:"):
+            assert not set("'\"") & set(lines[0]), err
     if code == 1:
         assert "--perturb" in argv
         clean = run(["verify", "witt", "--window", "3"])

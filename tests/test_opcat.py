@@ -13,7 +13,7 @@ from homlie.opcat import (
     PlainPoly,
     T_P,
     T_Q,
-    _on_basis,
+    _images,
     catalogue,
     exact_div_plain,
     random_poly,
@@ -87,7 +87,7 @@ class TestProductRules:
     @pytest.mark.parametrize("name", sorted(ROWS))
     @pytest.mark.parametrize("wrong_tau", [False, True], ids=["row", "wrong-tau"])
     def test_verdicts_match_a_direct_product_rule_loop(self, name, wrong_tau):
-        """``verify_entry`` runs ``verify_leibniz``; each verdict equals the
+        """Each verdict of ``verify_entry``'s residue table equals the
         comparison of D(fg) with the rule written out here."""
         entry = ROWS[name]
         if wrong_tau:
@@ -112,10 +112,25 @@ class TestProductRules:
         assert D(t(2)) == D(t(1)) * t(1).subst(T_P) + t(1).subst(T_P) * D(t(1))
 
 
+# t^2: the substitution t -> t^2 is a wrong tau or sigma for every row
+WRONG = PlainPoly.monomial(ONE, 2)
+
+
+def _bump(op, k, delta):
+    """``op`` (None for the zero map) plus the rank-one linear map
+    f -> [t^k]f * delta, which changes the image of t^k only."""
+    def mutant(f):
+        bump = delta.scale(f.coeff(k))
+        return bump if op is None else op(f) + bump
+    return mutant
+
+
 class TestLinearRoute:
-    """``verify_entry`` applies a row's operator through its images of
-    t^k, each computed once, after checking on the first pair that this
-    agrees with the operator."""
+    """``verify_entry`` checks each pair through the bilinear extension
+    of a table of basis residues R(a, b) = D(t^(a+b)) - D(t^a) tau(t^b)
+    - sigma(t^a) D(t^b), whose images of t^k are each computed once,
+    after checking on the first pair that the linear extensions of D,
+    tau and sigma agree with the maps themselves."""
 
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_operator_called_once_per_exponent(self, name):
@@ -131,18 +146,86 @@ class TestLinearRoute:
         # the exponents 0 .. 2*DEGREE of a product, plus the guard's direct call
         assert len(calls) <= 2 * DEGREE + 2
 
+    @pytest.mark.parametrize("name, ingredient", [
+        (name, ingredient) for name in sorted(ROWS) for ingredient in ("tau", "sigma")
+        if getattr(ROWS[name], ingredient) is not None])
+    def test_tau_and_sigma_called_once_per_exponent(self, name, ingredient):
+        entry = ROWS[name]
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return getattr(entry, ingredient)(f)
+
+        rep = verify_entry(dataclasses.replace(entry, **{ingredient: counted}), seeded_corpus(100))
+        assert rep.ok and len(rep.entries) == 100
+        # the exponents 0 .. DEGREE of one polynomial, plus the guard's direct call
+        assert len(calls) <= DEGREE + 2
+
+    @pytest.mark.parametrize("variant", ["row", "wrong-tau", "wrong-sigma"])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_witnesses_match_the_direct_route(self, name, variant):
+        # verify_leibniz applies every map to the pair itself and shares
+        # no table code: each pair's status and witness text must agree
+        entry = ROWS[name]
+        if variant != "row":
+            entry = dataclasses.replace(
+                entry, **{variant.removeprefix("wrong-"): lambda f: f.subst(WRONG)})
+        corpus = seeded_corpus(12)
+        got = verify_entry(entry, corpus).to_dict()["entries"]
+        want = verify_leibniz(entry.operator, corpus, entry.tau, entry.sigma).to_dict()["entries"]
+        assert got == want
+        assert all(e["status"] == "pass" for e in got) == (variant == "row")
+
+    def test_witness_is_the_residue_of_the_pair(self):
+        # shift with sigma = id: D(t) - D(1) tau(t) - 1 * D(t) = -(t + 1)
+        entry = dataclasses.replace(ROWS["shift"], sigma=lambda f: f)
+        rep = verify_entry(entry, [(PlainPoly.one(), t(1))])
+        assert rep.first_failure().witness == "f=1, g=(1)*t, residue=(-1)*t + -1"
+
     def test_nonlinear_operator_rejected(self):
         # f -> f*f: its linear extension is the substitution t -> t^2, an
         # endomorphism, so the rule (t -> t^2, 0) holds for the extension only
-        square = PlainPoly.monomial(ONE, 2)
         entry = CatalogueEntry(name="square", operator=lambda f: f * f,
-                               tau=lambda f: f.subst(square), sigma=None, pair="(t^2, 0)")
+                               tau=lambda f: f.subst(WRONG), sigma=None, pair="(t^2, 0)")
         rng = random.Random(3)
         corpus = [(random_poly(rng), random_poly(rng)) for _ in range(5)]
-        assert verify_leibniz(_on_basis(entry.operator), corpus, entry.tau).ok
+        image = _images(entry.operator)
+        assert verify_leibniz(lambda f: f.linear_map(image, PlainPoly), corpus, entry.tau).ok
         assert not verify_leibniz(entry.operator, corpus, entry.tau).ok
-        with pytest.raises(HypothesisViolated, match=r"not Q\(p,q\)-linear"):
+        with pytest.raises(HypothesisViolated, match=r"operator is not Q\(p,q\)-linear"):
             verify_entry(entry, corpus=corpus)
+
+    @pytest.mark.parametrize("ingredient", ["tau", "sigma"])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_nonlinear_tau_or_sigma_rejected(self, name, ingredient):
+        entry = dataclasses.replace(ROWS[name], **{ingredient: lambda f: f * f})
+        with pytest.raises(HypothesisViolated, match=fr"{ingredient} is not Q\(p,q\)-linear"):
+            verify_entry(entry, seeded_corpus(5))
+
+
+class TestMutation:
+    """Every ingredient the residue table reads can turn each row red:
+    the operator's image of one t^k, tau's and sigma's.  Each mutant adds
+    a seeded, nonzero rank-one linear map to one of them (to the zero map
+    when sigma is None), so the linearity guard passes and only the
+    product rule can refuse it.  Every row sees every ingredient, so no
+    (row, ingredient) pair is exempt."""
+
+    @pytest.mark.parametrize("ingredient", ["operator", "tau", "sigma"])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_mutated_ingredient_turns_the_row_red(self, name, ingredient):
+        entry = ROWS[name]
+        rng = random.Random(f"{name}/{ingredient}")
+        k = rng.randint(0, DEGREE)
+        c = Scalar.from_int(rng.choice((-2, -1, 1, 2))) * P ** rng.randint(0, 2)
+        delta = PlainPoly.monomial(c, rng.randint(0, DEGREE))
+        original = getattr(entry, ingredient)
+        mutant = _bump(original, k, delta)
+        assert mutant(t(k)) - (PlainPoly.zero() if original is None else original(t(k))) == delta
+        assert verify_entry(entry, seeded_corpus(20)).ok
+        assert not verify_entry(dataclasses.replace(entry, **{ingredient: mutant}),
+                                seeded_corpus(20)).ok
 
 
 class TestConsistency:

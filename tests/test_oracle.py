@@ -5,8 +5,8 @@ exponents of t, p and q, and a denominator from a short list) and
 evaluated with ``Fraction`` arithmetic written in this file.  The
 catalogue operators are evaluated from their defining formulas, for
 example (h(p t) - h(q t)) / ((p - q) t) for the (p,q)-Jackson derivative,
-and compared both with the row's operator and with the operator as
-``verify_entry`` applies it, through its images of t^k.
+and compared both with the row's operator and with the linear extension
+of its images of t^k, which ``verify_entry``'s residue table reads.
 The kernel's results are specialised by reading their numerator and
 denominator directly, so no code of ``laurent`` or ``scalar`` takes part
 in the expected values.
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlie.errors import NotDivisible
 from homlie.laurent import Endo, LaurentPoly, apply_endo, exact_div
-from homlie.opcat import PlainPoly, _on_basis, catalogue
+from homlie.opcat import PlainPoly, _images, catalogue
 from homlie.scalar import ONE, P, Q, Scalar
 
 # denominators a drawn coefficient may carry, as kernel scalar and as value
@@ -195,8 +195,9 @@ def test_catalogue_row_against_defining_formula(entry):
                rng.choice([Fraction(1, 2), Fraction(-3), Fraction(4, 5), Fraction(2)]))
               for _ in range(3)]
     D, rule = FORMULAS[entry.name]
-    # the row's formula, and the operator as verify_entry applies it
-    routes = (entry.operator, _on_basis(entry.operator))
+    # the row's formula, and the linear extension verify_entry reads
+    image = _images(entry.operator)
+    routes = (entry.operator, lambda f: f.linear_map(image, PlainPoly))
     for _ in range(20):
         f, g = _random_dense(rng), _random_dense(rng)
         kf, kg = _plain(f), _plain(g)
