@@ -68,6 +68,7 @@ class GradedAlgebra:
     family comes from is named where its operator route runs (see
     ``families``).
     """
+    data = None  # the ``families.DiagonalData`` of a diagonal family
 
     def __init__(
         self,

@@ -71,7 +71,9 @@ def _positive(name: str, value) -> int:
     ``MAX_SIZE``, before anything is allocated: below 1 a sweep would
     pass vacuously."""
     if not (isinstance(value, int) and 1 <= value <= MAX_SIZE):
-        raise BadSize(f"{name} must be an integer from 1 to {MAX_SIZE}, got {value}")
+        text = value if isinstance(value, str) else _shown(value)
+        raise BadSize(f"{name} must be an integer from 1 to {MAX_SIZE}, got {text[:20]}"
+                      + ("..." if len(text) > 20 else ""))
     return value
 
 
@@ -178,20 +180,26 @@ def _apply_perturbation(alg: GradedAlgebra, name: str, perturb) -> GradedAlgebra
     return perturb_algebra(alg, (i, j), Combo.basis(bump_key))
 
 
+def _check_structure(report: Report, alg: GradedAlgebra, window: int, anchor: str, via_ops,
+                     witness: str) -> None:
+    """Check on each pair of keys that the operator route ``via_ops(i, j)``
+    gives the bracket; ``witness`` formats the two on failure."""
+    keys = alg.keys(window)
+    for i in keys:
+        for j in keys:
+            ops, table = via_ops(i, j), alg.bracket_gen(i, j)
+            ok = ops == table
+            report.check(f"structure-({i},{j})", anchor, ok,
+                         witness=None if ok else witness.format(ops, table))
+
+
 def _suite_witt(window: int, perturb) -> Report:
     alg = _apply_perturbation(witt_pq(), "witt", perturb)
     report = Report(suite="witt", window=window)
     ctx = witt_context()
-    for n in range(-window, window + 1):
-        for m in range(-window, window + 1):
-            via_ops = expand_in_d_basis(
-                bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m)))
-            ok = via_ops == alg.bracket_gen(n, m)
-            report.check(
-                f"structure-({n},{m})", "witt-structure", ok,
-                witness=None if ok else f"operators give {via_ops}, "
-                f"table gives {alg.bracket_gen(n, m)}",
-            )
+    _check_structure(report, alg, window, "witt-structure", lambda n, m: expand_in_d_basis(
+        bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))),
+        "operators give {}, table gives {}")
     small = max(2, window - 2)
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
     report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, monomial_triples(small)))
@@ -203,13 +211,8 @@ def _suite_witt_forced(window: int, perturb) -> Report:
     report = Report(suite="witt-forced", window=window)
     ctx = witt_context()
     report.absorb("conditions", "forced-conditions", check_forced_conditions(ctx, window=window))
-    for n in range(-window, window + 1):
-        for m in range(-window, window + 1):
-            via_ops = expand_in_d_basis(
-                bracket_forced(ctx, coefficient_of_d(n), coefficient_of_d(m)))
-            ok = via_ops == alg.bracket_gen(n, m)
-            report.check(f"structure-({n},{m})", "forced-structure", ok,
-                         witness=None if ok else f"{via_ops} vs {alg.bracket_gen(n, m)}")
+    _check_structure(report, alg, window, "forced-structure", lambda n, m: expand_in_d_basis(
+        bracket_forced(ctx, coefficient_of_d(n), coefficient_of_d(m))), "{} vs {}")
     report.absorb("hom-jacobi", "hom-jacobi",
                   verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
     return report
@@ -222,12 +225,8 @@ def _suite_sl2(window: int, perturb) -> Report:
     triples = [(x, y, z) for x in basis for y in basis for z in basis]
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
     ctx = sl2_context()
-    for x in basis:
-        for y in basis:
-            via = sl2_expand(bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y]))
-            ok = via == alg.bracket_gen(x, y)
-            report.check(f"structure-({x},{y})", "sl2-structure", ok,
-                         witness=None if ok else f"{via} vs {alg.bracket_gen(x, y)}")
+    _check_structure(report, alg, window, "sl2-structure", lambda x, y: sl2_expand(
+        bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y])), "{} vs {}")
     return report
 
 
@@ -398,11 +397,14 @@ class _Parser(argparse.ArgumentParser):
                 action, f"invalid choice: {value} (choose from {', '.join(action.choices)})")
 
 
-def _integer(text: str) -> int:
-    """``int`` for argparse, refusing in words rather than a repr."""
+def _integer(text: str) -> int | str:
+    """``int`` for argparse, refusing in words rather than a repr; a digit
+    string past the integer-string limit stays text, for ``_positive``."""
     try:
         return int(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            return text
         raise argparse.ArgumentTypeError(f"expected an integer, got {text or 'nothing'}") from None
 
 

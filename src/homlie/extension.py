@@ -14,20 +14,22 @@ the cocycle.  The deformed Virasoro algebra arises this way from the
 (p,q)-Witt algebra and the cocycle supported on n + m = 0 with value
 
     g(n, -n) = (q/p)^(-n) / (6 (1 + (q/p)^n)) * [n-1]/p^(n-1)
-               * [n]/p^n * [n+1]/p^(n+1).
+               * [n]/p^n * [n+1]/p^(n+1),
+
+written once, over any coefficient ring, as ``virasoro_value(p, q, one)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep
 from .bracket import verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
-from .families import witt_pq
+from .families import witt_coefficient, witt_pq
 from .report import Report
-from .scalar import ONE, P, Q, Scalar, pq_number
+from .scalar import ONE, P, Q, Scalar
 
 CENTRAL = "c"
 
@@ -84,6 +86,20 @@ class Cocycle:
             raise PoleAtSpecialization(str(exc)) from exc
 
 
+def virasoro_value(p, q, one) -> Callable[[int, int], Any]:
+    """The cocycle above in a ring's (p, q, one), as ``families.witt_data``,
+    on W_{p,q}'s [k]/p^k: (q/p)^-n / (1 + (q/p)^n) = p^2n / (q^n (p^n + q^n))."""
+    coeff, zero = witt_coefficient(p, q), 0 * one
+
+    def value(n: int, m: int):
+        if n + m:
+            return zero
+        return (coeff(n - 1) * coeff(n) * coeff(n + 1) * p ** (2 * n)
+                / (6 * q ** n * (p ** n + q ** n)))
+
+    return value
+
+
 def virasoro_cocycle() -> Cocycle:
     """The central term of the deformed Virasoro bracket.
 
@@ -92,19 +108,6 @@ def virasoro_cocycle() -> Cocycle:
     never vanishes for generic parameters; specializing at a point where
     q0/p0 is a root of unity raises PoleAtSpecialization.
     """
-    r = Q / P
-
-    def value(n: int, m: int) -> Scalar:
-        if n + m != 0:
-            return Scalar.zero()
-        head = r ** (-n) / (Scalar.from_int(6) * (ONE + r ** n))
-        tail = (
-            (pq_number(n - 1) / P ** (n - 1))
-            * (pq_number(n) / P ** n)
-            * (pq_number(n + 1) / P ** (n + 1))
-        )
-        return head * tail
-
     def guard(n: int, m: int, p0: Fraction, q0: Fraction) -> None:
         # the construction assumes q/p is not a root of unity; at a
         # rational point this reduces to 1 + (q0/p0)^n != 0
@@ -115,7 +118,7 @@ def virasoro_cocycle() -> Cocycle:
                 f"1 + (q/p)^{n} vanishes at ({p0}, {q0}); q/p is a root of unity"
             )
 
-    return Cocycle(value, specialization_guard=guard)
+    return Cocycle(virasoro_value(P, Q, ONE), specialization_guard=guard)
 
 
 def verify_cocycle_condition(

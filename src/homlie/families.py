@@ -11,11 +11,14 @@ constants a suite has computed are reused by the suites after it;
 nothing mutates an algebra (a perturbation, a post-composition and a
 twist each build a new one).
 
-Closed structure constants are cross-checkable against the operator
-route: ``witt_context``, ``sl2_context`` and ``inverse_twist_context``
-are the derivation contexts of the deformed families, and a bracket of
-the generators' coefficients through ``bracket_general``, expanded back
-by exact division, gives the same constants.
+Closed structure constants are written once, as functions of a ring's
+(p, q, one) using only + - * /, ** with an int exponent, == and an int
+times an element (``witt_data``, ``forced_data``, ``sl2_data``, ...);
+the constructors evaluate them at (P, Q, ONE), and a diagonal family
+keeps its ``DiagonalData`` for the scale solver.  The inverse-twist
+family has only the operator route.  ``witt_context``, ``sl2_context``
+and ``inverse_twist_context`` give the same constants through
+``bracket_general`` and exact division.
 
 A map between algebras is its generator images: any callable
 ``Key -> Combo``, such as ``lambda n: Combo.basis(n, P)``, or a
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window, key_name
 from .bracket import bracket_general, verify_hom_jacobi
@@ -36,7 +39,7 @@ from .derivation import DerivationContext, make_context
 from .errors import NotWeakMorphism
 from .laurent import Endo, LaurentPoly
 from .report import Report
-from .scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
+from .scalar import ONE, P, Q, Scalar, pq_number_of
 
 # -- expansion between A-coefficients and the d-basis -------------------------
 
@@ -54,24 +57,53 @@ def coefficient_of_d(n: int) -> LaurentPoly:
 
 # -- Witt deformations ---------------------------------------------------------
 
-_TWO = Scalar.from_int(2)
+
+class DiagonalData(NamedTuple):
+    """[d_n,d_m] = s(n,m) d_{n+m+shift} and alpha(d_n) = a(n) d_n."""
+    s: Callable[[int, int], Any]
+    a: Callable[[int], Any]
+    shift: int = 0
 
 
-def _diagonal(name: str, s: Callable[[int, int], Scalar], a: Callable[[int], Scalar],
-              shift: int = 0) -> GradedAlgebra:
-    """The Z-graded family with [d_n,d_m] = s(n,m) d_{n+m+shift} and
-    twist d_n -> a(n) d_n."""
-    return GradedAlgebra(name, lambda n, m: Combo.basis(n + m + shift, s(n, m)),
-                         lambda n: Combo.basis(n, a(n)))
+def witt_coefficient(a, b) -> Callable[[int], Any]:
+    """n -> [n]/a^n with (a,b)-deformed integers, computed once per index."""
+    return cache(lambda n: pq_number_of(a, b, n) / a ** n)
 
 
-def _witt_family(a: Scalar, b: Scalar, name: str) -> GradedAlgebra:
-    """[d_n,d_m] = ([n]/a^n - [m]/a^m) d_{n+m} with (a,b)-deformed
-    integers, twist d_n -> (1 + (b/a)^n) d_n; [n]/a^n is computed once
-    per index."""
-    ratio = b / a
-    coeff = cache(lambda n: pq_number_of(a, b, n) / a ** n)
-    return _diagonal(name, lambda n, m: coeff(n) - coeff(m), lambda n: ONE + ratio ** n)
+def witt_data(a, b, one) -> DiagonalData:
+    """[d_n,d_m] = ([n]/a^n - [m]/a^m) d_{n+m}, twist d_n -> (1 + (b/a)^n) d_n:
+    W_{p,q} at (P, Q, ONE) and W_{q/p} at (ONE, Q/P, ONE)."""
+    coeff, ratio = witt_coefficient(a, b), b / a
+    return DiagonalData(lambda n, m: coeff(n) - coeff(m), lambda n: one + ratio ** n)
+
+
+def forced_data(p, q, one) -> DiagonalData:
+    """[d_n,d_m]' = (q^m [n] - q^n [m]) d_{n+m}, twist d_n -> (p^n + q^n) d_n;
+    [n] is symmetric in p and q, so (q, p, one) gives the p-form."""
+    number = cache(lambda n: pq_number_of(p, q, n))
+    return DiagonalData(lambda n, m: q ** m * number(n) - q ** n * number(m),
+                        lambda n: p ** n + q ** n)
+
+
+def sigma_sigma_data(p, one, shift: int) -> DiagonalData:
+    """[d_n,d_m] = (n-m)/p d_{n+m+shift}, twist 2*id; classical W is the
+    value at p = one."""
+    inverse, two = one / p, 2 * one
+    return DiagonalData(lambda n, m: (n - m) * inverse, lambda n: two, shift)
+
+
+def sigma_sigma_forced_data(p, one) -> DiagonalData:
+    """[d_n,d_m]' = (n-m) p^(n+m-1) d_{n+m}, twist d_n -> 2 p^n d_n."""
+    return DiagonalData(lambda n, m: (n - m) * p ** (n + m - 1), lambda n: 2 * p ** n)
+
+
+def _diagonal(name: str, data: DiagonalData) -> GradedAlgebra:
+    """The algebra of ``data`` over Q(p,q); it keeps ``data``."""
+    s, a, shift = data
+    alg = GradedAlgebra(name, lambda n, m: Combo.basis(n + m + shift, s(n, m)),
+                        lambda n: Combo.basis(n, a(n)))
+    alg.data = data
+    return alg
 
 
 @cache
@@ -85,33 +117,28 @@ def witt_context() -> DerivationContext:
 def witt_pq() -> GradedAlgebra:
     """The (p,q)-deformed Witt algebra, the general bracket on
     ``witt_context``."""
-    return _witt_family(P, Q, "W_{p,q}")
+    return _diagonal("W_{p,q}", witt_data(P, Q, ONE))
 
 
 @cache
 def witt_r() -> GradedAlgebra:
     """The one-parameter deformation in r = q/p; its structure constants
     are the r-deformed integers {n} - {m}."""
-    return _witt_family(ONE, Q / P, "W_{q/p}")
-
-
-def forced_coefficient(n: int, m: int, use_p: bool = False) -> Scalar:
-    base = P if use_p else Q
-    return base ** m * pq_number(n) - base ** n * pq_number(m)
+    return _diagonal("W_{q/p}", witt_data(ONE, Q / P, ONE))
 
 
 @cache
 def witt_pq_forced() -> GradedAlgebra:
     """The forced-bracket deformation [d_n,d_m]' = (q^m [n] - q^n [m]) d_{n+m}
     with twist d_n -> (p^n + q^n) d_n."""
-    return _diagonal("W_{p,q}-forced", forced_coefficient, lambda n: P ** n + Q ** n)
+    return _diagonal("W_{p,q}-forced", forced_data(P, Q, ONE))
 
 
 @cache
 def classical_witt() -> GradedAlgebra:
     """[d_n,d_m] = (n-m) d_{n+m}, carried with twist 2*id so it lines up
     with the q = p degenerations."""
-    return _diagonal("W", lambda n, m: Scalar.from_int(n - m), lambda n: _TWO)
+    return _diagonal("W", sigma_sigma_data(ONE, ONE, 0))
 
 
 @cache
@@ -126,16 +153,14 @@ def sigma_sigma_witt(generator: str = "t-partial") -> GradedAlgebra:
     if generator not in ("partial", "t-partial"):
         raise ValueError("generator must be 'partial' or 't-partial'")
     shift = -1 if generator == "partial" else 0
-    return _diagonal(f"W_{{p,p}}[{generator}]", lambda n, m: Scalar.from_int(n - m) / P,
-                     lambda n: _TWO, shift=shift)
+    return _diagonal(f"W_{{p,p}}[{generator}]", sigma_sigma_data(P, ONE, shift))
 
 
 @cache
 def sigma_sigma_witt_forced() -> GradedAlgebra:
     """Forced bracket on the t-partial generator:
     [d_n,d_m]' = (n-m) p^(n+m-1) d_{n+m}, twist d_n -> 2 p^n d_n."""
-    return _diagonal("W_{p,p}-forced", lambda n, m: Scalar.from_int(n - m) * P ** (n + m - 1),
-                     lambda n: _TWO * P ** n)
+    return _diagonal("W_{p,p}-forced", sigma_sigma_forced_data(P, ONE))
 
 
 # -- sl(2) deformations --------------------------------------------------------
@@ -156,12 +181,12 @@ def _sl2_table(name: str, he: Scalar, hf: Scalar, ef: Scalar,
                          lambda x: Combo.basis(x, diagonal[x]), basis=SL2_BASIS)
 
 
-def _sl2_family(a: Scalar, b: Scalar, name: str) -> GradedAlgebra:
-    """[h,e] = 2 a^-1 e, [h,f] = -2 b a^-2 f, [e,f] = (a+b)/(2a^2) h,
-    with the diagonal twist from the quasi-bracket construction."""
-    ratio = b / a
-    return _sl2_table(name, _TWO / a, -(_TWO * b) / a ** 2, (a + b) / (_TWO * a ** 2),
-                      (ONE + ratio, ratio * (ONE + ratio), _TWO * ratio))
+def sl2_data(a, b, one) -> tuple:
+    """``_sl2_table``'s [h,e] = 2 a^-1 e, [h,f] = -2 b a^-2 f, [e,f] =
+    (a+b)/(2a^2) h and the twist from the quasi-bracket construction."""
+    two, ratio = 2 * one, b / a
+    return (two / a, -(two * b) / a ** 2, (a + b) / (two * a ** 2),
+            (one + ratio, ratio * (one + ratio), two * ratio))
 
 
 SL2_COEFF = {
@@ -181,30 +206,29 @@ def sl2_context() -> DerivationContext:
 @cache
 def sl2_pq() -> GradedAlgebra:
     """The bracket of ``sl2_context`` on the span of ``SL2_COEFF``."""
-    return _sl2_family(P, Q, "sl(2)_{p,q}")
+    return _sl2_table("sl(2)_{p,q}", *sl2_data(P, Q, ONE))
 
 
 @cache
 def sl2_r() -> GradedAlgebra:
-    return _sl2_family(ONE, Q / P, "sl(2)_{q/p}")
+    return _sl2_table("sl(2)_{q/p}", *sl2_data(ONE, Q / P, ONE))
 
 
 @cache
 def sl2_pp() -> GradedAlgebra:
-    return _sl2_family(P, P, "sl(2)_{p,p}")
+    return _sl2_table("sl(2)_{p,p}", *sl2_data(P, P, ONE))
 
 
 @cache
 def classical_sl2() -> GradedAlgebra:
-    return _sl2_family(ONE, ONE, "sl(2)")
+    return _sl2_table("sl(2)", *sl2_data(ONE, ONE, ONE))
 
 
 @cache
 def sl2_pp_forced() -> GradedAlgebra:
     """Forced bracket at q = p on the partial generator:
     [h,e]' = 2e, [h,f]' = -2p^2 f, [e,f]' = p h, twist 2*sigma-bar."""
-    return _sl2_table("sl(2)_{p,p}-forced", _TWO, -(_TWO * P ** 2), P,
-                      (_TWO, _TWO * P ** 2, _TWO * P))
+    return _sl2_table("sl(2)_{p,p}-forced", 2 * ONE, -2 * P ** 2, P, (2 * ONE, 2 * P ** 2, 2 * P))
 
 
 def sl2_expand(w: LaurentPoly) -> Combo:
@@ -378,32 +402,14 @@ class ScaleSolution:
     constraints: list[Constraint] = field(default_factory=list)
 
 
-def _diagonal_data(alg: GradedAlgebra, window: int):
-    """Extract s(n,m) with [d_n,d_m] = s(n,m) d_{n+m} and the diagonal
-    twist values; raises ValueError for non-diagonal algebras."""
-    s: dict[tuple[int, int], Scalar] = {}
-    a: dict[int, Scalar] = {}
-    for n in range(-window, window + 1):
-        tw = alg.twist_gen(n)
-        if set(tw.terms) - {n}:
-            raise ValueError(f"{alg.name}: twist not diagonal at {n}")
-        a[n] = tw.coeff(n)
-        for m in range(-window, window + 1):
-            br = alg.bracket_gen(n, m)
-            if set(br.terms) - {n + m}:
-                raise ValueError(f"{alg.name}: bracket not of degree n+m at ({n},{m})")
-            s[(n, m)] = br.coeff(n + m)
-    return s, a
-
-
 def solve_scale_isomorphism(
     src: GradedAlgebra,
     dst: GradedAlgebra,
     window: int = 6,
     nu_candidates: tuple[int, ...] = (1, -1, 2, -2),
 ) -> dict[int, ScaleSolution]:
-    """Search for isomorphisms phi(d_n) = c_n d_(nu1 n) between Z-graded
-    diagonal algebras.
+    """Search for isomorphisms phi(d_n) = c_n d_(nu1 n) between the
+    ``DiagonalData`` of two algebras (ValueError if either has none or a shift).
 
     For each candidate nu1 the bracket equations
 
@@ -415,16 +421,13 @@ def solve_scale_isomorphism(
     ... when an index is otherwise unconstrained.  Twist matching
     a_src(n) = a_dst(nu1 n) is appended after the bracket sweep.
     """
-    results: dict[int, ScaleSolution] = {}
-    for nu1 in nu_candidates:
-        results[nu1] = _solve_for_nu(src, dst, window, nu1)
-    return results
+    for alg in (src, dst):
+        if alg.data is None or alg.data.shift:
+            raise ValueError(f"{alg.name}: no diagonal structure data of degree n+m")
+    return {nu1: _solve_for_nu(src.data, dst.data, window, nu1) for nu1 in nu_candidates}
 
 
-def _solve_for_nu(src: GradedAlgebra, dst: GradedAlgebra, window: int, nu1: int) -> ScaleSolution:
-    s_src, a_src = _diagonal_data(src, window)
-    s_dst, a_dst = _diagonal_data(dst, max(1, abs(nu1)) * window)
-
+def _solve_for_nu(src: DiagonalData, dst: DiagonalData, window: int, nu1: int) -> ScaleSolution:
     sol = ScaleSolution(nu1=nu1, feasible=True)
     known: dict[int, SymbolicScale] = {}
     defined_by: dict[int, Constraint] = {}
@@ -458,8 +461,8 @@ def _solve_for_nu(src: GradedAlgebra, dst: GradedAlgebra, window: int, nu1: int)
         progress = False
         remaining = []
         for (n, m) in queue:
-            lhs_s = s_src[(n, m)]
-            rhs_s = s_dst[(nu1 * n, nu1 * m)]
+            lhs_s = src.s(n, m)
+            rhs_s = dst.s(nu1 * n, nu1 * m)
             if lhs_s.is_zero() != rhs_s.is_zero():
                 c1 = Constraint((n, m), f"s_src({n},{m}) = {lhs_s}")
                 c2 = Constraint((n, m), f"s_dst({nu1 * n},{nu1 * m}) = {rhs_s}")
@@ -525,9 +528,9 @@ def _solve_for_nu(src: GradedAlgebra, dst: GradedAlgebra, window: int, nu1: int)
 
     # twist constraints are scalar identities, independent of the c_n
     for n in range(-window, window + 1):
-        if a_src[n] != a_dst[nu1 * n]:
-            c1 = Constraint((n, n), f"src twist a({n}) = {a_src[n]}")
-            c2 = Constraint((n, n), f"dst twist a({nu1 * n}) = {a_dst[nu1 * n]}")
+        if src.a(n) != dst.a(nu1 * n):
+            c1 = Constraint((n, n), f"src twist a({n}) = {src.a(n)}")
+            c2 = Constraint((n, n), f"dst twist a({nu1 * n}) = {dst.a(nu1 * n)}")
             return ScaleSolution(nu1=nu1, feasible=False, witness=(c1, c2),
                                  free_symbols=free, family=known)
 

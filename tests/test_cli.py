@@ -318,6 +318,28 @@ class TestSizeBound:
         assert out == ""
         assert len(err.splitlines()) == 1 and "HOMLIE_WINDOW" in err
 
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "witt", "--window"),
+        ("table", "witt", "--window"),
+        ("catalogue", "--pairs"),
+    ])
+    def test_a_long_digit_string_is_out_of_range(self, capsys, argv, sign, digits):
+        # 5000 digits are past Python's integer-string limit, 4000 are not;
+        # both are refused alike, and the echo is cut short
+        code, out, err = run(capsys, *argv, sign + "9" * digits)
+        assert (code, out) == (2, "")
+        assert err == (f"error: BadSize: {argv[-1]} must be an integer from 1 to "
+                       f"{cli.MAX_SIZE}, got {(sign + '9' * 20)[:20]}...\n")
+
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_a_long_window_env_is_out_of_range(self, capsys, monkeypatch, digits):
+        monkeypatch.setenv("HOMLIE_WINDOW", "9" * digits)
+        code, out, err = run(capsys, "verify", "sl2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: BadSize: HOMLIE_WINDOW must be") and len(err) < 100
+
     @pytest.mark.parametrize("suite", ["witt", "diagram", "catalogue"])
     def test_library_window(self, suite):
         with pytest.raises(BadSize):

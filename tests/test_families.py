@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -13,6 +14,7 @@ from homlie import cli, families
 from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window, perturb_algebra
 from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
 from homlie.families import (
+    DiagonalData,
     GeneratorMap,
     SL2_BASIS,
     SL2_COEFF,
@@ -22,7 +24,7 @@ from homlie.families import (
     coefficient_of_d,
     diagram_report,
     expand_in_d_basis,
-    forced_coefficient,
+    forced_data,
     inverse_twist_context,
     inverse_twist_example,
     sigma_sigma_witt,
@@ -48,7 +50,7 @@ two = Scalar.from_int(2)
 def _witt_without_degree_zero() -> GradedAlgebra:
     """Classical W with its brackets of degree 0 set to zero."""
     return families._diagonal(
-        "X", lambda n, m: Scalar.from_int(n - m) if n + m else Scalar.zero(), lambda n: two)
+        "X", DiagonalData(lambda n, m: (n - m) * ONE if n + m else Scalar.zero(), lambda n: two))
 
 
 class TestWitt:
@@ -91,7 +93,7 @@ class TestForcedWitt:
     @pytest.mark.parametrize("n", range(-8, 9))
     @pytest.mark.parametrize("m", range(-8, 9))
     def test_q_and_p_forms_agree(self, n, m):
-        assert forced_coefficient(n, m) == forced_coefficient(n, m, use_p=True)
+        assert forced_data(P, Q, ONE).s(n, m) == forced_data(Q, P, ONE).s(n, m)
 
     def test_twist_and_jacobi(self):
         w = witt_pq_forced()
@@ -283,10 +285,21 @@ class TestScaleSolver:
         assert [c.text for c in sol.witness] == ["s_src(-1,1) = -2", "s_dst(-1,1) = 0"]
 
     def test_twist_mismatch_is_a_witness(self):
-        dst = families._diagonal("W3", lambda n, m: Scalar.from_int(n - m), lambda n: Scalar.from_int(3))
+        dst = families._diagonal("W3", DiagonalData(lambda n, m: (n - m) * ONE, lambda n: 3 * ONE))
         sol = solve_scale_isomorphism(classical_witt(), dst, window=3, nu_candidates=(1,))[1]
         assert not sol.feasible
         assert [c.text for c in sol.witness] == ["src twist a(-3) = 2", "dst twist a(-3) = 3"]
+
+    @pytest.mark.parametrize("name, dst", [
+        ("W-inv", inverse_twist_example),
+        ("W_{p,p}[partial]", lambda: sigma_sigma_witt("partial")),
+        ("W_{p,q}[perturbed@(1, 2)]",
+         lambda: perturb_algebra(witt_pq(), (1, 2), Combo.basis(3))),
+    ], ids=["operator-route", "shifted", "perturbed"])
+    def test_algebra_without_degree_preserving_data_is_refused(self, name, dst):
+        # the solver reads DiagonalData; it never probes an algebra
+        with pytest.raises(ValueError, match=re.escape(name)):
+            solve_scale_isomorphism(witt_pq(), dst(), window=2)
 
     def test_infeasible_for_all_explored_permutations(self):
         sols = solve_scale_isomorphism(witt_pq(), witt_pq_forced(), window=3)
