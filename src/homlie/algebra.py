@@ -8,7 +8,8 @@ A ``GradedAlgebra`` packages a bracket closure and a twist closure on
 generators.  Structure constants are computed lazily through the
 closures; nothing is materialized beyond what a verification window
 requests.  ``cyclic_sweep`` is the one rotation loop of the cyclic
-verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition).
+verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition), and
+``is_skew`` the gate of its transposition rule.
 """
 
 from __future__ import annotations
@@ -108,11 +109,21 @@ def _rotations(triple: tuple) -> tuple[tuple, tuple, tuple]:
     return (a, b, c), (b, c, a), (c, a, b)
 
 
+def is_skew(bracket: Callable[[Key, Key], object], keys: Iterable[Key]) -> bool:
+    """Whether bracket(j, i) == -bracket(i, j) exactly for every pair of
+    the keys, i == j included: the gate of ``cyclic_sweep``'s
+    transposition rule.  It stops at the first pair that fails."""
+    keys = list(dict.fromkeys(keys))
+    return all(bracket(j, i) == -bracket(i, j)
+               for n, i in enumerate(keys) for j in keys[n:])
+
+
 def cyclic_sweep(
     triples: Iterable[tuple],
     term: Callable,
     combine: Callable,
     key: Callable[..., Hashable | None] | None = None,
+    negate: Callable | None = None,
 ) -> Iterator[tuple[tuple, object]]:
     """Each triple (a, b, c) with
     combine(term(a, b, c), term(b, c, a), term(c, a, b)).
@@ -124,6 +135,12 @@ def cyclic_sweep(
     None), and within the class each distinct rotation term is computed
     once, so (a, a, a) computes one term.  A triple with an argument
     whose key is None is computed every time and never stored.
+
+    ``negate`` is the transposition rule: given only when the caller has
+    checked (``is_skew``) that the bracket inside ``term`` is skew on
+    the triples' keys, so that the value at (a, c, b) is the negated
+    value at (a, b, c).  A class whose transpose is in the memo then
+    takes ``negate`` of the stored value and computes no term.
     """
     memo: dict = {}
     for triple in triples:
@@ -133,12 +150,18 @@ def cyclic_sweep(
             continue
         got = memo.get(keys)
         if got is None:
-            terms: dict = {}
-            for k, args in zip(_rotations(keys), _rotations(triple)):
-                if k not in terms:
-                    terms[k] = term(*args)
-            got = combine(*(terms[k] for k in _rotations(keys)))
-            memo.update(dict.fromkeys(terms, got))
+            a, b, c = keys
+            transposed = None if negate is None else memo.get((a, c, b))
+            if transposed is not None:
+                got = negate(transposed)
+                memo.update(dict.fromkeys(_rotations(keys), got))
+            else:
+                terms: dict = {}
+                for k, args in zip(_rotations(keys), _rotations(triple)):
+                    if k not in terms:
+                        terms[k] = term(*args)
+                got = combine(*(terms[k] for k in _rotations(keys)))
+                memo.update(dict.fromkeys(terms, got))
         yield triple, got
 
 

@@ -18,15 +18,19 @@ The cyclic verifiers check the six-term quasi-Jacobi identity
     cyc( [sigma(tau^-1(a)).D, [b.D, c.D]] + delta * [a.D, [b.D, c.D]] ) = 0
 
 and the three-term Hom-Jacobi identity on graded algebras, each
-rotation class once per sweep through ``algebra.cyclic_sweep``.
+rotation class once per sweep through ``algebra.cyclic_sweep``.  Both
+identities alternate under a transposition of the triple when the inner
+bracket is skew, so a verifier that has checked that (``algebra.is_skew``)
+takes the class of (a, c, b) as the negated class of (a, b, c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep
+from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep, is_skew
 from .errors import ConditionsFailed, NotDivisible, NotInvertible
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
@@ -158,9 +162,12 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
     are keyed by ``signed_monomial``, which keeps the sign; a triple
     with any other argument is computed every time.  Every bracket is
     the Q(p,q)-bilinear extension of a table of ``bracket_general`` on
-    monomials (t^a, t^b), each computed once per call.
+    monomials (t^a, t^b), each computed once per call.  When that table
+    is skew on the exponents of the monomial arguments, a transposed
+    class takes the negated groups of its transpose.
     """
     report = Report(suite="quasi-jacobi")
+    triples = list(triples)
     sti, _ = _require_invertible(ctx)
     delta = ctx.delta
     if delta is None:
@@ -186,7 +193,10 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
         group2 = delta * sum((t2 for _, t2 in terms), LaurentPoly.zero())
         return group1, group2, group1 + group2
 
-    sweep = cyclic_sweep(triples, term, groups, key=LaurentPoly.signed_monomial)
+    signed = {k for tr in triples for k in map(LaurentPoly.signed_monomial, tr)} - {None}
+    skew = is_skew(on_monomials, (k for k, _ in signed))
+    negate = (lambda got: tuple(map(neg, got))) if skew else None
+    sweep = cyclic_sweep(triples, term, groups, key=LaurentPoly.signed_monomial, negate=negate)
     for idx, ((a, b, c), (group1, group2, total)) in enumerate(sweep):
         ok = total.is_zero()
         report.check(
@@ -214,13 +224,17 @@ def verify_hom_jacobi(
     """Cyclic Hom-Jacobi check on generator triples of a graded algebra;
     the residue is one per rotation class and each rotation term
     [alpha(x), [y, z]] is computed once per sweep, keyed by its
-    generators (``cyclic_sweep``)."""
+    generators (``cyclic_sweep``).  When ``bracket_gen`` is skew on the
+    triples' generators, a transposed class takes the negated residue."""
     report = Report(suite="hom-jacobi")
+    triples = list(triples)
 
     def term(x: Key, y: Key, z: Key) -> Combo:
         return alg.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
 
-    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()))
+    negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
+    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()),
+                            negate=negate)
     for (i, j, k), residue in residues:
         ok = residue.is_zero()
         report.check(

@@ -22,12 +22,13 @@ written once, over any coefficient ring, as ``virasoro_value(p, q, one)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Any, Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep
+from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep, is_skew
 from .bracket import verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
-from .families import witt_coefficient, witt_pq
+from .families import witt_coefficient, witt_pq, witt_pq_coefficient
 from .report import Report
 from .scalar import ONE, P, Q, Scalar
 
@@ -86,10 +87,11 @@ class Cocycle:
             raise PoleAtSpecialization(str(exc)) from exc
 
 
-def virasoro_value(p, q, one) -> Callable[[int, int], Any]:
+def virasoro_value(p, q, one, coeff=None) -> Callable[[int, int], Any]:
     """The cocycle above in a ring's (p, q, one), as ``families.witt_data``,
-    on W_{p,q}'s [k]/p^k: (q/p)^-n / (1 + (q/p)^n) = p^2n / (q^n (p^n + q^n))."""
-    coeff, zero = witt_coefficient(p, q), 0 * one
+    on W_{p,q}'s [k]/p^k (``coeff``, by default a fresh
+    ``witt_coefficient(p, q)``): (q/p)^-n / (1 + (q/p)^n) = p^2n / (q^n (p^n + q^n))."""
+    coeff, zero = coeff or witt_coefficient(p, q), 0 * one
 
     def value(n: int, m: int):
         if n + m:
@@ -118,7 +120,8 @@ def virasoro_cocycle() -> Cocycle:
                 f"1 + (q/p)^{n} vanishes at ({p0}, {q0}); q/p is a root of unity"
             )
 
-    return Cocycle(virasoro_value(P, Q, ONE), specialization_guard=guard)
+    return Cocycle(virasoro_value(P, Q, ONE, witt_pq_coefficient()),
+                   specialization_guard=guard)
 
 
 def verify_cocycle_condition(
@@ -138,6 +141,10 @@ def verify_cocycle_condition(
     zero for every x in the window and every s != -x with
     |s| <= 2 * window: then every term of any other triple reads one of
     those zero values.
+
+    When the algebra's ``bracket_gen`` is skew on the triples' indices, a
+    transposed class takes the negated residue; only the inner bracket
+    needs to be skew, so a perturbed cocycle shares too.
     """
     report = Report(suite="cocycle-condition", window=window)
     if triples is None:
@@ -150,11 +157,14 @@ def verify_cocycle_condition(
             ]
         else:
             triples = [(n, m, k) for n in rng for m in rng for k in rng]
+    triples = list(triples)
 
     def term(x: int, y: int, z: int) -> Combo:
         return g.algebra.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
 
-    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()))
+    negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
+    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()),
+                            negate=negate)
     for (n, m, k), residue in residues:
         ok = residue.is_zero()
         report.check(

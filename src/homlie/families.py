@@ -70,10 +70,11 @@ def witt_coefficient(a, b) -> Callable[[int], Any]:
     return cache(lambda n: pq_number_of(a, b, n) / a ** n)
 
 
-def witt_data(a, b, one) -> DiagonalData:
+def witt_data(a, b, one, coeff=None) -> DiagonalData:
     """[d_n,d_m] = ([n]/a^n - [m]/a^m) d_{n+m}, twist d_n -> (1 + (b/a)^n) d_n:
-    W_{p,q} at (P, Q, ONE) and W_{q/p} at (ONE, Q/P, ONE)."""
-    coeff, ratio = witt_coefficient(a, b), b / a
+    W_{p,q} at (P, Q, ONE) and W_{q/p} at (ONE, Q/P, ONE).  ``coeff`` is
+    a shared ``witt_coefficient(a, b)``; by default a fresh one."""
+    coeff, ratio = coeff or witt_coefficient(a, b), b / a
     return DiagonalData(lambda n, m: coeff(n) - coeff(m), lambda n: one + ratio ** n)
 
 
@@ -114,10 +115,17 @@ def witt_context() -> DerivationContext:
 
 
 @cache
+def witt_pq_coefficient() -> Callable[[int], Scalar]:
+    """n -> [n]/p^n over Q(p,q), computed once per index per process: W_{p,q}
+    and the Virasoro cocycle (``extension.virasoro_cocycle``) both read it."""
+    return witt_coefficient(P, Q)
+
+
+@cache
 def witt_pq() -> GradedAlgebra:
     """The (p,q)-deformed Witt algebra, the general bracket on
     ``witt_context``."""
-    return _diagonal("W_{p,q}", witt_data(P, Q, ONE))
+    return _diagonal("W_{p,q}", witt_data(P, Q, ONE, witt_pq_coefficient()))
 
 
 @cache

@@ -553,7 +553,8 @@ def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
     graded-lex coefficient in the denominator, and ``_ONE`` for a
     denominator equal to 1.  No gcd is called for a coefficient that the
     gcd so far divides, nor for a single-term coefficient (which leaves
-    no common factor)."""
+    no common factor).  The quotient of that trial division is kept, and
+    divided again only if a later gcd shrinks the common factor."""
     d = _int_den(den)
     if not num or d == 1:
         return num, _ONE
@@ -564,16 +565,22 @@ def _normal(num: Num, den: ParamPoly) -> tuple[Num, ParamPoly]:
             num = {(k, i - i0, j - j0): c for (k, i, j), c in num.items()}
     if not den.is_constant():
         common = _normalize_param(den)
-        for c in _split(num).values():
+        coeffs = _split(num)
+        quotients: dict = {}  # key -> its coefficient divided by common
+        for k, c in coeffs.items():
             if len(c.terms) == 1:
-                common = _ONE
-            elif not _divides(common.terms, c.terms):
-                common = param_gcd(common, c)
-            if len(common.terms) == 1:
                 break
-        if len(common.terms) > 1:
+            try:
+                quotients[k] = c.exact_div(common)
+            except ValueError:
+                common = param_gcd(common, c)
+                quotients.clear()
+                if len(common.terms) == 1:
+                    break
+        else:
             den = den.exact_div(common)
-            num = _join({k: c.exact_div(common) for k, c in _split(num).items()})
+            num = _join({k: quotients[k] if k in quotients else c.exact_div(common)
+                         for k, c in coeffs.items()})
     content = _int_gcd(*num.values(), *den.terms.values())
     if den.leading()[1] < 0:
         content = -content
@@ -676,12 +683,30 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
+        if type(other) is int:
+            return self._times_int(other)
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _times_int(self, k: int) -> "Scalar":
+        """k times self without a polynomial product: the numerator's
+        coefficients times k / g and the denominator's divided by g, for
+        g = gcd(k, content of the denominator), which keeps the joint
+        content 1 and so the canonical form."""
+        if not k:
+            return Scalar.zero()
+        out = object.__new__(Scalar)
+        g = _int_gcd(k, *self.den.terms.values())
+        out.num = _poly({e: c * (k // g) for e, c in self.num.terms.items()})
+        out.den = self.den
+        if g != 1:
+            den = _poly({e: c // g for e, c in self.den.terms.items()})
+            out.den = _ONE if _int_den(den) == 1 else den
+        return out
 
     def inverse(self) -> "Scalar":
         if self.is_zero():

@@ -120,3 +120,63 @@ def test_negation_keeps_the_form_without_a_gcd(monkeypatch):
 def test_negation_matches_the_normalized_route(s):
     want = Scalar(-s.num, s.den)
     assert ((-s).num.terms, (-s).den.terms) == (want.num.terms, want.den.terms)
+
+
+@given(st.lists(st.tuples(polys, st.booleans()), min_size=1, max_size=4), factors, factors,
+       st.tuples(exponents, exponents))
+@settings(max_examples=120, deadline=None)
+def test_keyed_form_divides_the_common_gcd_of_all_keys(parts, common, extra, shift):
+    """Several keys over one denominator, common * extra times a monomial:
+    a key whose coefficient has the factor extra is divided by the whole
+    denominator, and a later key without it shrinks the common factor to
+    common.  The result is still num/den over the gcd of every
+    coefficient and the denominator (its monomial factor moved first)."""
+    den = (common * extra).shift(*shift)
+    coeffs = {k: f * common * (extra if whole else ParamPoly.one())
+              for k, (f, whole) in enumerate(parts)}
+    coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+    ints = scalar._cleared(*coeffs.values(), den)
+    num = {(k, i, j): c for k, f in zip(coeffs, ints) for (i, j), c in f.items()}
+    got_num, got_den = scalar._normal(num, ParamPoly(ints[-1]))
+    # reference: shift, one gcd over everything, divide, clear content
+    i0, j0 = ParamPoly(ints[-1]).min_exponents()
+    ref_den = ParamPoly(ints[-1]).shift(-i0, -j0)
+    ref = {k: ParamPoly(f).shift(-i0, -j0) for k, f in zip(coeffs, ints)}
+    g = ref_den
+    for c in ref.values():
+        g = param_gcd(g, c)
+    if len(g.terms) > 1:
+        ref_den = ref_den.exact_div(g)
+        ref = {k: c.exact_div(g) for k, c in ref.items()}
+    content = gcd(*(c for f in ref.values() for c in f.terms.values()), *ref_den.terms.values())
+    if ref_den.leading()[1] < 0:
+        content = -content
+    want_num = {(k, i, j): c // content for k, f in ref.items() for (i, j), c in f.terms.items()}
+    assert got_num == want_num
+    assert got_den.terms == {e: c // content for e, c in ref_den.terms.items()}
+
+
+@given(scalars, st.one_of(st.just(0), st.integers(-60, -1), st.integers(1, 60)))
+@settings(max_examples=150, deadline=None)
+def test_int_times_scalar_matches_the_scalar_product(s, k):
+    """k * s scales the numerator and shares gcd(k, content of the
+    denominator) with it, in the canonical form of the full product."""
+    want = Scalar.from_int(k) * s
+    for got in (k * s, s * k):
+        assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+        assert (got.den is laurent._ONE) == (want.den is laurent._ONE)
+        assert str(got) == str(want)
+
+
+def test_int_times_scalar_takes_no_polynomial_product(monkeypatch):
+    s = (P ** 2 + Q) / (6 * P - 4 * Q)
+    calls = []
+    real = ParamPoly.__mul__
+    monkeypatch.setattr(ParamPoly, "__mul__", lambda f, g: calls.append(1) or real(f, g))
+    got = [k * s for k in (0, -3, 4, 2)]
+    assert calls == []
+    monkeypatch.undo()
+    assert [(x.num.terms, x.den.terms) for x in got] == [
+        ((Scalar.from_int(k) * s).num.terms, (Scalar.from_int(k) * s).den.terms)
+        for k in (0, -3, 4, 2)]
+    assert got[0].den is laurent._ONE and got[0].is_zero()

@@ -2,14 +2,17 @@
 
 ``cyclic_sweep`` combines the three rotation terms of a triple once per
 rotation class and computes each distinct rotation term once per sweep;
-quasi-Jacobi brackets are the bilinear extension of a table of brackets
+when the verifier has checked that the inner bracket is skew
+(``is_skew``), the class of (a, c, b) is the negated class of (a, b, c).
+Quasi-Jacobi brackets are the bilinear extension of a table of brackets
 of monomials.  The tests count the evaluations this saves, and compare
 every verdict and witness of each verifier with a test-local loop that
 computes all three rotation terms of every triple afresh (quasi-Jacobi
 through ``bracket_general`` on whole polynomials), on triple lists that
 are not closed under rotation, on quasi-Jacobi arguments that mix t^n
 with -t^n or are not monomials, and on algebras and contexts whose
-identities fail (so that each witness shows the summed terms).
+identities fail (so that each witness shows the summed terms), with the
+skew gate open and shut.
 """
 
 import copy
@@ -19,7 +22,7 @@ from collections import Counter
 import pytest
 
 from homlie import bracket, extension
-from homlie.algebra import Combo, GradedAlgebra, cyclic_sweep, perturb_algebra
+from homlie.algebra import Combo, GradedAlgebra, cyclic_sweep, is_skew, perturb_algebra
 from homlie.bracket import (
     bracket_general,
     index_triples,
@@ -124,10 +127,11 @@ def general_calls(monkeypatch):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts of the term and combine calls of the verifiers' sweeps."""
+    """Counts of the term, combine and negate calls of the verifiers'
+    sweeps; a negate call is one class taken from its transpose."""
     calls = Counter()
 
-    def counting(triples, term, combine, key=None):
+    def counting(triples, term, combine, key=None, negate=None):
         def counted_term(*args):
             calls["term"] += 1
             return term(*args)
@@ -136,7 +140,12 @@ def sweep_calls(monkeypatch):
             calls["combine"] += 1
             return combine(*terms)
 
-        return cyclic_sweep(triples, counted_term, counted_combine, key)
+        def counted_negate(value):
+            calls["negate"] += 1
+            return negate(value)
+
+        return cyclic_sweep(triples, counted_term, counted_combine, key,
+                            None if negate is None else counted_negate)
 
     for module in (bracket, extension):
         monkeypatch.setattr(module, "cyclic_sweep", counting)
@@ -145,6 +154,11 @@ def sweep_calls(monkeypatch):
 
 def rotation_classes(triples):
     return len({min(rotations(tr)) for tr in triples})
+
+
+def transposition_classes(triples):
+    """Rotation classes with each class and its transpose counted once."""
+    return len({min(rotations(tr) + rotations(tr[::-1])) for tr in triples})
 
 
 def failing_ctx():
@@ -187,6 +201,23 @@ class TestHelper:
                                                              (2, 2, 1)]]
         assert rotation_classes(triples) == len(combined) == 4
 
+    def test_transposed_class_takes_the_negated_value(self):
+        seen = []
+
+        def term(x, y, z):
+            seen.append((x, y, z))
+            return x * x * (y - z)  # its cyclic sum is -(a-b)(b-c)(c-a)
+
+        combine = lambda *terms: sum(terms)
+        triples = [(1, 2, 4), (1, 4, 2), (4, 2, 1), (2, 1, 4), (1, 1, 2), (2, 1, 1), (1, 2, 1)]
+        want = [(tr, combine(*(term(*r) for r in rotations(tr)))) for tr in triples]
+        assert [value for _, value in want] == [-6, 6, 6, 6, 0, 0, 0]
+        seen.clear()
+        assert list(cyclic_sweep(triples, term, combine, negate=lambda v: -v)) == want
+        # the class of (1, 2, 4) and that of (1, 1, 2), which is its own
+        # transpose; (1, 4, 2), (4, 2, 1) and (2, 1, 4) compute nothing
+        assert sorted(seen) == sorted(rotations((1, 2, 4)) + rotations((1, 1, 2)))
+
     def test_unkeyed_arguments_are_computed_every_time(self):
         seen, combined = [], []
 
@@ -212,11 +243,19 @@ class TestEvaluationCounts:
         assert rotation_classes(index_triples(2)) == 45
         assert rotation_classes(index_triples(3)) == 119
 
+    def test_classes_of_the_window_cubes_up_to_transposition(self):
+        # the 10 subsets {a < b < c} of window 2 each join two rotation
+        # classes, the 35 of window 3 likewise
+        assert transposition_classes(index_triples(2)) == 45 - 10
+        assert transposition_classes(index_triples(3)) == 119 - 35
+
     def test_hom_jacobi_brackets_once_per_term(self, bracket_calls, sweep_calls):
         alg = witt_pq()
         assert verify_hom_jacobi(alg, index_triples(2)).ok
-        assert bracket_calls == {alg: 125}  # 375 with three per triple
-        assert sweep_calls == {"term": 125, "combine": 45}
+        # 125 with one per rotation term, 375 with three per triple; the
+        # 10 transposed classes compute none
+        assert bracket_calls == {alg: 95}
+        assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
 
     def test_quasi_jacobi_general_brackets_once_per_monomial_pair(self, general_calls,
                                                                   sweep_calls):
@@ -227,7 +266,7 @@ class TestEvaluationCounts:
         pairs = [(x.signed_monomial(), y.signed_monomial()) for x, y in general_calls]
         assert sorted(pairs) == [((a, 1), (b, 1)) for a in range(-2, 3) for b in range(-3, 4)]
         assert len(general_calls) == 35
-        assert sweep_calls == {"term": 125, "combine": 45}
+        assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
 
     def test_non_monomial_terms_are_not_memoized(self, sweep_calls):
         ctx = witt_context()
@@ -242,16 +281,19 @@ class TestEvaluationCounts:
     def test_cocycle_sweep_restricted(self, bracket_calls, sweep_calls):
         g = virasoro_cocycle()
         assert verify_cocycle_condition(g, witt_pq(), window=2).ok
-        assert bracket_calls == {g.algebra: 19}  # 57 with three per triple
-        # (0, 0, 0) and six classes of three
-        assert sweep_calls == {"term": 19, "combine": 7}
+        # (0, 0, 0) and six classes of three, of which the classes of
+        # (-2, 2, 0) and (-1, 1, 0) are the negated ones of (-2, 0, 2) and
+        # (-1, 0, 1); 19 with one per rotation term, 57 with three per triple
+        assert bracket_calls == {g.algebra: 13}
+        assert sweep_calls == {"term": 13, "combine": 5, "negate": 2}
 
     def test_cocycle_sweep_full_cube(self, bracket_calls, sweep_calls):
         g = virasoro_cocycle()
         rep = verify_cocycle_condition(g, inverse_twist_example(), window=2)
         assert len(rep.entries) == 125
-        assert bracket_calls == {g.algebra: 125}  # 375 with three per triple
-        assert sweep_calls == {"term": 125, "combine": 45}
+        # 125 with one per rotation term, 375 with three per triple
+        assert bracket_calls == {g.algebra: 95}
+        assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
 
 
 class TestHomJacobiAgainstReference:
@@ -329,3 +371,124 @@ class TestCocycleAgainstReference:
         alg = inverse_twist_example()
         rep = verify_cocycle_condition(g, alg, window=2)
         assert entries(rep) == reference_cocycle(g, alg, index_triples(2))
+
+
+class TestSkewGate:
+    """The transposition rule runs only behind ``is_skew``: an algebra or
+    context that stays skew keeps it even where its identity fails, and a
+    bracket that is not skew on one pair shuts it for the whole call."""
+
+    def skew_perturbed(self, alg, at, delta):
+        i, j = at
+        return perturb_algebra(perturb_algebra(alg, (i, j), delta), (j, i), -delta)
+
+    def test_gate(self):
+        alg = witt_pq()
+        keys = range(-3, 4)
+        assert is_skew(alg.bracket_gen, keys)
+        assert is_skew(self.skew_perturbed(alg, (1, 2), Combo.basis(3, P)).bracket_gen, keys)
+        assert not is_skew(perturb_algebra(alg, (1, 2), Combo.basis(3, P)).bracket_gen, keys)
+        # the diagonal counts: [d_1, d_1] must vanish
+        assert not is_skew(perturb_algebra(alg, (1, 1), Combo.basis(2)).bracket_gen, keys)
+        assert is_skew(perturb_algebra(alg, (1, 2), Combo.basis(3)).bracket_gen, [-1, 0, 1])
+
+    @pytest.mark.parametrize("check", ["hom-jacobi", "cocycle", "cocycle-cube"])
+    def test_gate_reads_no_bracket_the_direct_sweep_does_not(self, check, monkeypatch):
+        """On a window cube, and on the cocycle's restricted sweep, the
+        pairs the gate reads are among those the direct sweep reads."""
+        def pairs_read(gate_open):
+            base = witt_pq() if check != "cocycle-cube" else inverse_twist_example()
+            seen = set()
+
+            def recording(i, j):
+                seen.add((i, j))
+                return base.bracket_gen(i, j)
+
+            alg = GradedAlgebra("recorded", recording, base.twist_gen)
+            if not gate_open:
+                monkeypatch.setattr(bracket, "is_skew", lambda *args: False)
+                monkeypatch.setattr(extension, "is_skew", lambda *args: False)
+            if check == "hom-jacobi":
+                assert verify_hom_jacobi(alg, index_triples(3)).ok
+            else:
+                verify_cocycle_condition(virasoro_cocycle(), alg, window=3)
+            monkeypatch.undo()
+            return seen
+
+        gated = pairs_read(True)
+        assert gated <= pairs_read(False)
+
+    def test_skew_perturbation_shares_and_matches_reference(self, sweep_calls):
+        alg = self.skew_perturbed(witt_pq(), (1, 2), Combo.basis(3, P + Q))
+        triples = index_triples(3)
+        rep = verify_hom_jacobi(alg, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+        assert sweep_calls["negate"] == 35
+        assert entries(rep) == reference_hom_jacobi(alg, triples)
+
+    def test_skew_perturbation_of_open_triples(self, sweep_calls):
+        alg = self.skew_perturbed(inverse_twist_example(), (-1, 2), Combo.basis(0, Q))
+        triples = open_triples(3, 150, seed=5)
+        rep = verify_hom_jacobi(alg, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+        assert sweep_calls["negate"] > 0
+        assert entries(rep) == reference_hom_jacobi(alg, triples)
+
+    @pytest.mark.parametrize("family", [witt_pq, inverse_twist_example])
+    def test_one_sided_perturbation_falls_back(self, family, sweep_calls):
+        alg = perturb_algebra(family(), (1, 2), Combo.basis(3, P))
+        triples = index_triples(2)
+        rep = verify_hom_jacobi(alg, triples)
+        assert not rep.ok
+        # the rotation classes of the direct sweep, and no negated class
+        assert sweep_calls == {"term": 125, "combine": 45}
+        assert entries(rep) == reference_hom_jacobi(alg, triples)
+
+    def test_perturbed_cocycle_shares_and_matches_reference(self, sweep_calls):
+        g = virasoro_cocycle().perturbed((3, -3), P)
+        rep = verify_cocycle_condition(g, witt_pq(), window=3)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+        assert sweep_calls["negate"] > 0
+        triples = [(n, m, -n - m) for n in range(-3, 4) for m in range(-3, 4) if abs(n + m) <= 3]
+        assert entries(rep) == reference_cocycle(g, witt_pq(), triples)
+
+    def test_cocycle_on_skew_perturbed_algebra(self, sweep_calls):
+        g = virasoro_cocycle()
+        alg = self.skew_perturbed(inverse_twist_example(), (1, -3), Combo.basis(-2, P))
+        rep = verify_cocycle_condition(g, alg, window=3)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+        assert sweep_calls["negate"] == 35
+        assert entries(rep) == reference_cocycle(g, alg, index_triples(3))
+
+    def test_cocycle_on_one_sided_perturbation_falls_back(self, sweep_calls):
+        g = virasoro_cocycle()
+        alg = perturb_algebra(inverse_twist_example(), (1, -2), Combo.basis(-1, P))
+        rep = verify_cocycle_condition(g, alg, window=2)
+        assert not rep.ok
+        assert sweep_calls == {"term": 125, "combine": 45}
+        assert entries(rep) == reference_cocycle(g, alg, index_triples(2))
+
+    def test_quasi_jacobi_with_a_wrong_twist_shares_and_matches_reference(self, sweep_calls):
+        ctx = wrong_twist_ctx(inverse_twist_context())
+        triples = monomial_triples(2)
+        rep = verify_quasi_jacobi(ctx, triples)
+        assert {e.status for e in rep.entries} == {"pass", "fail"}
+        assert sweep_calls["negate"] == 10
+        assert entries(rep) == reference_quasi_jacobi(ctx, triples)
+
+    def test_quasi_jacobi_on_a_table_that_is_not_skew_falls_back(self, sweep_calls,
+                                                                 monkeypatch):
+        """A bracket_general that is not skew on one monomial pair shuts the
+        gate; the witnesses follow the same wrong bracket."""
+        real = bracket.bracket_general
+
+        def lopsided(ctx, a, b):
+            got = real(ctx, a, b)
+            return got + t(3) if (a, b) == (t(1), t(2)) else got
+
+        monkeypatch.setattr(bracket, "bracket_general", lopsided)
+        ctx = witt_context()
+        triples = monomial_triples(2)
+        rep = verify_quasi_jacobi(ctx, triples)
+        assert not rep.ok
+        assert sweep_calls == {"term": 125, "combine": 45}

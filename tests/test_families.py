@@ -370,12 +370,32 @@ class TestDeformedIntegersOnce:
 
         monkeypatch.setattr(families, "pq_number_of", counting)
         families.witt_pq.cache_clear()
+        families.witt_pq_coefficient.cache_clear()
         assert cli.run_suite("witt", 4).ok
         assert set(calls) >= set(range(-4, 5))
         assert max(calls.values()) == 1, calls
         calls.clear()
         assert cli.run_suite("witt", 4).ok
         assert not calls
+
+    def test_virasoro_suite_computes_each_index_once(self, monkeypatch):
+        """The Virasoro cocycle reads W_{p,q}'s [n]/p^n: each index is
+        computed once over two runs, for the algebra and the cocycle
+        together."""
+        calls = Counter()
+
+        def counting(a, b, n):
+            calls[n] += 1
+            return pq_number_of(a, b, n)
+
+        monkeypatch.setattr(families, "pq_number_of", counting)
+        families.witt_pq.cache_clear()
+        families.witt_pq_coefficient.cache_clear()
+        for _ in range(2):
+            assert cli.run_suite("virasoro", 6).ok
+        # [n-1], [n], [n+1] of the cocycle at |n| <= 6
+        assert set(calls) == set(range(-7, 8))
+        assert max(calls.values()) == 1, calls
 
 
 FAMILY_CONSTRUCTORS = [
