@@ -9,13 +9,12 @@ equality, never numerically.
 
 from .algebra import Combo, GradedAlgebra, algebras_equal_on_window, perturb_algebra
 from .bracket import (
-    TwistMap,
     bracket_forced,
     bracket_general,
     bracket_general_operator_oracle,
     check_forced_conditions,
     index_triples,
-    monomial_triples,
+    twist_coefficient,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )

@@ -8,14 +8,15 @@ A ``GradedAlgebra`` packages a bracket closure and a twist closure on
 generators.  Structure constants are computed lazily through the
 closures; nothing is materialized beyond what a verification window
 requests.  ``cyclic_sweep`` is the one rotation loop of the cyclic
-verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition), and
-``is_skew`` the gate of its transposition rule.
+verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition), over
+triples of indices: generator keys, or the exponents n of quasi-Jacobi's
+arguments -t^n.  ``is_skew`` is the gate of its transposition rule.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .laurent import Linear
 from .scalar import _ONE, Scalar
@@ -122,46 +123,36 @@ def cyclic_sweep(
     triples: Iterable[tuple],
     term: Callable,
     combine: Callable,
-    key: Callable[..., Hashable | None] | None = None,
     negate: Callable | None = None,
 ) -> Iterator[tuple[tuple, object]]:
-    """Each triple (a, b, c) with
+    """Each triple (a, b, c) of hashable indices with
     combine(term(a, b, c), term(b, c, a), term(c, a, b)).
 
     ``combine`` must take the same value on every rotation of its
     arguments, as a sum does; the value is then one per rotation class.
-    It is computed once per sweep and memoized under the keys of the
-    class's arguments, ``key(x)`` (the argument itself when ``key`` is
-    None), and within the class each distinct rotation term is computed
-    once, so (a, a, a) computes one term.  A triple with an argument
-    whose key is None is computed every time and never stored.
+    It is computed once per sweep and memoized under the class's
+    triples, and within the class each distinct rotation term is
+    computed once, so (a, a, a) computes one term.
 
     ``negate`` is the transposition rule: given only when the caller has
     checked (``is_skew``) that the bracket inside ``term`` is skew on
-    the triples' keys, so that the value at (a, c, b) is the negated
+    the triples' indices, so that the value at (a, c, b) is the negated
     value at (a, b, c).  A class whose transpose is in the memo then
     takes ``negate`` of the stored value and computes no term.
     """
     memo: dict = {}
     for triple in triples:
-        keys = triple if key is None else tuple(map(key, triple))
-        if None in keys:
-            yield triple, combine(*(term(*args) for args in _rotations(triple)))
-            continue
-        got = memo.get(keys)
+        got = memo.get(triple)
         if got is None:
-            a, b, c = keys
+            a, b, c = triple
+            rotations = _rotations(triple)
             transposed = None if negate is None else memo.get((a, c, b))
             if transposed is not None:
                 got = negate(transposed)
-                memo.update(dict.fromkeys(_rotations(keys), got))
             else:
-                terms: dict = {}
-                for k, args in zip(_rotations(keys), _rotations(triple)):
-                    if k not in terms:
-                        terms[k] = term(*args)
-                got = combine(*(terms[k] for k in _rotations(keys)))
-                memo.update(dict.fromkeys(terms, got))
+                terms = {args: term(*args) for args in dict.fromkeys(rotations)}
+                got = combine(*(terms[args] for args in rotations))
+            memo.update(dict.fromkeys(rotations, got))
         yield triple, got
 
 

@@ -17,25 +17,26 @@ The cyclic verifiers check the six-term quasi-Jacobi identity
 
     cyc( [sigma(tau^-1(a)).D, [b.D, c.D]] + delta * [a.D, [b.D, c.D]] ) = 0
 
-and the three-term Hom-Jacobi identity on graded algebras, each
-rotation class once per sweep through ``algebra.cyclic_sweep``.  Both
-identities alternate under a transposition of the triple when the inner
-bracket is skew, so a verifier that has checked that (``algebra.is_skew``)
-takes the class of (a, c, b) as the negated class of (a, b, c).
+and the three-term Hom-Jacobi identity on graded algebras.  Both are
+trilinear, so both are checked on triples of indices: the exponents n
+of the arguments -t^n = d_n for quasi-Jacobi, generator keys for
+Hom-Jacobi, whose residue sweep ``jacobi_residues`` the cocycle
+condition of ``extension`` shares.  Each rotation class is computed once
+per sweep through ``algebra.cyclic_sweep``.  Both identities alternate
+under a transposition of the triple when the inner bracket is skew, so
+a verifier that has checked that (``algebra.is_skew``) takes the class
+of (a, c, b) as the negated class of (a, b, c).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep, is_skew
 from .errors import ConditionsFailed, NotDivisible, NotInvertible
 from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
 from .report import Report
-
-Triple = tuple[LaurentPoly, LaurentPoly, LaurentPoly]
 
 
 def _require_invertible(ctx) -> tuple[Endo, Endo]:
@@ -153,18 +154,20 @@ def bracket_forced(ctx, a: LaurentPoly, b: LaurentPoly, use_tau: bool = False) -
     ) * ctx.apply_generator(a)
 
 
-def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
-    """Evaluate the six-term cyclic identity exactly for each triple.
+def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
+    """Evaluate the six-term cyclic identity exactly for each exponent
+    triple (a, b, c), which stands for the arguments (-t^a, -t^b, -t^c),
+    that is (d_a, d_b, d_c).  The identity is Q(p,q)-trilinear, so these
+    triples prove it on the span of the window's monomials.
 
     Both three-term groups are computed independently and reported next
     to their sum so a failure localizes to one group.  The groups are
-    one per rotation class (``cyclic_sweep``): monomial arguments +-t^n
-    are keyed by ``signed_monomial``, which keeps the sign; a triple
-    with any other argument is computed every time.  Every bracket is
-    the Q(p,q)-bilinear extension of a table of ``bracket_general`` on
-    monomials (t^a, t^b), each computed once per call.  When that table
-    is skew on the exponents of the monomial arguments, a transposed
-    class takes the negated groups of its transpose.
+    one per rotation class (``cyclic_sweep``).  The inner bracket
+    [-t^b, -t^c] is read from a table of ``bracket_general`` on
+    monomials (t^b, t^c), each computed once per call; the outer
+    brackets are the Q(p,q)-bilinear extension of the same table.  When
+    the table is skew on the triples' exponents, a transposed class
+    takes the negated groups of its transpose.
     """
     report = Report(suite="quasi-jacobi")
     triples = list(triples)
@@ -173,69 +176,74 @@ def verify_quasi_jacobi(ctx, triples: Iterable[Triple]) -> Report:
     if delta is None:
         raise NotInvertible("context has no delta element")
 
+    t = LaurentPoly.t
     table: dict[tuple[int, int], LaurentPoly] = {}
 
     def on_monomials(a: int, b: int) -> LaurentPoly:
         got = table.get((a, b))
         if got is None:
-            got = table[(a, b)] = bracket_general(ctx, LaurentPoly.t(a), LaurentPoly.t(b))
+            got = table[(a, b)] = bracket_general(ctx, t(a), t(b))
         return got
 
-    def br(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-        return x.bilinear_map(y, on_monomials, LaurentPoly)
-
-    def term(x: LaurentPoly, y: LaurentPoly, z: LaurentPoly):
-        w = br(y, z)
-        return br(apply_endo(sti, x), w), br(x, w)
+    def term(a: int, b: int, c: int):
+        x, w = -t(a), on_monomials(b, c)
+        return (apply_endo(sti, x).bilinear_map(w, on_monomials, LaurentPoly),
+                x.bilinear_map(w, on_monomials, LaurentPoly))
 
     def groups(*terms):
         group1 = sum((t1 for t1, _ in terms), LaurentPoly.zero())
         group2 = delta * sum((t2 for _, t2 in terms), LaurentPoly.zero())
         return group1, group2, group1 + group2
 
-    signed = {k for tr in triples for k in map(LaurentPoly.signed_monomial, tr)} - {None}
-    skew = is_skew(on_monomials, (k for k, _ in signed))
+    skew = is_skew(on_monomials, (n for tr in triples for n in tr))
     negate = (lambda got: tuple(map(neg, got))) if skew else None
-    sweep = cyclic_sweep(triples, term, groups, key=LaurentPoly.signed_monomial, negate=negate)
+    sweep = cyclic_sweep(triples, term, groups, negate)
     for idx, ((a, b, c), (group1, group2, total)) in enumerate(sweep):
         ok = total.is_zero()
         report.check(
             f"triple-{idx}",
             "quasi-jacobi",
             ok,
-            witness=None
-            if ok
-            else f"a={a}, b={b}, c={c}: group1={group1}, group2={group2}, sum={total}",
+            witness=None if ok else f"a={-t(a)}, b={-t(b)}, c={-t(c)}: "
+            f"group1={group1}, group2={group2}, sum={total}",
         )
     return report
 
 
-def monomial_triples(window: int) -> list[Triple]:
-    """Every triple of the monomials -t^n, |n| <= window; the 2 window + 1
-    monomials are built once and shared by the triples."""
-    monomials = [-LaurentPoly.t(n) for n in range(-window, window + 1)]
-    return [(x, y, z) for x in monomials for y in monomials for z in monomials]
+def jacobi_residues(
+    alg: GradedAlgebra,
+    triples: Iterable[tuple[Key, Key, Key]],
+    outer: GradedAlgebra | None = None,
+) -> Iterator[tuple[tuple[Key, Key, Key], Combo]]:
+    """Each generator triple (x, y, z) with its residue
+    cyc outer[alpha(x), [y, z]], where alpha and the inner bracket are
+    those of ``alg`` and ``outer`` is ``alg`` itself (Hom-Jacobi) or a
+    cocycle's bracket into the center (the cocycle condition).
+
+    The residue is one per rotation class and each rotation term is
+    computed once per sweep (``cyclic_sweep``).  When ``bracket_gen`` is
+    skew on the triples' generators, a transposed class takes the
+    negated residue; only the inner bracket needs to be skew, so a
+    perturbed cocycle shares too.
+    """
+    outer = alg if outer is None else outer
+    triples = list(triples)
+
+    def term(x: Key, y: Key, z: Key) -> Combo:
+        return outer.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
+
+    negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
+    return cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()), negate)
 
 
 def verify_hom_jacobi(
     alg: GradedAlgebra,
     triples: Iterable[tuple[Key, Key, Key]],
 ) -> Report:
-    """Cyclic Hom-Jacobi check on generator triples of a graded algebra;
-    the residue is one per rotation class and each rotation term
-    [alpha(x), [y, z]] is computed once per sweep, keyed by its
-    generators (``cyclic_sweep``).  When ``bracket_gen`` is skew on the
-    triples' generators, a transposed class takes the negated residue."""
+    """Cyclic Hom-Jacobi check on generator triples of a graded algebra,
+    one residue per triple from ``jacobi_residues``."""
     report = Report(suite="hom-jacobi")
-    triples = list(triples)
-
-    def term(x: Key, y: Key, z: Key) -> Combo:
-        return alg.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
-
-    negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
-    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()),
-                            negate=negate)
-    for (i, j, k), residue in residues:
+    for (i, j, k), residue in jacobi_residues(alg, triples):
         ok = residue.is_zero()
         report.check(
             f"triple-({i},{j},{k})",
@@ -251,22 +259,8 @@ def index_triples(window: int) -> list[tuple[int, int, int]]:
     return [(n, m, k) for n in rng for m in rng for k in rng]
 
 
-@dataclass
-class TwistMap:
-    """The twist on A*Delta in coefficient form.
-
-    General kind: a.D -> (sigma tau^-1(a) + delta*a).D, the map
-    sigma tau^-1 + delta*id.  Forced kind: a.D -> (sigma(a) + tau(a)).D.
-    """
-
-    kind: str  # "general" | "forced"
-    ctx: object
-
-    def apply_coefficient(self, a: LaurentPoly) -> LaurentPoly:
-        if self.kind == "general":
-            sti, _ = _require_invertible(self.ctx)
-            return apply_endo(sti, a) + self.ctx.delta * a
-        if self.kind == "forced":
-            return apply_endo(self.ctx.sigma, a) + apply_endo(self.ctx.tau, a)
-        raise ValueError(f"unknown twist kind {self.kind!r}")
-
+def twist_coefficient(ctx, a: LaurentPoly) -> LaurentPoly:
+    """The twist a.D -> (sigma tau^-1(a) + delta*a).D of the general
+    bracket on A*Delta, in coefficient form."""
+    sti, _ = _require_invertible(ctx)
+    return apply_endo(sti, a) + ctx.delta * a

@@ -24,7 +24,6 @@ from .bracket import (
     index_triples,
     verify_hom_jacobi,
     verify_quasi_jacobi,
-    monomial_triples,
 )
 from .derivation import make_context
 from .errors import BadPerturbation, BadSize, ExprSyntaxError, HomlieError, UsageError
@@ -134,9 +133,15 @@ FAMILIES = {
 }
 
 
+def _jacobi_window(window: int) -> int:
+    """The window of a suite's Hom-Jacobi and quasi-Jacobi sweeps."""
+    return max(2, window - 2)
+
+
 def _witt_reach(window: int) -> range:
-    """Structure checks sweep the window, Hom-Jacobi at least [-2, 2]."""
-    return range(-max(window, 2), max(window, 2) + 1)
+    """Structure checks sweep the window, Hom-Jacobi its own window."""
+    reach = max(window, _jacobi_window(window))
+    return range(-reach, reach + 1)
 
 
 # suite -> the keys its checks reach at a window; only these take a fault
@@ -144,7 +149,7 @@ _REACH = {
     "witt": _witt_reach,
     "witt-forced": _witt_reach,
     "sigma-sigma": _witt_reach,
-    "inverse": lambda window: range(-max(2, window - 2), max(2, window - 2) + 1),
+    "inverse": lambda window: range(-_jacobi_window(window), _jacobi_window(window) + 1),
     "sl2": lambda window: SL2_BASIS,
     "virasoro": lambda window: range(-window, window + 1),
 }
@@ -200,9 +205,9 @@ def _suite_witt(window: int, perturb) -> Report:
     _check_structure(report, alg, window, "witt-structure", lambda n, m: expand_in_d_basis(
         bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))),
         "operators give {}, table gives {}")
-    small = max(2, window - 2)
-    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
-    report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, monomial_triples(small)))
+    triples = index_triples(_jacobi_window(window))
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
+    report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, triples))
     return report
 
 
@@ -214,7 +219,7 @@ def _suite_witt_forced(window: int, perturb) -> Report:
     _check_structure(report, alg, window, "forced-structure", lambda n, m: expand_in_d_basis(
         bracket_forced(ctx, coefficient_of_d(n), coefficient_of_d(m))), "{} vs {}")
     report.absorb("hom-jacobi", "hom-jacobi",
-                  verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
+                  verify_hom_jacobi(alg, index_triples(_jacobi_window(window))))
     return report
 
 
@@ -234,7 +239,7 @@ def _suite_sigma_sigma(window: int, perturb) -> Report:
     alg = _apply_perturbation(sigma_sigma_witt("t-partial"), "sigma-sigma", perturb)
     report = Report(suite="sigma-sigma", window=window)
     report.absorb("jacobi", "hom-jacobi",
-                  verify_hom_jacobi(alg, index_triples(max(2, window - 2))))
+                  verify_hom_jacobi(alg, index_triples(_jacobi_window(window))))
     phi = lambda n: Combo.basis(n, Scalar.p())
     report.absorb("lie-isomorphism", "scale-isomorphism",
                   check_morphism(phi, classical_witt(), alg, window))
@@ -244,10 +249,10 @@ def _suite_sigma_sigma(window: int, perturb) -> Report:
 def _suite_inverse(window: int, perturb) -> Report:
     alg = _apply_perturbation(inverse_twist_example(), "inverse", perturb)
     report = Report(suite="inverse", window=window)
-    small = max(2, window - 2)
-    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, index_triples(small)))
+    triples = index_triples(_jacobi_window(window))
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
     report.absorb("quasi-jacobi", "quasi-jacobi",
-                  verify_quasi_jacobi(inverse_twist_context(), monomial_triples(small)))
+                  verify_quasi_jacobi(inverse_twist_context(), triples))
     return report
 
 

@@ -22,11 +22,10 @@ written once, over any coefficient ring, as ``virasoro_value(p, q, one)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import neg
 from typing import Any, Callable, Iterable
 
-from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep, is_skew
-from .bracket import verify_hom_jacobi
+from .algebra import Combo, GradedAlgebra, Key
+from .bracket import index_triples, jacobi_residues, verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
 from .families import witt_coefficient, witt_pq, witt_pq_coefficient
 from .report import Report
@@ -130,10 +129,10 @@ def verify_cocycle_condition(
     triples: Iterable[tuple[int, int, int]] | None = None,
     window: int = 6,
 ) -> Report:
-    """Exact cyclic check of the 2-cocycle condition on the window; the
-    residue is one per rotation class and each rotation term
-    g(alpha(x), [y, z]) is computed once per sweep, keyed by its indices
-    (``cyclic_sweep``).
+    """Exact cyclic check of the 2-cocycle condition on the window: the
+    residue cyc g(alpha(x), [y, z]) of each triple is that of
+    ``bracket.jacobi_residues`` with the cocycle's bracket into the
+    center outside, so it shares Hom-Jacobi's sweep and skew gate.
 
     The default sweep is the full cube of the window.  It keeps only the
     triples with n + m + k = 0 when the algebra is degree-preserving with
@@ -141,10 +140,6 @@ def verify_cocycle_condition(
     zero for every x in the window and every s != -x with
     |s| <= 2 * window: then every term of any other triple reads one of
     those zero values.
-
-    When the algebra's ``bracket_gen`` is skew on the triples' indices, a
-    transposed class takes the negated residue; only the inner bracket
-    needs to be skew, so a perturbed cocycle shares too.
     """
     report = Report(suite="cocycle-condition", window=window)
     if triples is None:
@@ -156,16 +151,8 @@ def verify_cocycle_condition(
                 (n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window
             ]
         else:
-            triples = [(n, m, k) for n in rng for m in rng for k in rng]
-    triples = list(triples)
-
-    def term(x: int, y: int, z: int) -> Combo:
-        return g.algebra.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
-
-    negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
-    residues = cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()),
-                            negate=negate)
-    for (n, m, k), residue in residues:
+            triples = index_triples(window)
+    for (n, m, k), residue in jacobi_residues(alg, triples, outer=g.algebra):
         ok = residue.is_zero()
         report.check(
             f"triple-({n},{m},{k})",

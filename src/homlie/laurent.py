@@ -291,13 +291,6 @@ class LaurentPoly(Linear):
             raise ValueError("valuation of zero")
         return min(e[0] for e in self.num)
 
-    def signed_monomial(self) -> tuple[int, int] | None:
-        """(k, s) when the polynomial is s*t^k with s = 1 or -1."""
-        if len(self.num) != 1 or self.den is not _ONE:
-            return None
-        ((k, i, j), c), = self.num.items()
-        return (k, c) if i == j == 0 and c in (1, -1) else None
-
     # -- ring arithmetic -----------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPoly":

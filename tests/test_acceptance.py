@@ -19,7 +19,6 @@ from homlie.bracket import (
     bracket_general,
     bracket_general_operator_oracle,
     index_triples,
-    monomial_triples,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
@@ -98,7 +97,7 @@ def test_criterion_02_quasi_jacobi(witt_context, inversion_context):
     both contexts; the inversion context has delta = -1."""
     assert inversion_context.delta == -LaurentPoly.one()
     for ctx in (witt_context, inversion_context):
-        rep = verify_quasi_jacobi(ctx, monomial_triples(5))
+        rep = verify_quasi_jacobi(ctx, index_triples(5))
         assert rep.ok, rep.first_failure().witness
     report("2", True, "quasi-Jacobi in (pt,qt) and (t^-1,qt) contexts")
 

@@ -408,12 +408,19 @@ class TestPerturbation:
     @pytest.mark.parametrize("suite", ["inverse", "sigma-sigma", "sl2", "virasoro", "witt",
                                        "witt-forced"])
     def test_every_accepted_fault_is_seen(self, suite):
-        keys = list(cli._REACH[suite](1))
-        specs = ([f"{suite}:{k}" for k in keys] if suite == "virasoro"
-                 else [f"{suite}:{a},{b}" for a in keys for b in keys])
-        for spec in specs:
-            perturb = cli._parse_perturbation(spec, [suite], 1)
-            assert not run_suite(suite, 1, perturb).ok, spec
+        """Every key of the reach at window 1, where the Jacobi window is
+        its floor of 2; at window 5, where it is window - 2, the keys at
+        the ends of the reach."""
+        for window in (1, 5):
+            reach = cli._REACH[suite](window)
+            keys = list(reach)
+            if window > 1 and isinstance(reach, range):
+                keys = [reach[0], reach[-1]]
+            specs = ([f"{suite}:{k}" for k in keys] if suite == "virasoro"
+                     else [f"{suite}:{a},{b}" for a in keys for b in keys])
+            for spec in specs:
+                perturb = cli._parse_perturbation(spec, [suite], window)
+                assert not run_suite(suite, window, perturb).ok, (window, spec)
 
 
 class TestHugeNumbers:

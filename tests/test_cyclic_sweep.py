@@ -1,18 +1,20 @@
 """The one cyclic sweep of the quasi-Jacobi, Hom-Jacobi and cocycle checks.
 
+Every cyclic check runs on triples of indices: generator keys for
+Hom-Jacobi and the cocycle condition, which share ``jacobi_residues``,
+and exponents n, standing for the arguments -t^n, for quasi-Jacobi.
 ``cyclic_sweep`` combines the three rotation terms of a triple once per
 rotation class and computes each distinct rotation term once per sweep;
 when the verifier has checked that the inner bracket is skew
 (``is_skew``), the class of (a, c, b) is the negated class of (a, b, c).
-Quasi-Jacobi brackets are the bilinear extension of a table of brackets
-of monomials.  The tests count the evaluations this saves, and compare
-every verdict and witness of each verifier with a test-local loop that
-computes all three rotation terms of every triple afresh (quasi-Jacobi
-through ``bracket_general`` on whole polynomials), on triple lists that
-are not closed under rotation, on quasi-Jacobi arguments that mix t^n
-with -t^n or are not monomials, and on algebras and contexts whose
-identities fail (so that each witness shows the summed terms), with the
-skew gate open and shut.
+Quasi-Jacobi brackets are read from, or bilinearly extended over, a
+table of brackets of monomials.  The tests count the evaluations this
+saves, and compare every verdict and witness of each verifier with a
+test-local loop that computes all three rotation terms of every triple
+afresh (quasi-Jacobi through ``bracket_general`` on the polynomials
+-t^n), on triple lists that are not closed under rotation, and on
+algebras and contexts whose identities fail (so that each witness shows
+the summed terms), with the skew gate open and shut.
 """
 
 import copy
@@ -21,17 +23,22 @@ from collections import Counter
 
 import pytest
 
-from homlie import bracket, extension
+from homlie import bracket
 from homlie.algebra import Combo, GradedAlgebra, cyclic_sweep, is_skew, perturb_algebra
 from homlie.bracket import (
     bracket_general,
     index_triples,
-    monomial_triples,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
 from homlie.extension import CENTRAL, verify_cocycle_condition, virasoro_cocycle
-from homlie.families import inverse_twist_context, inverse_twist_example, witt_context, witt_pq
+from homlie.families import (
+    inverse_twist_context,
+    inverse_twist_example,
+    sl2_context,
+    witt_context,
+    witt_pq,
+)
 from homlie.laurent import Endo, LaurentPoly, apply_endo
 from homlie.scalar import P, Q
 
@@ -63,9 +70,11 @@ def reference_hom_jacobi(alg, triples):
 
 
 def reference_quasi_jacobi(ctx, triples):
+    """The entries of exponent triples, n standing for -t^n."""
     sti, delta = ctx.sigma_tau_inv, ctx.delta
     out = []
-    for idx, (a, b, c) in enumerate(triples):
+    for idx, triple in enumerate(triples):
+        a, b, c = (-t(n) for n in triple)
         group1 = group2 = LaurentPoly.zero()
         for x, y, z in rotations((a, b, c)):
             w = bracket_general(ctx, y, z)
@@ -131,7 +140,7 @@ def sweep_calls(monkeypatch):
     sweeps; a negate call is one class taken from its transpose."""
     calls = Counter()
 
-    def counting(triples, term, combine, key=None, negate=None):
+    def counting(triples, term, combine, negate=None):
         def counted_term(*args):
             calls["term"] += 1
             return term(*args)
@@ -144,11 +153,10 @@ def sweep_calls(monkeypatch):
             calls["negate"] += 1
             return negate(value)
 
-        return cyclic_sweep(triples, counted_term, counted_combine, key,
+        return cyclic_sweep(triples, counted_term, counted_combine,
                             None if negate is None else counted_negate)
 
-    for module in (bracket, extension):
-        monkeypatch.setattr(module, "cyclic_sweep", counting)
+    monkeypatch.setattr(bracket, "cyclic_sweep", counting)
     return calls
 
 
@@ -166,6 +174,13 @@ def failing_ctx():
     that is not identically zero fails, and its witness shows both groups."""
     ctx = copy.copy(witt_context())
     ctx.delta = ctx.delta + t(1)
+    return ctx
+
+
+def doubled_delta_ctx():
+    """The sl(2) context with 2 delta in place of delta."""
+    ctx = copy.copy(sl2_context())
+    ctx.delta = 2 * ctx.delta
     return ctx
 
 
@@ -218,25 +233,6 @@ class TestHelper:
         # transpose; (1, 4, 2), (4, 2, 1) and (2, 1, 4) compute nothing
         assert sorted(seen) == sorted(rotations((1, 2, 4)) + rotations((1, 1, 2)))
 
-    def test_unkeyed_arguments_are_computed_every_time(self):
-        seen, combined = [], []
-
-        def term(x, y, z):
-            seen.append((x, y, z))
-            return x + 10 * y + 100 * z
-
-        def combine(*terms):
-            combined.append(terms)
-            return sum(terms)
-
-        key = lambda x: x if x >= 0 else None
-        triples = [(-1, 2, 3), (-1, 2, 3), (4, 5, 6), (5, 6, 4), (-1, -1, -1)]
-        got = [value for _, value in cyclic_sweep(triples, term, combine, key)]
-        assert got == [444, 444, 1665, 1665, -333]
-        # the unkeyed triples compute three terms and one combine every
-        # time, (-1, -1, -1) included; (4, 5, 6) and (5, 6, 4) share one
-        assert len(seen) == 3 * 4 and len(combined) == 4
-
 
 class TestEvaluationCounts:
     def test_classes_of_the_window_cubes(self):
@@ -260,22 +256,17 @@ class TestEvaluationCounts:
     def test_quasi_jacobi_general_brackets_once_per_monomial_pair(self, general_calls,
                                                                   sweep_calls):
         ctx = witt_context()
-        assert verify_quasi_jacobi(ctx, monomial_triples(2)).ok
+        assert verify_quasi_jacobi(ctx, index_triples(2)).ok
         # [t^a, t^b] once for |a| <= 2 and |b| <= 3: [d_n, d_m] lies in
         # span{d_(n+m)} and vanishes at n = m; 775 with six per triple
-        pairs = [(x.signed_monomial(), y.signed_monomial()) for x, y in general_calls]
-        assert sorted(pairs) == [((a, 1), (b, 1)) for a in range(-2, 3) for b in range(-3, 4)]
+        pairs = [(x.valuation(), y.valuation()) for x, y in general_calls]
+        assert general_calls == [(t(a), t(b)) for a, b in pairs]
+        assert sorted(pairs) == [(a, b) for a in range(-2, 3) for b in range(-3, 4)]
         assert len(general_calls) == 35
         assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
 
-    def test_non_monomial_terms_are_not_memoized(self, sweep_calls):
-        ctx = witt_context()
-        triple = (1 + t(1), -t(2), t(-1))
-        verify_quasi_jacobi(ctx, [triple, triple])
-        assert sweep_calls == {"term": 6, "combine": 2}
-        sweep_calls.clear()
-        monomials = (t(1), -t(2), t(-1))
-        verify_quasi_jacobi(ctx, [monomials, monomials])
+    def test_repeated_triple_is_computed_once(self, sweep_calls):
+        verify_quasi_jacobi(witt_context(), [(1, 2, -1), (1, 2, -1)])
         assert sweep_calls == {"term": 3, "combine": 1}
 
     def test_cocycle_sweep_restricted(self, bracket_calls, sweep_calls):
@@ -316,33 +307,29 @@ class TestHomJacobiAgainstReference:
 
 
 class TestQuasiJacobiAgainstReference:
-    def mixed_sign_triples(self):
-        args = [t(-1), -t(-1), t(2), -t(2), -t(0)]
-        return [(a, b, c) for a in args for b in args for c in args][::3]
+    CONTEXTS = {
+        "witt": witt_context,
+        "sl2": sl2_context,
+        "inversion": inverse_twist_context,
+        "witt-delta-t": failing_ctx,
+        "inversion-twist": lambda: wrong_twist_ctx(inverse_twist_context()),
+        "sl2-2delta": doubled_delta_ctx,
+    }
 
-    def non_monomial_triples(self):
-        others = [1 + t(1), t(3) - t(1), 2 * t(2), t(1).scale(P), t(-2) + t(2)]
-        triples = []
-        for x in others:
-            triples += [(x, -t(2), t(-1)), (t(1), x, -t(1)), (-t(0), t(2), x)]
-        return triples + [(others[0], others[1], -t(1))]
-
-    @pytest.mark.parametrize("which", ["mixed_sign_triples", "non_monomial_triples"])
-    @pytest.mark.parametrize("failing", [False, True])
-    def test_matches_reference(self, which, failing):
-        ctx = failing_ctx() if failing else witt_context()
-        triples = getattr(self, which)()
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_cube_matches_reference(self, name):
+        """The window-3 cube on the three contexts of the package and on
+        three with a wrong delta or sigma tau^-1, whose failing witnesses
+        show both groups."""
+        ctx = self.CONTEXTS[name]()
+        triples = index_triples(3)
         rep = verify_quasi_jacobi(ctx, triples)
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
-        assert rep.ok is not failing
-
-    def inversion_triples(self):
-        return ([tuple(-t(n) for n in tr) for tr in open_triples(2, 40, seed=3)]
-                + self.non_monomial_triples())
+        assert rep.ok is (name in ("witt", "sl2", "inversion"))
 
     def test_inversion_context_open_triples(self):
         ctx = inverse_twist_context()
-        triples = self.inversion_triples()
+        triples = open_triples(2, 40, seed=3)
         rep = verify_quasi_jacobi(ctx, triples)
         assert rep.ok
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
@@ -351,7 +338,7 @@ class TestQuasiJacobiAgainstReference:
         """The inversion context's brackets of monomials have several
         terms; with a wrong twist its witnesses show them summed."""
         ctx = wrong_twist_ctx(inverse_twist_context())
-        triples = self.inversion_triples()
+        triples = open_triples(2, 40, seed=3)
         rep = verify_quasi_jacobi(ctx, triples)
         assert {e.status for e in rep.entries} == {"pass", "fail"}
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
@@ -407,7 +394,6 @@ class TestSkewGate:
             alg = GradedAlgebra("recorded", recording, base.twist_gen)
             if not gate_open:
                 monkeypatch.setattr(bracket, "is_skew", lambda *args: False)
-                monkeypatch.setattr(extension, "is_skew", lambda *args: False)
             if check == "hom-jacobi":
                 assert verify_hom_jacobi(alg, index_triples(3)).ok
             else:
@@ -470,7 +456,7 @@ class TestSkewGate:
 
     def test_quasi_jacobi_with_a_wrong_twist_shares_and_matches_reference(self, sweep_calls):
         ctx = wrong_twist_ctx(inverse_twist_context())
-        triples = monomial_triples(2)
+        triples = index_triples(2)
         rep = verify_quasi_jacobi(ctx, triples)
         assert {e.status for e in rep.entries} == {"pass", "fail"}
         assert sweep_calls["negate"] == 10
@@ -488,7 +474,7 @@ class TestSkewGate:
 
         monkeypatch.setattr(bracket, "bracket_general", lopsided)
         ctx = witt_context()
-        triples = monomial_triples(2)
+        triples = index_triples(2)
         rep = verify_quasi_jacobi(ctx, triples)
         assert not rep.ok
         assert sweep_calls == {"term": 125, "combine": 45}
