@@ -9,8 +9,8 @@ generators.  Structure constants are computed lazily through the
 closures; nothing is materialized beyond what a verification window
 requests.  ``cyclic_sweep`` is the one rotation loop of the cyclic
 verifiers (quasi-Jacobi, Hom-Jacobi and the cocycle condition), over
-triples of indices: generator keys, or the exponents n of quasi-Jacobi's
-arguments -t^n.  ``is_skew`` is the gate of its transposition rule.
+triples of generator keys.  ``is_skew`` is the gate of its
+transposition rule.
 """
 
 from __future__ import annotations

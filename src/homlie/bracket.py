@@ -13,23 +13,26 @@ routes can be compared.  The forced bracket
 drops the tau^-1 twists but is only Hom-Lie when sigma and tau commute
 and D intertwines both up to one element delta.
 
+``generator_algebra`` is the general bracket on d_n = -t^n.D with the
+twist sigma tau^-1 + delta, the one ``GradedAlgebra`` of a context.
+
 The cyclic verifiers check the six-term quasi-Jacobi identity
 
     cyc( [sigma(tau^-1(a)).D, [b.D, c.D]] + delta * [a.D, [b.D, c.D]] ) = 0
 
 and the three-term Hom-Jacobi identity on graded algebras.  Both are
-trilinear, so both are checked on triples of indices: the exponents n
-of the arguments -t^n = d_n for quasi-Jacobi, generator keys for
-Hom-Jacobi, whose residue sweep ``jacobi_residues`` the cocycle
-condition of ``extension`` shares.  Each rotation class is computed once
-per sweep through ``algebra.cyclic_sweep``.  Both identities alternate
-under a transposition of the triple when the inner bracket is skew, so
-a verifier that has checked that (``algebra.is_skew``) takes the class
-of (a, c, b) as the negated class of (a, b, c).
+trilinear, so both are checked on triples of generator keys (``cube``)
+by sweeps of ``jacobi_residues``: one per group of quasi-Jacobi, on the
+generator algebra's bracket, and one for Hom-Jacobi and for the cocycle
+condition of ``extension``.  Each rotation class is computed once per
+sweep (``algebra.cyclic_sweep``); when the inner bracket is skew
+(``algebra.is_skew``), the class of (a, c, b) is the negated class of
+(a, b, c).
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import neg
 from typing import Callable, Iterable, Iterator
 
@@ -138,13 +141,14 @@ def check_forced_conditions(ctx, window: int = 6) -> Report:
     return report
 
 
+# the conditions once per context object: a copy, changed or not, is checked afresh
+_forced_conditions = cache(check_forced_conditions)
+
+
 def bracket_forced(ctx, a: LaurentPoly, b: LaurentPoly, use_tau: bool = False) -> LaurentPoly:
     """Coefficient of the forced bracket; ConditionsFailed when the
     hypotheses do not hold for this context."""
-    cached = getattr(ctx, "_forced_report", None)
-    if cached is None:
-        cached = check_forced_conditions(ctx)
-        ctx._forced_report = cached
+    cached = _forced_conditions(ctx)
     if not cached.ok:
         first = cached.first_failure()
         raise ConditionsFailed(f"forced bracket unavailable: {first.id} ({first.witness})")
@@ -155,19 +159,18 @@ def bracket_forced(ctx, a: LaurentPoly, b: LaurentPoly, use_tau: bool = False) -
 
 
 def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
-    """Evaluate the six-term cyclic identity exactly for each exponent
-    triple (a, b, c), which stands for the arguments (-t^a, -t^b, -t^c),
-    that is (d_a, d_b, d_c).  The identity is Q(p,q)-trilinear, so these
-    triples prove it on the span of the window's monomials.
+    """Evaluate the six-term cyclic identity exactly for each generator
+    triple (a, b, c), the arguments (d_a, d_b, d_c) = (-t^a, -t^b, -t^c).
+    The identity is Q(p,q)-trilinear, so these triples prove it on the
+    span of the window's monomials.
 
     Both three-term groups are computed independently and reported next
-    to their sum so a failure localizes to one group.  The groups are
-    one per rotation class (``cyclic_sweep``).  The inner bracket
-    [-t^b, -t^c] is read from a table of ``bracket_general`` on
-    monomials (t^b, t^c), each computed once per call; the outer
-    brackets are the Q(p,q)-bilinear extension of the same table.  When
-    the table is skew on the triples' exponents, a transposed class
-    takes the negated groups of its transpose.
+    to their sum so a failure localizes to one group.  Each group is a
+    ``jacobi_residues`` sweep on one shared ``generator_algebra``
+    bracket: group 1 with the twist sigma tau^-1, group 2 with the
+    identity and delta times the outer bracket.  A failing triple's
+    residues go back to coefficient form, the inverse of
+    ``expand_in_d_basis``.
     """
     report = Report(suite="quasi-jacobi")
     triples = list(triples)
@@ -177,36 +180,21 @@ def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
         raise NotInvertible("context has no delta element")
 
     t = LaurentPoly.t
-    table: dict[tuple[int, int], LaurentPoly] = {}
-
-    def on_monomials(a: int, b: int) -> LaurentPoly:
-        got = table.get((a, b))
-        if got is None:
-            got = table[(a, b)] = bracket_general(ctx, t(a), t(b))
-        return got
-
-    def term(a: int, b: int, c: int):
-        x, w = -t(a), on_monomials(b, c)
-        return (apply_endo(sti, x).bilinear_map(w, on_monomials, LaurentPoly),
-                x.bilinear_map(w, on_monomials, LaurentPoly))
-
-    def groups(*terms):
-        group1 = sum((t1 for t1, _ in terms), LaurentPoly.zero())
-        group2 = delta * sum((t2 for _, t2 in terms), LaurentPoly.zero())
-        return group1, group2, group1 + group2
-
-    skew = is_skew(on_monomials, (n for tr in triples for n in tr))
-    negate = (lambda got: tuple(map(neg, got))) if skew else None
-    sweep = cyclic_sweep(triples, term, groups, negate)
-    for idx, ((a, b, c), (group1, group2, total)) in enumerate(sweep):
-        ok = total.is_zero()
-        report.check(
-            f"triple-{idx}",
-            "quasi-jacobi",
-            ok,
-            witness=None if ok else f"a={-t(a)}, b={-t(b)}, c={-t(c)}: "
-            f"group1={group1}, group2={group2}, sum={total}",
-        )
+    bracket_gen = generator_algebra(ctx).bracket_gen
+    twisted = GradedAlgebra("", bracket_gen,
+                            lambda n: expand_in_d_basis(apply_endo(sti, -t(n))))
+    plain = GradedAlgebra("", bracket_gen, Combo.basis)
+    times_delta = plain.post_composed(
+        lambda x: expand_in_d_basis(delta * _coefficient_form(x)), "")
+    group1s = jacobi_residues(twisted, triples)
+    group2s = jacobi_residues(plain, triples, outer=times_delta)
+    for idx, (((a, b, c), r1), (_, r2)) in enumerate(zip(group1s, group2s)):
+        ok, witness = r1 == -r2, None
+        if not ok:
+            group1, group2 = _coefficient_form(r1), _coefficient_form(r2)
+            witness = (f"a={-t(a)}, b={-t(b)}, c={-t(c)}: "
+                       f"group1={group1}, group2={group2}, sum={group1 + group2}")
+        report.check(f"triple-{idx}", "quasi-jacobi", ok, witness=witness)
     return report
 
 
@@ -217,8 +205,9 @@ def jacobi_residues(
 ) -> Iterator[tuple[tuple[Key, Key, Key], Combo]]:
     """Each generator triple (x, y, z) with its residue
     cyc outer[alpha(x), [y, z]], where alpha and the inner bracket are
-    those of ``alg`` and ``outer`` is ``alg`` itself (Hom-Jacobi) or a
-    cocycle's bracket into the center (the cocycle condition).
+    those of ``alg`` and ``outer`` is ``alg`` itself (Hom-Jacobi, group
+    1 of quasi-Jacobi), delta times it (group 2) or a cocycle's bracket
+    into the center (the cocycle condition).
 
     The residue is one per rotation class and each rotation term is
     computed once per sweep (``cyclic_sweep``).  When ``bracket_gen`` is
@@ -254,9 +243,20 @@ def verify_hom_jacobi(
     return report
 
 
+def cube(keys: Iterable[Key]) -> list[tuple[Key, Key, Key]]:
+    """Every triple of the keys, in the order of three nested loops."""
+    keys = list(keys)
+    return [(x, y, z) for x in keys for y in keys for z in keys]
+
+
 def index_triples(window: int) -> list[tuple[int, int, int]]:
-    rng = range(-window, window + 1)
-    return [(n, m, k) for n in rng for m in rng for k in rng]
+    return cube(range(-window, window + 1))
+
+
+def jacobi_window(window: int) -> int:
+    """The window of the Hom-Jacobi and quasi-Jacobi sweeps of a check at
+    ``window``: two less, and at least 2."""
+    return max(2, window - 2)
 
 
 def twist_coefficient(ctx, a: LaurentPoly) -> LaurentPoly:
@@ -264,3 +264,28 @@ def twist_coefficient(ctx, a: LaurentPoly) -> LaurentPoly:
     bracket on A*Delta, in coefficient form."""
     sti, _ = _require_invertible(ctx)
     return apply_endo(sti, a) + ctx.delta * a
+
+
+def expand_in_d_basis(w: LaurentPoly) -> Combo:
+    """Rewrite w.D in the basis d_j = -t^j.D: the d_j coordinate is the
+    negated t^j coefficient of w; the t-exponents of the numerator become
+    the basis keys."""
+    return Combo._new({e: -c for e, c in w.num.items()}, w.den)
+
+
+def _coefficient_form(x: Combo) -> LaurentPoly:
+    """The w with w.D = x, the inverse of ``expand_in_d_basis``."""
+    return LaurentPoly._new({e: -c for e, c in x.num.items()}, x.den)
+
+
+def generator_algebra(ctx, name: str = "") -> GradedAlgebra:
+    """The general bracket of ``ctx`` on the generators d_n = -t^n.D:
+    [d_n, d_m] is ``bracket_general`` on the monomials (t^n, t^m), each
+    pair computed once, and alpha(d_n) is ``twist_coefficient`` of -t^n,
+    both expanded in the d-basis."""
+    t = LaurentPoly.t
+    return GradedAlgebra(
+        name,
+        lambda n, m: expand_in_d_basis(bracket_general(ctx, t(n), t(m))),
+        lambda n: expand_in_d_basis(twist_coefficient(ctx, -t(n))),
+    )

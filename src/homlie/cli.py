@@ -21,7 +21,11 @@ from .bracket import (
     bracket_forced,
     bracket_general,
     check_forced_conditions,
+    cube,
+    expand_in_d_basis,
+    generator_algebra,
     index_triples,
+    jacobi_window,
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
@@ -40,7 +44,6 @@ from .families import (
     classical_witt,
     coefficient_of_d,
     diagram_report,
-    expand_in_d_basis,
     inverse_twist_context,
     inverse_twist_example,
     sigma_sigma_witt,
@@ -133,14 +136,9 @@ FAMILIES = {
 }
 
 
-def _jacobi_window(window: int) -> int:
-    """The window of a suite's Hom-Jacobi and quasi-Jacobi sweeps."""
-    return max(2, window - 2)
-
-
 def _witt_reach(window: int) -> range:
     """Structure checks sweep the window, Hom-Jacobi its own window."""
-    reach = max(window, _jacobi_window(window))
+    reach = max(window, jacobi_window(window))
     return range(-reach, reach + 1)
 
 
@@ -149,7 +147,7 @@ _REACH = {
     "witt": _witt_reach,
     "witt-forced": _witt_reach,
     "sigma-sigma": _witt_reach,
-    "inverse": lambda window: range(-_jacobi_window(window), _jacobi_window(window) + 1),
+    "inverse": lambda window: range(-jacobi_window(window), jacobi_window(window) + 1),
     "sl2": lambda window: SL2_BASIS,
     "virasoro": lambda window: range(-window, window + 1),
 }
@@ -202,10 +200,9 @@ def _suite_witt(window: int, perturb) -> Report:
     alg = _apply_perturbation(witt_pq(), "witt", perturb)
     report = Report(suite="witt", window=window)
     ctx = witt_context()
-    _check_structure(report, alg, window, "witt-structure", lambda n, m: expand_in_d_basis(
-        bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))),
-        "operators give {}, table gives {}")
-    triples = index_triples(_jacobi_window(window))
+    _check_structure(report, alg, window, "witt-structure", generator_algebra(ctx).bracket_gen,
+                     "operators give {}, table gives {}")
+    triples = index_triples(jacobi_window(window))
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
     report.absorb("quasi-jacobi", "quasi-jacobi", verify_quasi_jacobi(ctx, triples))
     return report
@@ -219,16 +216,14 @@ def _suite_witt_forced(window: int, perturb) -> Report:
     _check_structure(report, alg, window, "forced-structure", lambda n, m: expand_in_d_basis(
         bracket_forced(ctx, coefficient_of_d(n), coefficient_of_d(m))), "{} vs {}")
     report.absorb("hom-jacobi", "hom-jacobi",
-                  verify_hom_jacobi(alg, index_triples(_jacobi_window(window))))
+                  verify_hom_jacobi(alg, index_triples(jacobi_window(window))))
     return report
 
 
 def _suite_sl2(window: int, perturb) -> Report:
     alg = _apply_perturbation(sl2_pq(), "sl2", perturb)
     report = Report(suite="sl2", window=window)
-    basis = alg.keys(window)
-    triples = [(x, y, z) for x in basis for y in basis for z in basis]
-    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
+    report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, cube(alg.keys(window))))
     ctx = sl2_context()
     _check_structure(report, alg, window, "sl2-structure", lambda x, y: sl2_expand(
         bracket_general(ctx, SL2_COEFF[x], SL2_COEFF[y])), "{} vs {}")
@@ -239,7 +234,7 @@ def _suite_sigma_sigma(window: int, perturb) -> Report:
     alg = _apply_perturbation(sigma_sigma_witt("t-partial"), "sigma-sigma", perturb)
     report = Report(suite="sigma-sigma", window=window)
     report.absorb("jacobi", "hom-jacobi",
-                  verify_hom_jacobi(alg, index_triples(_jacobi_window(window))))
+                  verify_hom_jacobi(alg, index_triples(jacobi_window(window))))
     phi = lambda n: Combo.basis(n, Scalar.p())
     report.absorb("lie-isomorphism", "scale-isomorphism",
                   check_morphism(phi, classical_witt(), alg, window))
@@ -249,7 +244,7 @@ def _suite_sigma_sigma(window: int, perturb) -> Report:
 def _suite_inverse(window: int, perturb) -> Report:
     alg = _apply_perturbation(inverse_twist_example(), "inverse", perturb)
     report = Report(suite="inverse", window=window)
-    triples = index_triples(_jacobi_window(window))
+    triples = index_triples(jacobi_window(window))
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))
     report.absorb("quasi-jacobi", "quasi-jacobi",
                   verify_quasi_jacobi(inverse_twist_context(), triples))

@@ -22,10 +22,10 @@ written once, over any coefficient ring, as ``virasoro_value(p, q, one)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .algebra import Combo, GradedAlgebra, Key
-from .bracket import index_triples, jacobi_residues, verify_hom_jacobi
+from .bracket import cube, index_triples, jacobi_residues, verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
 from .families import witt_coefficient, witt_pq, witt_pq_coefficient
 from .report import Report
@@ -123,18 +123,13 @@ def virasoro_cocycle() -> Cocycle:
                    specialization_guard=guard)
 
 
-def verify_cocycle_condition(
-    g: Cocycle,
-    alg: GradedAlgebra,
-    triples: Iterable[tuple[int, int, int]] | None = None,
-    window: int = 6,
-) -> Report:
+def verify_cocycle_condition(g: Cocycle, alg: GradedAlgebra, window: int = 6) -> Report:
     """Exact cyclic check of the 2-cocycle condition on the window: the
     residue cyc g(alpha(x), [y, z]) of each triple is that of
     ``bracket.jacobi_residues`` with the cocycle's bracket into the
     center outside, so it shares Hom-Jacobi's sweep and skew gate.
 
-    The default sweep is the full cube of the window.  It keeps only the
+    The sweep is the full cube of the window.  It keeps only the
     triples with n + m + k = 0 when the algebra is degree-preserving with
     a diagonal twist on the window (``_preserves_degree``) and g(x, s) is
     zero for every x in the window and every s != -x with
@@ -142,16 +137,13 @@ def verify_cocycle_condition(
     those zero values.
     """
     report = Report(suite="cocycle-condition", window=window)
-    if triples is None:
-        rng = range(-window, window + 1)
-        reach = range(-2 * window, 2 * window + 1)
-        if (_preserves_degree(alg, rng)
-                and all(g.value(x, s).is_zero() for x in rng for s in reach if x + s)):
-            triples = [
-                (n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window
-            ]
-        else:
-            triples = index_triples(window)
+    rng = range(-window, window + 1)
+    reach = range(-2 * window, 2 * window + 1)
+    if (_preserves_degree(alg, rng)
+            and all(g.value(x, s).is_zero() for x in rng for s in reach if x + s)):
+        triples = [(n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window]
+    else:
+        triples = index_triples(window)
     for (n, m, k), residue in jacobi_residues(alg, triples, outer=g.algebra):
         ok = residue.is_zero()
         report.check(
@@ -222,8 +214,7 @@ def _assemble_extension(
     ext = GradedAlgebra(f"{base.name}^", bracket_gen, twist_gen)
 
     small = min(window, 3)
-    keys = list(range(-small, small + 1)) + [CENTRAL]
-    rep = verify_hom_jacobi(ext, [(i, j, k) for i in keys for j in keys for k in keys])
+    rep = verify_hom_jacobi(ext, cube([*range(-small, small + 1), CENTRAL]))
     if not rep.ok:
         raise CocycleConditionFailed(
             f"extension fails Hom-Jacobi: {rep.first_failure().witness}"

@@ -16,9 +16,10 @@ Closed structure constants are written once, as functions of a ring's
 times an element (``witt_data``, ``forced_data``, ``sl2_data``, ...);
 the constructors evaluate them at (P, Q, ONE), and a diagonal family
 keeps its ``DiagonalData`` for the scale solver.  The inverse-twist
-family has only the operator route.  ``witt_context``, ``sl2_context``
-and ``inverse_twist_context`` give the same constants through
-``bracket_general`` and exact division.
+family has only the operator route: it is ``bracket.generator_algebra``
+of ``inverse_twist_context``, bracket and twist alike.  ``witt_context``,
+``sl2_context`` and ``inverse_twist_context`` give the same constants
+through ``bracket_general`` and exact division.
 
 A map between algebras is its generator images: any callable
 ``Key -> Combo``, such as ``lambda n: Combo.basis(n, P)``, or a
@@ -34,21 +35,14 @@ from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window, key_name
-from .bracket import bracket_general, verify_hom_jacobi
+from .bracket import cube, expand_in_d_basis, generator_algebra, jacobi_window, verify_hom_jacobi
 from .derivation import DerivationContext, make_context
 from .errors import NotWeakMorphism
 from .laurent import Endo, LaurentPoly
 from .report import Report
 from .scalar import ONE, P, Q, Scalar, pq_number_of
 
-# -- expansion between A-coefficients and the d-basis -------------------------
-
-
-def expand_in_d_basis(w: LaurentPoly) -> Combo:
-    """Rewrite w.D in the basis d_j = -t^j.D: the d_j coordinate is the
-    negated t^j coefficient of w; the t-exponents of the numerator become
-    the basis keys."""
-    return Combo._new({e: -c for e, c in w.num.items()}, w.den)
+# -- the d-basis: d_j = -t^j.D (``bracket.expand_in_d_basis``) ------------------
 
 
 def coefficient_of_d(n: int) -> LaurentPoly:
@@ -240,17 +234,18 @@ def sl2_pp_forced() -> GradedAlgebra:
 
 
 def sl2_expand(w: LaurentPoly) -> Combo:
-    """Expand w.partial over span{e, f, h}; raises if w leaves the span."""
+    """Expand w.partial over span{e, f, h} through its coordinates on
+    d_j = -t^j.partial; raises if w leaves the span."""
     def slot(k: int) -> Combo:
         if k not in _SL2_SLOTS:
             raise ValueError(f"coefficient {w.coeff(k)}*t^{k} is outside span(e,f,h)")
         return _SL2_SLOTS[k]
 
-    return w.linear_map(slot, Combo)
+    return expand_in_d_basis(w).linear_map(slot, Combo)
 
 
-# t^k -> its image: w.partial = e-part + h-part + f-part
-_SL2_SLOTS = {0: Combo.basis("e"), 1: Combo.basis("h", -ONE / 2), 2: Combo.basis("f", -1)}
+# d_j -> its image: d_0 = -e, d_1 = h/2, d_2 = f
+_SL2_SLOTS = {0: Combo.basis("e", -1), 1: Combo.basis("h", ONE / 2), 2: Combo.basis("f")}
 
 
 # -- the inversion-twist example ----------------------------------------------
@@ -264,19 +259,11 @@ def inverse_twist_context() -> DerivationContext:
 
 @cache
 def inverse_twist_example() -> GradedAlgebra:
-    """The family over tau(t) = t^-1, sigma(t) = qt, g = t^-1 - qt.
-
-    Brackets are computed through the general bracket and expanded into
-    finitely many d_j by exact division by g; the twist is
-    alpha(d_n) = q^-n d_{-n} - d_n, i.e. sigma-bar tau-bar^-1 - id.
-    """
-    ctx = inverse_twist_context()
-    return GradedAlgebra(
-        "W-inv",
-        lambda n, m: expand_in_d_basis(
-            bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))),
-        lambda n: Combo.basis(-n, Q ** (-n)) - Combo.basis(n),
-    )
+    """The family over tau(t) = t^-1, sigma(t) = qt, g = t^-1 - qt: the
+    general bracket expanded into finitely many d_j by exact division by
+    g.  There delta = -1, so the twist sigma tau^-1 + delta is
+    alpha(d_n) = q^-n d_{-n} - d_n."""
+    return generator_algebra(inverse_twist_context(), "W-inv")
 
 
 # -- morphisms ------------------------------------------------------------------
@@ -345,8 +332,8 @@ def twist_algebra(
 
     twisted = alg.post_composed(lambda combo: combo.linear_map(rho, Combo),
                                 name or f"{alg.name}^rho")
-    small = alg.keys(max(2, window - 2))  # the whole basis of a finite one
-    check = verify_hom_jacobi(twisted, [(i, j, k) for i in small for j in small for k in small])
+    # on the Jacobi window; the whole basis of a finite one
+    check = verify_hom_jacobi(twisted, cube(alg.keys(jacobi_window(window))))
     if not check.ok:
         first = check.first_failure()
         raise NotWeakMorphism(f"twisted algebra fails Hom-Jacobi: {first.witness}")
@@ -620,8 +607,7 @@ def diagram_report(window: int = 4) -> Report:
     ok, why = algebras_equal_on_window(
         s_classical.post_composed(rho_sl2, "sl(2)^rho"), s_pp_forced, window)
     if ok:
-        triples = [(x, y, z) for x in SL2_BASIS for y in SL2_BASIS for z in SL2_BASIS]
-        jacobi = verify_hom_jacobi(s_pp_forced, triples)
+        jacobi = verify_hom_jacobi(s_pp_forced, cube(SL2_BASIS))
         ok, why = jacobi.ok, jacobi.witness()
     report.check("sl2-twist-equivalence", "twist-equivalence", ok, witness=why)
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -166,6 +167,17 @@ class TestForcedBracket:
     def test_forced_raises_when_unavailable(self, inv_ctx):
         with pytest.raises(ConditionsFailed):
             bracket_forced(inv_ctx, -t(1), -t(0))
+
+    def test_changed_copy_is_checked_afresh(self):
+        """The conditions of a context whose forced bracket has run do not
+        carry over to a copy with another tau."""
+        ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
+        assert bracket_forced(ctx, t(1), t(2)) == t(3).scale(P * Q)
+        changed = copy.copy(ctx)
+        changed.tau = changed.tau_inv = Endo.inversion()
+        assert not check_forced_conditions(changed).ok
+        with pytest.raises(ConditionsFailed):
+            bracket_forced(changed, t(1), t(2))
 
     def test_forced_structure(self, ctx):
         for n, m in ((1, 0), (2, 1), (3, -2)):

@@ -12,7 +12,7 @@ import pytest
 
 from homlie import cli, families
 from homlie.algebra import Combo, GradedAlgebra, algebras_equal_on_window, perturb_algebra
-from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi
+from homlie.bracket import bracket_general, generator_algebra, index_triples, verify_hom_jacobi
 from homlie.families import (
     DiagonalData,
     GeneratorMap,
@@ -72,6 +72,13 @@ class TestWitt:
     def test_twist(self):
         w = witt_pq()
         assert w.twist_gen(2) == Combo.basis(2, ONE + (Q / P) ** 2)
+
+    def test_closed_forms_are_the_generator_algebra(self):
+        """Brackets and the closed twist 1 + (q/p)^n of W_{p,q} are those
+        of the general bracket on ``witt_context`` and its twist
+        sigma tau^-1 + delta."""
+        ok, why = algebras_equal_on_window(generator_algebra(witt_context()), witt_pq(), 4)
+        assert ok, why
 
     def test_hom_jacobi(self):
         assert verify_hom_jacobi(witt_pq(), index_triples(3)).ok
@@ -182,7 +189,8 @@ class TestInverseTwist:
 
     def test_twist(self):
         alg = inverse_twist_example()
-        assert alg.twist_gen(2) == Combo.basis(-2, Q ** -2) - Combo.basis(2)
+        for n in range(-4, 5):
+            assert alg.twist_gen(n) == Combo.basis(-n, Q ** (-n)) - Combo.basis(n)
         # the twist is the coefficient map sigma tau^-1 + delta id
         ctx = inverse_twist_context()
         from homlie.bracket import twist_coefficient
