@@ -105,11 +105,6 @@ class GradedAlgebra:
         return f"GradedAlgebra({self.name})"
 
 
-def _rotations(triple: tuple) -> tuple[tuple, tuple, tuple]:
-    a, b, c = triple
-    return (a, b, c), (b, c, a), (c, a, b)
-
-
 def is_skew(bracket: Callable[[Key, Key], object], keys: Iterable[Key]) -> bool:
     """Whether bracket(j, i) == -bracket(i, j) exactly for every pair of
     the keys, i == j included: the gate of ``cyclic_sweep``'s
@@ -119,39 +114,27 @@ def is_skew(bracket: Callable[[Key, Key], object], keys: Iterable[Key]) -> bool:
                for n, i in enumerate(keys) for j in keys[n:])
 
 
-def cyclic_sweep(
-    triples: Iterable[tuple],
-    term: Callable,
-    combine: Callable,
-    negate: Callable | None = None,
-) -> Iterator[tuple[tuple, object]]:
+def cyclic_sweep(triples: Iterable[tuple], residue: Callable,
+                 negate: Callable | None = None) -> Iterator[tuple[tuple, object]]:
     """Each triple (a, b, c) of hashable indices with
-    combine(term(a, b, c), term(b, c, a), term(c, a, b)).
-
-    ``combine`` must take the same value on every rotation of its
-    arguments, as a sum does; the value is then one per rotation class.
-    It is computed once per sweep and memoized under the class's
-    triples, and within the class each distinct rotation term is
-    computed once, so (a, a, a) computes one term.
+    residue((a, b, c), (b, c, a), (c, a, b)), which must not depend on
+    the order of its arguments, as a cyclic sum does not: it is called
+    once per rotation class and memoized under the class's triples.
 
     ``negate`` is the transposition rule: given only when the caller has
-    checked (``is_skew``) that the bracket inside ``term`` is skew on
+    checked (``is_skew``) that the bracket inside ``residue`` is skew on
     the triples' indices, so that the value at (a, c, b) is the negated
     value at (a, b, c).  A class whose transpose is in the memo then
-    takes ``negate`` of the stored value and computes no term.
+    takes ``negate`` of the stored value and calls no ``residue``.
     """
     memo: dict = {}
     for triple in triples:
         got = memo.get(triple)
         if got is None:
             a, b, c = triple
-            rotations = _rotations(triple)
+            rotations = (a, b, c), (b, c, a), (c, a, b)
             transposed = None if negate is None else memo.get((a, c, b))
-            if transposed is not None:
-                got = negate(transposed)
-            else:
-                terms = {args: term(*args) for args in dict.fromkeys(rotations)}
-                got = combine(*(terms[args] for args in rotations))
+            got = residue(*rotations) if transposed is None else negate(transposed)
             memo.update(dict.fromkeys(rotations, got))
         yield triple, got
 

@@ -22,10 +22,11 @@ The cyclic verifiers check the six-term quasi-Jacobi identity
 
 and the three-term Hom-Jacobi identity on graded algebras.  Both are
 trilinear, so both are checked on triples of generator keys (``cube``)
-by sweeps of ``jacobi_residues``: one per group of quasi-Jacobi, on the
-generator algebra's bracket, and one for Hom-Jacobi and for the cocycle
-condition of ``extension``.  Each rotation class is computed once per
-sweep (``algebra.cyclic_sweep``); when the inner bracket is skew
+by sweeps of ``jacobi_residues``: one for Hom-Jacobi, for the cocycle
+condition of ``extension`` and for quasi-Jacobi with a constant delta,
+and one per group for quasi-Jacobi otherwise.  A sweep
+(``algebra.cyclic_sweep``) sums each rotation class's three terms with
+one ``laurent.bilinear_sum``; when the inner bracket is skew
 (``algebra.is_skew``), the class of (a, c, b) is the negated class of
 (a, b, c).
 """
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 from .algebra import Combo, GradedAlgebra, Key, cyclic_sweep, is_skew
 from .errors import ConditionsFailed, NotDivisible, NotInvertible
-from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div
+from .laurent import Endo, LaurentPoly, apply_endo, bilinear_sum, compose_endo, exact_div
 from .report import Report
 
 
@@ -164,13 +165,14 @@ def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
     The identity is Q(p,q)-trilinear, so these triples prove it on the
     span of the window's monomials.
 
-    Both three-term groups are computed independently and reported next
-    to their sum so a failure localizes to one group.  Each group is a
-    ``jacobi_residues`` sweep on one shared ``generator_algebra``
-    bracket: group 1 with the twist sigma tau^-1, group 2 with the
-    identity and delta times the outer bracket.  A failing triple's
-    residues go back to coefficient form, the inverse of
-    ``expand_in_d_basis``.
+    A failing triple reports its two three-term groups next to their sum,
+    so that the failure localizes to one group: ``jacobi_residues`` sweeps
+    on the ``generator_algebra`` bracket, group 1 with the twist sigma
+    tau^-1, group 2 with the identity and delta times the outer bracket.
+    A constant delta has delta [x, w] = [delta x, w], so the groups sum to
+    the Hom-Jacobi residue of the generator algebra (twist sigma tau^-1 +
+    delta): one sweep decides, and only a failing triple computes its
+    groups, alone, in coefficient form (``_coefficient_form``).
     """
     report = Report(suite="quasi-jacobi")
     triples = list(triples)
@@ -180,21 +182,26 @@ def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
         raise NotInvertible("context has no delta element")
 
     t = LaurentPoly.t
-    bracket_gen = generator_algebra(ctx).bracket_gen
-    twisted = GradedAlgebra("", bracket_gen,
-                            lambda n: expand_in_d_basis(apply_endo(sti, -t(n))))
-    plain = GradedAlgebra("", bracket_gen, Combo.basis)
-    times_delta = plain.post_composed(
-        lambda x: expand_in_d_basis(delta * _coefficient_form(x)), "")
-    group1s = jacobi_residues(twisted, triples)
-    group2s = jacobi_residues(plain, triples, outer=times_delta)
-    for idx, (((a, b, c), r1), (_, r2)) in enumerate(zip(group1s, group2s)):
-        ok, witness = r1 == -r2, None
-        if not ok:
-            group1, group2 = _coefficient_form(r1), _coefficient_form(r2)
+    alg = generator_algebra(ctx)
+    twisted = GradedAlgebra("", alg.bracket_gen, lambda n: expand_in_d_basis(apply_endo(sti, -t(n))))
+    plain = GradedAlgebra("", alg.bracket_gen, Combo.basis)
+    times_delta = plain.post_composed(lambda x: expand_in_d_basis(delta * _coefficient_form(x)), "")
+
+    def split(triples: list) -> Iterator[tuple[tuple, tuple[Combo, Combo] | None]]:
+        """Each triple with its two groups' residues, or None where they cancel."""
+        for (triple, r1), (_, r2) in zip(jacobi_residues(twisted, triples),
+                                         jacobi_residues(plain, triples, outer=times_delta)):
+            yield triple, None if r1 == -r2 else (r1, r2)
+
+    verdicts = split(triples) if not delta.is_scalar() else (
+        (x, None if r.is_zero() else next(split([x]))[1]) for x, r in jacobi_residues(alg, triples))
+    for idx, ((a, b, c), failed) in enumerate(verdicts):
+        witness = None
+        if failed is not None:
+            group1, group2 = map(_coefficient_form, failed)
             witness = (f"a={-t(a)}, b={-t(b)}, c={-t(c)}: "
                        f"group1={group1}, group2={group2}, sum={group1 + group2}")
-        report.check(f"triple-{idx}", "quasi-jacobi", ok, witness=witness)
+        report.check(f"triple-{idx}", "quasi-jacobi", failed is None, witness=witness)
     return report
 
 
@@ -209,37 +216,35 @@ def jacobi_residues(
     1 of quasi-Jacobi), delta times it (group 2) or a cocycle's bracket
     into the center (the cocycle condition).
 
-    The residue is one per rotation class and each rotation term is
-    computed once per sweep (``cyclic_sweep``).  When ``bracket_gen`` is
-    skew on the triples' generators, a transposed class takes the
-    negated residue; only the inner bracket needs to be skew, so a
-    perturbed cocycle shares too.
+    One residue per rotation class (``cyclic_sweep``) sums its three
+    rotation terms with one ``bilinear_sum``.  When ``bracket_gen`` is
+    skew on the triples' generators, a transposed class takes the negated
+    residue; only the inner bracket needs to be skew, so a perturbed
+    cocycle shares too.
     """
     outer = alg if outer is None else outer
     triples = list(triples)
 
-    def term(x: Key, y: Key, z: Key) -> Combo:
-        return outer.bracket(alg.twist_gen(x), alg.bracket_gen(y, z))
+    def residue(*rotations: tuple[Key, Key, Key]) -> Combo:
+        return bilinear_sum([(alg.twist_gen(x), alg.bracket_gen(y, z)) for x, y, z in rotations],
+                            outer.bracket_gen, Combo)
 
     negate = neg if is_skew(alg.bracket_gen, (k for tr in triples for k in tr)) else None
-    return cyclic_sweep(triples, term, lambda *terms: sum(terms, Combo.zero()), negate)
+    return cyclic_sweep(triples, residue, negate)
 
 
-def verify_hom_jacobi(
-    alg: GradedAlgebra,
-    triples: Iterable[tuple[Key, Key, Key]],
-) -> Report:
+def verify_hom_jacobi(alg: GradedAlgebra, triples: Iterable[tuple[Key, Key, Key]]) -> Report:
     """Cyclic Hom-Jacobi check on generator triples of a graded algebra,
     one residue per triple from ``jacobi_residues``."""
-    report = Report(suite="hom-jacobi")
-    for (i, j, k), residue in jacobi_residues(alg, triples):
+    return residue_report(Report(suite="hom-jacobi"), "hom-jacobi", jacobi_residues(alg, triples))
+
+
+def residue_report(report: Report, anchor: str, residues: Iterable, render=str) -> Report:
+    """One ``triple-(x,y,z)`` check per (triple, residue): passing on zero, else rendered."""
+    for triple, residue in residues:
         ok = residue.is_zero()
-        report.check(
-            f"triple-({i},{j},{k})",
-            "hom-jacobi",
-            ok,
-            witness=None if ok else f"residue = {residue}",
-        )
+        report.check("triple-(%s,%s,%s)" % triple, anchor, ok,
+                     witness=None if ok else f"residue = {render(residue)}")
     return report
 
 

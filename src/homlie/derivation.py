@@ -88,6 +88,12 @@ class DerivationContext(RankOneContext):
             self._gen_cache[n] = got
         return got
 
+    def __copy__(self) -> "DerivationContext":
+        """A copy with its own cache of D(t^n), free to change tau, sigma or g."""
+        dup = object.__new__(type(self))
+        dup.__dict__.update(self.__dict__, _gen_cache={})
+        return dup
+
     def __repr__(self) -> str:
         return f"DerivationContext(tau: {self.tau}, sigma: {self.sigma}, g = {self.g})"
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from .algebra import Combo, GradedAlgebra, Key
-from .bracket import cube, index_triples, jacobi_residues, verify_hom_jacobi
+from .bracket import cube, index_triples, jacobi_residues, residue_report, verify_hom_jacobi
 from .errors import CocycleConditionFailed, PoleAtPoint, PoleAtSpecialization
 from .families import witt_coefficient, witt_pq, witt_pq_coefficient
 from .report import Report
@@ -144,15 +144,8 @@ def verify_cocycle_condition(g: Cocycle, alg: GradedAlgebra, window: int = 6) ->
         triples = [(n, m, -n - m) for n in rng for m in rng if abs(n + m) <= window]
     else:
         triples = index_triples(window)
-    for (n, m, k), residue in jacobi_residues(alg, triples, outer=g.algebra):
-        ok = residue.is_zero()
-        report.check(
-            f"triple-({n},{m},{k})",
-            "cocycle-condition",
-            ok,
-            witness=None if ok else f"residue = {residue.coeff(CENTRAL)}",
-        )
-    return report
+    residues = jacobi_residues(alg, triples, outer=g.algebra)
+    return residue_report(report, "cocycle-condition", residues, lambda r: r.coeff(CENTRAL))
 
 
 def _preserves_degree(alg: GradedAlgebra, rng: range) -> bool:

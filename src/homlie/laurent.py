@@ -129,6 +129,28 @@ def _linear(num: Num, den: ParamPoly, image: Callable) -> tuple[Num, ParamPoly]:
     return out, _den_mul(acc, den)
 
 
+def bilinear_sum(pairs: Iterable, image: Callable, cls: type) -> "Linear":
+    """The sum over (x, y) in ``pairs`` of the Q(p,q)-bilinear map (a, b) ->
+    image(a, b) on pairs of keys applied to x and y, as a ``cls``: products
+    keyed by pairs of keys, summed in place while the denominator repeats
+    (through ``_sum`` where it does not), one ``_linear``, one normalization."""
+    out, den = {}, _ONE
+    for x, y in pairs:
+        d = _den_mul(x.den, y.den)
+        prod = out if not out or d is den or d == den else {}
+        get = prod.get
+        for (k1, i1, j1), c1 in x.num.items():
+            for (k2, i2, j2), c2 in y.num.items():
+                e = ((k1, k2), i1 + i2, j1 + j2)
+                prod[e] = get(e, 0) + c1 * c2
+        if prod is out:
+            den = d
+        else:
+            out, den = _sum(out, den, {e: c for e, c in prod.items() if c}, d)
+    out = {e: c for e, c in out.items() if c}
+    return cls._make(*_linear(out, den, lambda ab: image(*ab)))
+
+
 class Linear:
     """A finite Q(p,q)-linear combination of basis keys, stored as
     ``num / den``.
@@ -229,18 +251,9 @@ class Linear:
         return cls._make(*_linear(self.num, self.den, image))
 
     def bilinear_map(self, other: "Linear", image: Callable, cls: type) -> "Linear":
-        """The Q(p,q)-bilinear map (a, b) -> image(a, b) on pairs of keys
-        applied to self and other, as a ``cls``: the product of the
-        numerators keyed by pairs of keys, mapped by ``_linear``; one
-        normalization per call."""
-        pairs: Num = {}
-        get = pairs.get
-        for (k1, i1, j1), c1 in self.num.items():
-            for (k2, i2, j2), c2 in other.num.items():
-                e = ((k1, k2), i1 + i2, j1 + j2)
-                pairs[e] = get(e, 0) + c1 * c2
-        pairs = {e: c for e, c in pairs.items() if c}
-        return cls._make(*_linear(pairs, _den_mul(self.den, other.den), lambda ab: image(*ab)))
+        """The one-pair ``bilinear_sum``: (a, b) -> image(a, b) on pairs of
+        keys applied to self and other, as a ``cls``."""
+        return bilinear_sum(((self, other),), image, cls)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -1,4 +1,5 @@
-"""``Combo`` and the bilinear maps of ``GradedAlgebra`` against a reference.
+"""``Combo``, ``laurent.bilinear_sum`` and the bilinear maps of
+``GradedAlgebra`` against a reference.
 
 ``RefCombo`` below is the dict-of-``Scalar`` combination: one nonzero
 Scalar per key, and one Scalar operation per coefficient.  It shares no
@@ -13,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from homlie.algebra import Combo, GradedAlgebra
-from homlie.laurent import Endo, LaurentPoly, apply_endo
+from homlie.laurent import Endo, LaurentPoly, apply_endo, bilinear_sum
 from homlie.scalar import ONE, P, Q, Scalar
 
 KEYS = (-1, 0, 2, "e", "h", "c")
@@ -113,6 +114,63 @@ def test_bracket_and_twist(a, b, brackets, twists):
     for i, ca in RefCombo(a).terms.items():
         want = want + RefCombo(twists.get(i, {})).scale(ca)
     assert same(alg.twist(Combo(a)), want)
+
+
+def _ref_bilinear(a: dict, b: dict, brackets: dict) -> RefCombo:
+    want = RefCombo({})
+    for i, ca in RefCombo(a).terms.items():
+        for j, cb in RefCombo(b).terms.items():
+            want = want + RefCombo(brackets.get((i, j), {})).scale(ca * cb)
+    return want
+
+
+def _exactly(x: Combo, y: Combo) -> bool:
+    return x.num == y.num and x.den == y.den
+
+
+@given(
+    st.lists(st.tuples(term_maps, term_maps, st.integers(min_value=1, max_value=len(DENS) - 1)),
+             max_size=4),
+    st.dictionaries(st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS)), term_maps,
+                    max_size=8),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_bilinear_sum(drawn, brackets, cancel):
+    """The sum of the pairs' bilinear images, each pair over its own non-unit
+    denominator DENS[d]; with ``cancel``, each pair is followed by one over
+    another denominator whose product is its negation, so the sum is 0."""
+    image = lambda i, j: Combo(brackets.get((i, j), {}))
+    pairs, want = [], RefCombo({})
+    for a, b, d in drawn:
+        x, y = Combo(a).scale(ONE / DENS[d]), Combo(b)
+        pairs.append((x, y))
+        if cancel:
+            s = DENS[d % (len(DENS) - 1) + 1]
+            pairs.append((x.scale(-s), y.scale(ONE / s)))
+        else:
+            want = want + _ref_bilinear(a, b, brackets).scale(ONE / DENS[d])
+    got = bilinear_sum(pairs, image, Combo)
+    assert same(got, want)
+    separate = sum((x.bilinear_map(y, image, Combo) for x, y in pairs), Combo.zero())
+    assert _exactly(got, separate)
+    if len(pairs) == 1:
+        assert _exactly(got, Combo(want.terms))
+
+
+def test_bilinear_sum_of_no_pairs_is_zero():
+    assert _exactly(bilinear_sum([], lambda i, j: Combo.basis("e"), Combo), Combo.zero())
+
+
+def test_bilinear_sum_drops_cancelled_products_of_a_joining_pair():
+    """The second pair's denominator, 3, differs from the first's, 2, and
+    its product has a p q term that cancels, (p - q)(p + q) = p^2 - q^2,
+    on a key pair the first does not have."""
+    image = lambda i, j: Combo.basis("h" if (i, j) == ("e", "f") else "c")
+    first = (Combo.basis("h", ONE / 2), Combo.basis("h"))
+    second = (Combo.basis("e", P - Q), Combo.basis("f", (P + Q) / 3))
+    got = bilinear_sum([first, second], image, Combo)
+    assert same(got, RefCombo({"c": ONE / 2, "h": (P * P - Q * Q) / 3}))
 
 
 # -- an endomorphism image with a non-unit denominator ----------------------

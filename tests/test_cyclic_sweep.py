@@ -2,19 +2,19 @@
 
 Every cyclic check runs on triples of generator keys, through
 ``jacobi_residues``: one sweep for Hom-Jacobi and the cocycle condition,
-and one per group for quasi-Jacobi, whose key n stands for the argument
-d_n = -t^n.  ``cyclic_sweep`` combines the three rotation terms of a
-triple once per rotation class and computes each distinct rotation term
-once per sweep; when the inner bracket is skew (``is_skew``), the class
-of (a, c, b) is the negated class of (a, b, c).  Quasi-Jacobi's two
-sweeps share one ``generator_algebra`` bracket, each monomial pair
-computed once.  The tests count the evaluations this
-saves, and compare every verdict and witness of each verifier with a
-test-local loop that computes all three rotation terms of every triple
-afresh (quasi-Jacobi through ``bracket_general`` on the polynomials
--t^n), on triple lists that are not closed under rotation, and on
-algebras and contexts whose identities fail (so that each witness shows
-the summed terms), with the skew gate open and shut.
+and for quasi-Jacobi one sweep of the generator algebra when delta is a
+constant, one per group otherwise; its key n stands for the argument
+d_n = -t^n.  ``cyclic_sweep`` calls the residue once per rotation class,
+which sums the class's three rotation terms with one ``bilinear_sum``
+and normalizes once; when the inner bracket is skew (``is_skew``), the
+class of (a, c, b) is the negated class of (a, b, c).  The tests count
+the residues and normalizations this saves, and compare every verdict
+and witness of each verifier with a test-local loop that computes all
+three rotation terms of every triple afresh (quasi-Jacobi through
+``bracket_general`` on the polynomials -t^n, group by group), on triple
+lists that are not closed under rotation, and on algebras and contexts
+whose identities fail (so that each witness shows the summed terms),
+with the skew gate open and shut.
 """
 
 import copy
@@ -109,17 +109,17 @@ def open_triples(window, count, seed):
 
 
 @pytest.fixture
-def bracket_calls(monkeypatch):
-    """Counts of ``GradedAlgebra.bracket`` calls, per algebra."""
-    calls = {}
-    real = GradedAlgebra.bracket
+def normalizations(monkeypatch):
+    """A list that grows by one per normalized ``Combo`` result."""
+    made = []
+    real = Combo._make.__func__
 
-    def counting(self, x, y):
-        calls[self] = calls.get(self, 0) + 1
-        return real(self, x, y)
+    def counting(cls, *args):
+        made.append(cls)
+        return real(cls, *args)
 
-    monkeypatch.setattr(GradedAlgebra, "bracket", counting)
-    return calls
+    monkeypatch.setattr(Combo, "_make", classmethod(counting))
+    return made
 
 
 @pytest.fixture
@@ -137,28 +137,39 @@ def general_calls(monkeypatch):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts of the term, combine and negate calls of the verifiers'
-    sweeps; a negate call is one class taken from its transpose."""
+    """Counts of the residue and negate calls of the verifiers' sweeps; a
+    residue call is one rotation class computed, a negate call one class
+    taken from its transpose."""
     calls = Counter()
 
-    def counting(triples, term, combine, negate=None):
-        def counted_term(*args):
-            calls["term"] += 1
-            return term(*args)
-
-        def counted_combine(*terms):
-            calls["combine"] += 1
-            return combine(*terms)
+    def counting(triples, residue, negate=None):
+        def counted_residue(*rotations):
+            calls["residue"] += 1
+            return residue(*rotations)
 
         def counted_negate(value):
             calls["negate"] += 1
             return negate(value)
 
-        return cyclic_sweep(triples, counted_term, counted_combine,
-                            None if negate is None else counted_negate)
+        return cyclic_sweep(triples, counted_residue, None if negate is None else counted_negate)
 
     monkeypatch.setattr(bracket, "cyclic_sweep", counting)
     return calls
+
+
+@pytest.fixture
+def residue_sweeps(monkeypatch):
+    """The triple count of each ``jacobi_residues`` sweep of a verifier."""
+    sizes = []
+    real = bracket.jacobi_residues
+
+    def recording(alg, triples, outer=None):
+        triples = list(triples)
+        sizes.append(len(triples))
+        return real(alg, triples, outer)
+
+    monkeypatch.setattr(bracket, "jacobi_residues", recording)
+    return sizes
 
 
 def rotation_classes(triples):
@@ -195,44 +206,38 @@ def wrong_twist_ctx(ctx):
 
 
 class TestHelper:
-    def test_terms_in_rotation_order_each_computed_once(self):
-        seen, combined = [], []
+    def test_one_residue_per_class_in_rotation_order(self):
+        seen = []
 
-        def term(x, y, z):
-            seen.append((x, y, z))
-            return (x, y, z)
-
-        def combine(*terms):
-            combined.append(terms)
-            return tuple(sorted(terms))
+        def residue(*rotations):
+            seen.append(rotations)
+            return tuple(sorted(rotations))
 
         triples = [(1, 2, 3), (2, 3, 1), (1, 1, 1), (3, 1, 2), (1, 2, 3), (3, 2, 1), (2, 2, 1)]
-        got = list(cyclic_sweep(triples, term, combine))
+        got = list(cyclic_sweep(triples, residue))
         assert got == [(tr, tuple(sorted(rotations(tr)))) for tr in triples]
-        assert sorted(seen) == sorted(
-            set(rotations((1, 2, 3)) + rotations((3, 2, 1)) + rotations((2, 2, 1))) | {(1, 1, 1)})
-        # in rotation order from the first triple of each class; (1, 1, 1)
-        # is one term
-        assert combined == [tuple(rotations(tr)) for tr in [(1, 2, 3), (1, 1, 1), (3, 2, 1),
-                                                             (2, 2, 1)]]
-        assert rotation_classes(triples) == len(combined) == 4
+        # the rotations of the first triple of each class, in rotation
+        # order; (1, 1, 1) is one class of three equal rotations
+        assert seen == [tuple(rotations(tr)) for tr in [(1, 2, 3), (1, 1, 1), (3, 2, 1),
+                                                         (2, 2, 1)]]
+        assert rotation_classes(triples) == len(seen) == 4
 
     def test_transposed_class_takes_the_negated_value(self):
         seen = []
 
-        def term(x, y, z):
-            seen.append((x, y, z))
-            return x * x * (y - z)  # its cyclic sum is -(a-b)(b-c)(c-a)
+        def residue(*rotations):
+            seen.append(rotations[0])
+            # the cyclic sum of x^2 (y - z) is -(a-b)(b-c)(c-a)
+            return sum(x * x * (y - z) for x, y, z in rotations)
 
-        combine = lambda *terms: sum(terms)
         triples = [(1, 2, 4), (1, 4, 2), (4, 2, 1), (2, 1, 4), (1, 1, 2), (2, 1, 1), (1, 2, 1)]
-        want = [(tr, combine(*(term(*r) for r in rotations(tr)))) for tr in triples]
+        want = [(tr, residue(*rotations(tr))) for tr in triples]
         assert [value for _, value in want] == [-6, 6, 6, 6, 0, 0, 0]
         seen.clear()
-        assert list(cyclic_sweep(triples, term, combine, negate=lambda v: -v)) == want
+        assert list(cyclic_sweep(triples, residue, negate=lambda v: -v)) == want
         # the class of (1, 2, 4) and that of (1, 1, 2), which is its own
         # transpose; (1, 4, 2), (4, 2, 1) and (2, 1, 4) compute nothing
-        assert sorted(seen) == sorted(rotations((1, 2, 4)) + rotations((1, 1, 2)))
+        assert seen == [(1, 2, 4), (1, 1, 2)]
 
 
 class TestEvaluationCounts:
@@ -246,47 +251,57 @@ class TestEvaluationCounts:
         assert transposition_classes(index_triples(2)) == 45 - 10
         assert transposition_classes(index_triples(3)) == 119 - 35
 
-    def test_hom_jacobi_brackets_once_per_term(self, bracket_calls, sweep_calls):
+    def test_hom_jacobi_normalizes_once_per_class(self, normalizations, sweep_calls):
         alg = witt_pq()
         assert verify_hom_jacobi(alg, index_triples(2)).ok
-        # 125 with one per rotation term, 375 with three per triple; the
-        # 10 transposed classes compute none
-        assert bracket_calls == {alg: 95}
-        assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
+        normalizations.clear()
+        sweep_calls.clear()
+        assert verify_hom_jacobi(alg, index_triples(2)).ok
+        # with the brackets and twists cached, one normalization per
+        # computed class: 45 rotation classes, of which the 10 transposed
+        # ones compute nothing
+        assert len(normalizations) == 35
+        assert sweep_calls == {"residue": 35, "negate": 10}
 
     def test_quasi_jacobi_general_brackets_once_per_monomial_pair(self, general_calls,
-                                                                  sweep_calls):
+                                                                  sweep_calls, residue_sweeps):
         ctx = witt_context()
         assert verify_quasi_jacobi(ctx, index_triples(2)).ok
-        # [t^a, t^b] once for |a| <= 2 and |b| <= 3: [d_n, d_m] lies in
-        # span{d_(n+m)} and vanishes at n = m; 775 with six per triple
+        # [t^a, t^b] at most once for |a| <= 2 and |b| <= 3: [d_n, d_m]
+        # lies in span{d_(n+m)} and vanishes at n = m; 775 with six per
+        # triple.  [d_a, d_3] with a in {1, 2} is never read: d_3 is only
+        # [d_1, d_2], and in the class of (a, 1, 2) the terms
+        # [d_a', [d_1, d_2]] and [d_a', [d_2, d_1]] cancel before the outer
+        # bracket; likewise at -3.
         pairs = [(x.valuation(), y.valuation()) for x, y in general_calls]
         assert general_calls == [(t(a), t(b)) for a, b in pairs]
-        assert sorted(pairs) == [(a, b) for a in range(-2, 3) for b in range(-3, 4)]
-        assert len(general_calls) == 35
-        # one sweep per group, on the one shared bracket
-        assert sweep_calls == {"term": 190, "combine": 70, "negate": 20}
+        unread = [(-2, -3), (-1, -3), (1, 3), (2, 3)]
+        assert sorted(pairs) == [(a, b) for a in range(-2, 3) for b in range(-3, 4)
+                                 if (a, b) not in unread]
+        # delta = 1: one sweep of the generator algebra
+        assert residue_sweeps == [125]
+        assert sweep_calls == {"residue": 35, "negate": 10}
 
     def test_repeated_triple_is_computed_once(self, sweep_calls):
         verify_quasi_jacobi(witt_context(), [(1, 2, -1), (1, 2, -1)])
-        assert sweep_calls == {"term": 6, "combine": 2}
+        assert sweep_calls == {"residue": 1}
 
-    def test_cocycle_sweep_restricted(self, bracket_calls, sweep_calls):
+    def test_cocycle_sweep_restricted(self, normalizations, sweep_calls):
         g = virasoro_cocycle()
         assert verify_cocycle_condition(g, witt_pq(), window=2).ok
         # (0, 0, 0) and six classes of three, of which the classes of
         # (-2, 2, 0) and (-1, 1, 0) are the negated ones of (-2, 0, 2) and
-        # (-1, 0, 1); 19 with one per rotation term, 57 with three per triple
-        assert bracket_calls == {g.algebra: 13}
-        assert sweep_calls == {"term": 13, "combine": 5, "negate": 2}
+        # (-1, 0, 1)
+        assert sweep_calls == {"residue": 5, "negate": 2}
+        normalizations.clear()
+        assert verify_cocycle_condition(g, witt_pq(), window=2).ok
+        assert len(normalizations) == 5
 
-    def test_cocycle_sweep_full_cube(self, bracket_calls, sweep_calls):
+    def test_cocycle_sweep_full_cube(self, sweep_calls):
         g = virasoro_cocycle()
         rep = verify_cocycle_condition(g, inverse_twist_example(), window=2)
         assert len(rep.entries) == 125
-        # 125 with one per rotation term, 375 with three per triple
-        assert bracket_calls == {g.algebra: 95}
-        assert sweep_calls == {"term": 95, "combine": 35, "negate": 10}
+        assert sweep_calls == {"residue": 35, "negate": 10}
 
 
 class TestHomJacobiAgainstReference:
@@ -433,7 +448,7 @@ class TestSkewGate:
         rep = verify_hom_jacobi(alg, triples)
         assert not rep.ok
         # the rotation classes of the direct sweep, and no negated class
-        assert sweep_calls == {"term": 125, "combine": 45}
+        assert sweep_calls == {"residue": 45}
         assert entries(rep) == reference_hom_jacobi(alg, triples)
 
     def test_perturbed_cocycle_shares_and_matches_reference(self, sweep_calls):
@@ -457,7 +472,7 @@ class TestSkewGate:
         alg = perturb_algebra(inverse_twist_example(), (1, -2), Combo.basis(-1, P))
         rep = verify_cocycle_condition(g, alg, window=2)
         assert not rep.ok
-        assert sweep_calls == {"term": 125, "combine": 45}
+        assert sweep_calls == {"residue": 45}
         assert entries(rep) == reference_cocycle(g, alg, index_triples(2))
 
     def test_quasi_jacobi_with_a_wrong_twist_shares_and_matches_reference(self, sweep_calls):
@@ -465,7 +480,8 @@ class TestSkewGate:
         triples = index_triples(2)
         rep = verify_quasi_jacobi(ctx, triples)
         assert {e.status for e in rep.entries} == {"pass", "fail"}
-        assert sweep_calls["negate"] == 20
+        # one sweep: the 10 transposed classes of the window
+        assert sweep_calls["negate"] == 10
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
 
     def test_quasi_jacobi_on_a_table_that_is_not_skew_falls_back(self, sweep_calls,
@@ -482,5 +498,36 @@ class TestSkewGate:
         ctx = witt_context()
         triples = index_triples(2)
         rep = verify_quasi_jacobi(ctx, triples)
-        assert not rep.ok
-        assert sweep_calls == {"term": 250, "combine": 90}
+        failing = [e for e in rep.entries if e.status == "fail"]
+        assert len(failing) == 18
+        # the 45 rotation classes of the one sweep, and each failing triple
+        # computes its two groups alone
+        assert sweep_calls == {"residue": 45 + 2 * 18}
+
+
+class TestScalarDeltaGate:
+    """Quasi-Jacobi takes one sweep of the generator algebra when delta is a
+    constant of Q(p,q), and one sweep per group otherwise.  The gate is
+    open on the three contexts of the package (delta = 1, q/p and -1) and
+    on the wrong-delta and wrong-twist contexts with a constant delta;
+    their entries match the reference in
+    ``TestQuasiJacobiAgainstReference``."""
+
+    CONTEXTS = TestQuasiJacobiAgainstReference.CONTEXTS
+
+    def test_delta_of_the_package_contexts(self):
+        one = LaurentPoly.one()
+        assert [f().delta for f in (witt_context, sl2_context, inverse_twist_context)] == [
+            one, one.scale(Q / P), -one]
+
+    @pytest.mark.parametrize("name", CONTEXTS)
+    def test_sweeps(self, name, residue_sweeps):
+        ctx = self.CONTEXTS[name]()
+        rep = verify_quasi_jacobi(ctx, index_triples(2))
+        failing = sum(e.status == "fail" for e in rep.entries)
+        assert (failing == 0) is (name in ("witt", "sl2", "inversion"))
+        if name == "witt-delta-t":
+            assert residue_sweeps == [125, 125]
+        else:
+            # one sweep, and the two groups of each failing triple alone
+            assert residue_sweeps == [125] + [1] * (2 * failing)

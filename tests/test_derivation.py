@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from homlie.derivation import (
@@ -10,6 +12,7 @@ from homlie.derivation import (
     verify_leibniz,
 )
 from homlie.errors import BadSize, EqualMorphisms, HypothesisViolated, InvalidGcd, NotAUnit
+from homlie.families import witt_context
 from homlie.laurent import Endo, LaurentPoly, apply_endo
 from homlie.scalar import P, Q, Scalar, pq_number
 
@@ -76,6 +79,19 @@ class TestGeneratorAction:
         g = t(1).scale(Q) - t(0)
         d = witt_ctx.element(t(1) + t(0))
         assert d.apply(f + g) == d.apply(f) + d.apply(g)
+
+    def test_copy_has_its_own_generator_cache(self):
+        """A copy of the process-wide witt context with tau = tau^-1 = the
+        inversion computes its own D(t^2), and the D(t^3) it computes
+        does not reach the original."""
+        ctx = witt_context()
+        assert ctx.generator_on_monomial(2) == t(2).scale(P + Q)
+        dup = copy.copy(ctx)
+        dup.tau = dup.tau_inv = Endo.inversion()
+        # (t^-n - q^n t^n)/(p - q)
+        assert dup.generator_on_monomial(2) == (t(-2) - t(2).scale(Q ** 2)).scale(1 / (P - Q))
+        assert dup.generator_on_monomial(3) == (t(-3) - t(3).scale(Q ** 3)).scale(1 / (P - Q))
+        assert ctx.generator_on_monomial(3) == t(3).scale(pq_number(3))
 
     def test_sigma_sigma_action(self):
         ctx = SigmaSigmaContext(P)
