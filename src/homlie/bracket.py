@@ -14,7 +14,7 @@ drops the tau^-1 twists but is only Hom-Lie when sigma and tau commute
 and D intertwines both up to one element delta.
 
 ``generator_algebra`` is the general bracket on d_n = -t^n.D with the
-twist sigma tau^-1 + delta, the one ``GradedAlgebra`` of a context.
+twist sigma tau^-1 + delta; a context builds it once, as ``ctx.algebra``.
 
 The cyclic verifiers check the six-term quasi-Jacobi identity
 
@@ -33,7 +33,6 @@ one ``laurent.bilinear_sum``; when the inner bracket is skew
 
 from __future__ import annotations
 
-from functools import cache
 from operator import neg
 from typing import Callable, Iterable, Iterator
 
@@ -142,16 +141,12 @@ def check_forced_conditions(ctx, window: int = 6) -> Report:
     return report
 
 
-# the conditions once per context object: a copy, changed or not, is checked afresh
-_forced_conditions = cache(check_forced_conditions)
-
-
 def bracket_forced(ctx, a: LaurentPoly, b: LaurentPoly, use_tau: bool = False) -> LaurentPoly:
     """Coefficient of the forced bracket; ConditionsFailed when the
-    hypotheses do not hold for this context."""
-    cached = _forced_conditions(ctx)
-    if not cached.ok:
-        first = cached.first_failure()
+    hypotheses do not hold for this context (``ctx.forced_conditions``)."""
+    conditions = ctx.forced_conditions
+    if not conditions.ok:
+        first = conditions.first_failure()
         raise ConditionsFailed(f"forced bracket unavailable: {first.id} ({first.witness})")
     twist = ctx.tau if use_tau else ctx.sigma
     return apply_endo(twist, a) * ctx.apply_generator(b) - apply_endo(
@@ -167,8 +162,9 @@ def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
 
     A failing triple reports its two three-term groups next to their sum,
     so that the failure localizes to one group: ``jacobi_residues`` sweeps
-    on the ``generator_algebra`` bracket, group 1 with the twist sigma
-    tau^-1, group 2 with the identity and delta times the outer bracket.
+    on the bracket of the context's generator algebra ``ctx.algebra``,
+    group 1 with the twist sigma tau^-1, group 2 with the identity and
+    delta times the outer bracket.
     A constant delta has delta [x, w] = [delta x, w], so the groups sum to
     the Hom-Jacobi residue of the generator algebra (twist sigma tau^-1 +
     delta): one sweep decides, and only a failing triple computes its
@@ -182,7 +178,7 @@ def verify_quasi_jacobi(ctx, triples: Iterable[tuple[int, int, int]]) -> Report:
         raise NotInvertible("context has no delta element")
 
     t = LaurentPoly.t
-    alg = generator_algebra(ctx)
+    alg = ctx.algebra
     twisted = GradedAlgebra("", alg.bracket_gen, lambda n: expand_in_d_basis(apply_endo(sti, -t(n))))
     plain = GradedAlgebra("", alg.bracket_gen, Combo.basis)
     times_delta = plain.post_composed(lambda x: expand_in_d_basis(delta * _coefficient_form(x)), "")
@@ -283,14 +279,14 @@ def _coefficient_form(x: Combo) -> LaurentPoly:
     return LaurentPoly._new({e: -c for e, c in x.num.items()}, x.den)
 
 
-def generator_algebra(ctx, name: str = "") -> GradedAlgebra:
+def generator_algebra(ctx) -> GradedAlgebra:
     """The general bracket of ``ctx`` on the generators d_n = -t^n.D:
     [d_n, d_m] is ``bracket_general`` on the monomials (t^n, t^m), each
     pair computed once, and alpha(d_n) is ``twist_coefficient`` of -t^n,
     both expanded in the d-basis."""
     t = LaurentPoly.t
     return GradedAlgebra(
-        name,
+        "",
         lambda n, m: expand_in_d_basis(bracket_general(ctx, t(n), t(m))),
         lambda n: expand_in_d_basis(twist_coefficient(ctx, -t(n))),
     )

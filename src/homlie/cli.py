@@ -23,7 +23,6 @@ from .bracket import (
     check_forced_conditions,
     cube,
     expand_in_d_basis,
-    generator_algebra,
     index_triples,
     jacobi_window,
     verify_hom_jacobi,
@@ -200,7 +199,7 @@ def _suite_witt(window: int, perturb) -> Report:
     alg = _apply_perturbation(witt_pq(), "witt", perturb)
     report = Report(suite="witt", window=window)
     ctx = witt_context()
-    _check_structure(report, alg, window, "witt-structure", generator_algebra(ctx).bracket_gen,
+    _check_structure(report, alg, window, "witt-structure", ctx.algebra.bracket_gen,
                      "operators give {}, table gives {}")
     triples = index_triples(jacobi_window(window))
     report.absorb("hom-jacobi", "hom-jacobi", verify_hom_jacobi(alg, triples))

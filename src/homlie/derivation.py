@@ -14,10 +14,11 @@ operator d with d(t^n) = n*(ct)^(n-1) for the dilation sigma(t) = c*t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .bracket import bracket_general
+from .bracket import bracket_general, check_forced_conditions, generator_algebra
 from .errors import (
     BadSize,
     EqualMorphisms,
@@ -58,27 +59,42 @@ class RankOneContext:
         return DerivationElement(coeff, self)
 
 
+@dataclass(frozen=True)
 class DerivationContext(RankOneContext):
-    """The data (tau, sigma, g) with generator Delta = (tau - sigma)/g."""
+    """The data (tau, sigma, g) with generator Delta = (tau - sigma)/g.
+
+    A context is a value: equal fields make equal contexts, and
+    ``dataclasses.replace`` builds a changed one.  What the fields fix is
+    stored on it: tau^-1, sigma tau^-1 and delta = sigma tau^-1(g)/g when
+    it is built; each D(t^n), the generator algebra and the forced-bracket
+    conditions on first use."""
+
+    tau: Endo
+    sigma: Endo
+    g: LaurentPoly
 
     # bench/tracing.py reads the class __dict__, so the shared method is bound here too
     apply_generator = RankOneContext.apply_generator
 
-    def __init__(self, tau: Endo, sigma: Endo, g: LaurentPoly):
-        self.tau = tau
-        self.sigma = sigma
-        self.g = g
-        self._gen_cache: dict[int, LaurentPoly] = {}
+    def __post_init__(self):
         try:
-            self.tau_inv: Endo | None = invert_endo(tau)
+            tau_inv = invert_endo(self.tau)
         except NotInvertible:
-            self.tau_inv = None
-        self.sigma_tau_inv: Endo | None = (
-            compose_endo(sigma, self.tau_inv) if self.tau_inv else None
-        )
-        self.delta: LaurentPoly | None = None
-        if self.sigma_tau_inv is not None:
-            self.delta = exact_div(apply_endo(self.sigma_tau_inv, g), g)
+            tau_inv = None
+        sti = compose_endo(self.sigma, tau_inv) if tau_inv else None
+        delta = None if sti is None else exact_div(apply_endo(sti, self.g), self.g)
+        # frozen: the derived values are stored as cached_property stores its own
+        vars(self).update(tau_inv=tau_inv, sigma_tau_inv=sti, delta=delta, _gen_cache={})
+
+    @cached_property
+    def algebra(self):
+        """The one ``bracket.generator_algebra`` of the context."""
+        return generator_algebra(self)
+
+    @cached_property
+    def forced_conditions(self) -> Report:
+        """``bracket.check_forced_conditions`` as ``bracket_forced`` reads it."""
+        return check_forced_conditions(self)
 
     def generator_on_monomial(self, n: int) -> LaurentPoly:
         got = self._gen_cache.get(n)
@@ -87,12 +103,6 @@ class DerivationContext(RankOneContext):
             got = exact_div(apply_endo(self.tau, tn) - apply_endo(self.sigma, tn), self.g)
             self._gen_cache[n] = got
         return got
-
-    def __copy__(self) -> "DerivationContext":
-        """A copy with its own cache of D(t^n), free to change tau, sigma or g."""
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__, _gen_cache={})
-        return dup
 
     def __repr__(self) -> str:
         return f"DerivationContext(tau: {self.tau}, sigma: {self.sigma}, g = {self.g})"
@@ -117,23 +127,24 @@ class DerivationElement:
         )
 
 
+@dataclass(frozen=True)
 class SigmaSigmaContext(RankOneContext):
     """tau = sigma = dilation by c; generator d(t^n) = n (ct)^(n-1).
 
     Every (sigma,sigma)-derivation D equals D(t) * d, so the module is
-    still free of rank one even though (tau - sigma) collapses.
+    still free of rank one even though (tau - sigma) collapses.  A value
+    like ``DerivationContext``, with the one field c.
     """
 
-    def __init__(self, c: Scalar):
-        if c.is_zero():
+    c: Scalar
+    g = delta = None
+    sigma_tau_inv = Endo.identity()
+
+    def __post_init__(self):
+        if self.c.is_zero():
             raise ValueError("dilation scalar must be nonzero")
-        self.c = c
-        self.sigma = Endo.dilation(c)
-        self.tau = self.sigma
-        self.tau_inv = invert_endo(self.tau)
-        self.sigma_tau_inv = Endo.identity()
-        self.g: LaurentPoly | None = None
-        self.delta: LaurentPoly | None = None
+        sigma = Endo.dilation(self.c)
+        vars(self).update(sigma=sigma, tau=sigma, tau_inv=invert_endo(sigma))
 
     def generator_on_monomial(self, n: int) -> LaurentPoly:
         return self.sigma.power(n - 1) * n
@@ -318,32 +329,22 @@ def rescale_generator(ctx: DerivationContext, u: LaurentPoly, window: int = 4):
     """
     if not u.is_unit():
         raise NotAUnit(f"{u} is not a unit")
-    new_ctx = DerivationContext(ctx.tau, ctx.sigma, u * ctx.g)
+    new_ctx = replace(ctx, g=u * ctx.g)
 
     report = Report(suite="base-change")
     if ctx.delta is not None:
-        sti = ctx.sigma_tau_inv
-        expected = exact_div(apply_endo(sti, u) * ctx.delta, u)
-        report.check(
-            "delta-change",
-            "delta-ratio",
-            new_ctx.delta == expected,
-            witness=None if new_ctx.delta == expected else f"{new_ctx.delta} != {expected}",
-        )
+        stiu = apply_endo(ctx.sigma_tau_inv, u)
+        expected = exact_div(stiu * ctx.delta, u)
+        ok = new_ctx.delta == expected
+        report.check("delta-change", "delta-ratio", ok,
+                     witness=None if ok else f"{new_ctx.delta} != {expected}")
         u_inv = u.unit_inverse()
-        stiu = apply_endo(sti, u)
         for n in range(-window, window + 1):
             for m in range(n, window + 1):
                 a, b = LaurentPoly.t(n), LaurentPoly.t(m)
                 lhs = u * (bracket_general(new_ctx, a, b) * u_inv)
-                rhs = stiu * (
-                    bracket_general(ctx, a * u_inv, b * u_inv)
-                )
+                rhs = stiu * bracket_general(ctx, a * u_inv, b * u_inv)
                 ok = lhs == rhs
-                report.check(
-                    f"bracket-({n},{m})",
-                    "base-change-relation",
-                    ok,
-                    witness=None if ok else f"{lhs} != {rhs}",
-                )
+                report.check(f"bracket-({n},{m})", "base-change-relation", ok,
+                             witness=None if ok else f"{lhs} != {rhs}")
     return new_ctx, report

@@ -8,18 +8,18 @@ inherits it.
 Each family constructor, like each derivation context, builds its
 algebra once per process and returns that one instance, so structure
 constants a suite has computed are reused by the suites after it;
-nothing mutates an algebra (a perturbation, a post-composition and a
-twist each build a new one).
+nothing changes an algebra's bracket or twist (a perturbation, a
+post-composition and a twist each build a new one).
 
 Closed structure constants are written once, as functions of a ring's
 (p, q, one) using only + - * /, ** with an int exponent, == and an int
 times an element (``witt_data``, ``forced_data``, ``sl2_data``, ...);
 the constructors evaluate them at (P, Q, ONE), and a diagonal family
 keeps its ``DiagonalData`` for the scale solver.  The inverse-twist
-family has only the operator route: it is ``bracket.generator_algebra``
-of ``inverse_twist_context``, bracket and twist alike.  ``witt_context``,
-``sl2_context`` and ``inverse_twist_context`` give the same constants
-through ``bracket_general`` and exact division.
+family has only the operator route: it is the generator algebra
+``inverse_twist_context().algebra``, bracket and twist alike.
+``witt_context``, ``sl2_context`` and ``inverse_twist_context`` give the
+same constants through ``bracket_general`` and exact division.
 
 A map between algebras is its generator images: any callable
 ``Key -> Combo``, such as ``lambda n: Combo.basis(n, P)``, or a
@@ -35,7 +35,7 @@ from functools import cache
 from typing import Any, Callable, NamedTuple
 
 from .algebra import Combo, GradedAlgebra, Key, algebras_equal_on_window, key_name
-from .bracket import cube, expand_in_d_basis, generator_algebra, jacobi_window, verify_hom_jacobi
+from .bracket import cube, expand_in_d_basis, jacobi_window, verify_hom_jacobi
 from .derivation import DerivationContext, make_context
 from .errors import NotWeakMorphism
 from .laurent import Endo, LaurentPoly
@@ -262,8 +262,11 @@ def inverse_twist_example() -> GradedAlgebra:
     """The family over tau(t) = t^-1, sigma(t) = qt, g = t^-1 - qt: the
     general bracket expanded into finitely many d_j by exact division by
     g.  There delta = -1, so the twist sigma tau^-1 + delta is
-    alpha(d_n) = q^-n d_{-n} - d_n."""
-    return generator_algebra(inverse_twist_context(), "W-inv")
+    alpha(d_n) = q^-n d_{-n} - d_n.  It is the context's own generator
+    algebra, named here."""
+    alg = inverse_twist_context().algebra
+    alg.name = "W-inv"
+    return alg
 
 
 # -- morphisms ------------------------------------------------------------------

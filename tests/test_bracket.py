@@ -1,5 +1,5 @@
-import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -168,14 +168,13 @@ class TestForcedBracket:
         with pytest.raises(ConditionsFailed):
             bracket_forced(inv_ctx, -t(1), -t(0))
 
-    def test_changed_copy_is_checked_afresh(self):
+    def test_replaced_context_is_checked_afresh(self):
         """The conditions of a context whose forced bracket has run do not
-        carry over to a copy with another tau."""
+        carry over to a context built from it with another tau."""
         ctx = make_context(Endo.dilation(P), Endo.dilation(Q))
         assert bracket_forced(ctx, t(1), t(2)) == t(3).scale(P * Q)
-        changed = copy.copy(ctx)
-        changed.tau = changed.tau_inv = Endo.inversion()
-        assert not check_forced_conditions(changed).ok
+        changed = replace(ctx, tau=Endo.inversion())
+        assert not changed.forced_conditions.ok
         with pytest.raises(ConditionsFailed):
             bracket_forced(changed, t(1), t(2))
 

@@ -17,13 +17,13 @@ whose identities fail (so that each witness shows the summed terms),
 with the skew gate open and shut.
 """
 
-import copy
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from homlie import bracket
+from homlie import bracket, cli
 from homlie.algebra import Combo, GradedAlgebra, cyclic_sweep, is_skew, perturb_algebra
 from homlie.bracket import (
     bracket_general,
@@ -32,6 +32,7 @@ from homlie.bracket import (
     verify_hom_jacobi,
     verify_quasi_jacobi,
 )
+from homlie.derivation import DerivationContext, make_context
 from homlie.extension import CENTRAL, verify_cocycle_condition, virasoro_cocycle
 from homlie.families import (
     inverse_twist_context,
@@ -181,28 +182,31 @@ def transposition_classes(triples):
     return len({min(rotations(tr) + rotations(tr[::-1])) for tr in triples})
 
 
+class Mutant(DerivationContext):
+    """``ctx`` rebuilt with the derived values in ``wrong`` (delta or sigma
+    tau^-1) fixed when it is built, in place of those its fields give."""
+
+    def __init__(self, ctx, **wrong):
+        super().__init__(ctx.tau, ctx.sigma, ctx.g)
+        vars(self).update(wrong)
+
+
 def failing_ctx():
     """The (p,q)-Witt context with a wrong delta: every quasi-Jacobi triple
     that is not identically zero fails, and its witness shows both groups."""
-    ctx = copy.copy(witt_context())
-    ctx.delta = ctx.delta + t(1)
-    return ctx
+    return Mutant(witt_context(), delta=witt_context().delta + t(1))
 
 
 def doubled_delta_ctx():
     """The sl(2) context with 2 delta in place of delta."""
-    ctx = copy.copy(sl2_context())
-    ctx.delta = 2 * ctx.delta
-    return ctx
+    return Mutant(sl2_context(), delta=2 * sl2_context().delta)
 
 
 def wrong_twist_ctx(ctx):
-    """A copy of the inversion context with sigma tau^-1 = t -> (p/q) t^-1
-    in place of t -> q^-1 t^-1.  A wrong delta would not do: there both
-    groups of every triple vanish on their own."""
-    ctx = copy.copy(ctx)
-    ctx.sigma_tau_inv = Endo(P / Q, -1)
-    return ctx
+    """The inversion context with sigma tau^-1 = t -> (p/q) t^-1 in place
+    of t -> q^-1 t^-1.  A wrong delta would not do: there both groups of
+    every triple vanish on their own."""
+    return Mutant(ctx, sigma_tau_inv=Endo(P / Q, -1))
 
 
 class TestHelper:
@@ -265,7 +269,7 @@ class TestEvaluationCounts:
 
     def test_quasi_jacobi_general_brackets_once_per_monomial_pair(self, general_calls,
                                                                   sweep_calls, residue_sweeps):
-        ctx = witt_context()
+        ctx = replace(witt_context())  # fresh: no bracket cached in its algebra
         assert verify_quasi_jacobi(ctx, index_triples(2)).ok
         # [t^a, t^b] at most once for |a| <= 2 and |b| <= 3: [d_n, d_m]
         # lies in span{d_(n+m)} and vanishes at n = m; 775 with six per
@@ -281,6 +285,19 @@ class TestEvaluationCounts:
         # delta = 1: one sweep of the generator algebra
         assert residue_sweeps == [125]
         assert sweep_calls == {"residue": 35, "negate": 10}
+
+    def test_witt_suite_general_brackets_once_per_monomial_pair(self, general_calls,
+                                                                monkeypatch):
+        """The witt suite's structure check and its quasi-Jacobi check read
+        one generator algebra of the context: on a fresh context, each pair
+        of the window is computed once, and quasi-Jacobi's pairs at the
+        Jacobi window lie among them."""
+        fresh = make_context(Endo.dilation(P), Endo.dilation(Q))
+        monkeypatch.setattr(cli, "witt_context", lambda: fresh)
+        assert cli.run_suite("witt", 4).ok
+        pairs = [(x.valuation(), y.valuation()) for x, y in general_calls]
+        assert general_calls == [(t(a), t(b)) for a, b in pairs]
+        assert sorted(pairs) == [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
 
     def test_repeated_triple_is_computed_once(self, sweep_calls):
         verify_quasi_jacobi(witt_context(), [(1, 2, -1), (1, 2, -1)])
@@ -495,7 +512,7 @@ class TestSkewGate:
             return got + t(3) if (a, b) == (t(1), t(2)) else got
 
         monkeypatch.setattr(bracket, "bracket_general", lopsided)
-        ctx = witt_context()
+        ctx = replace(witt_context())  # fresh: no bracket cached in its algebra
         triples = index_triples(2)
         rep = verify_quasi_jacobi(ctx, triples)
         failing = [e for e in rep.entries if e.status == "fail"]

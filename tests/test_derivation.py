@@ -1,4 +1,4 @@
-import copy
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -62,6 +62,28 @@ class TestMakeContext:
             assert apply_endo(sti, ctx.g) == ctx.delta * ctx.g
 
 
+class TestContextsAreValues:
+    @pytest.mark.parametrize("name", ["tau", "sigma", "g", "delta"])
+    def test_assignment_raises(self, witt_ctx, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(witt_ctx, name, getattr(witt_ctx, name))
+
+    @pytest.mark.parametrize("name", ["c", "sigma", "delta"])
+    def test_sigma_sigma_assignment_raises(self, name):
+        ctx = SigmaSigmaContext(P)
+        with pytest.raises(FrozenInstanceError):
+            setattr(ctx, name, getattr(ctx, name))
+
+    def test_equal_fields_make_equal_contexts(self, witt_ctx):
+        assert make_context(TAU, SIGMA) == witt_ctx == witt_context()
+        assert replace(witt_ctx, g=witt_ctx.g * 2) != witt_ctx
+        assert SigmaSigmaContext(P) == SigmaSigmaContext(P) != SigmaSigmaContext(Q)
+
+    def test_zero_dilation_is_refused(self):
+        with pytest.raises(ValueError):
+            SigmaSigmaContext(P - P)
+
+
 class TestGeneratorAction:
     def test_witt_monomials(self, witt_ctx):
         for n in range(-6, 7):
@@ -80,17 +102,16 @@ class TestGeneratorAction:
         d = witt_ctx.element(t(1) + t(0))
         assert d.apply(f + g) == d.apply(f) + d.apply(g)
 
-    def test_copy_has_its_own_generator_cache(self):
-        """A copy of the process-wide witt context with tau = tau^-1 = the
-        inversion computes its own D(t^2), and the D(t^3) it computes
-        does not reach the original."""
+    def test_replaced_context_has_its_own_generator_cache(self):
+        """A context built from the process-wide witt context with tau =
+        the inversion computes its own D(t^2) and D(t^3), and the D(t^3) it
+        computes does not reach the original."""
         ctx = witt_context()
         assert ctx.generator_on_monomial(2) == t(2).scale(P + Q)
-        dup = copy.copy(ctx)
-        dup.tau = dup.tau_inv = Endo.inversion()
+        changed = replace(ctx, tau=Endo.inversion())
         # (t^-n - q^n t^n)/(p - q)
-        assert dup.generator_on_monomial(2) == (t(-2) - t(2).scale(Q ** 2)).scale(1 / (P - Q))
-        assert dup.generator_on_monomial(3) == (t(-3) - t(3).scale(Q ** 3)).scale(1 / (P - Q))
+        assert changed.generator_on_monomial(2) == (t(-2) - t(2).scale(Q ** 2)).scale(1 / (P - Q))
+        assert changed.generator_on_monomial(3) == (t(-3) - t(3).scale(Q ** 3)).scale(1 / (P - Q))
         assert ctx.generator_on_monomial(3) == t(3).scale(pq_number(3))
 
     def test_sigma_sigma_action(self):

@@ -201,6 +201,13 @@ class TestInverseTwist:
     def test_hom_jacobi(self):
         assert verify_hom_jacobi(inverse_twist_example(), index_triples(2)).ok
 
+    def test_is_the_generator_algebra_of_its_context(self):
+        """The family W-inv is the inversion context's own generator
+        algebra, which quasi-Jacobi on that context reads."""
+        alg = inverse_twist_example()
+        assert alg.name == "W-inv"
+        assert alg.bracket_gen is inverse_twist_context().algebra.bracket_gen
+
 
 class TestMorphisms:
     def test_witt_scale_morphism(self):
@@ -484,6 +491,7 @@ class TestContextsBuiltOnce:
 
         monkeypatch.setattr(families, "make_context", counting)
         families.inverse_twist_context.cache_clear()
+        families.inverse_twist_example.cache_clear()
         assert cli.run_suite("inverse", 5).ok
         assert len(calls) == 1
 

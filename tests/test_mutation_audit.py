@@ -11,13 +11,14 @@ tested too.  Each mutation that keeps the inner bracket skew is one the
 sweep's transposition rule runs on.
 """
 
-import copy
+from dataclasses import replace
 
 import pytest
 
 from homlie import bracket
 from homlie.algebra import Combo, GradedAlgebra, perturb_algebra
 from homlie.bracket import bracket_general, index_triples, verify_hom_jacobi, verify_quasi_jacobi
+from homlie.derivation import DerivationContext
 from homlie.extension import verify_cocycle_condition, virasoro_cocycle
 from homlie.families import (
     inverse_twist_context,
@@ -36,16 +37,20 @@ t = LaurentPoly.t
 CONTEXTS = {"witt": witt_context, "sl2": sl2_context, "inversion": inverse_twist_context}
 
 
-def replaced(ctx, **changes):
-    ctx = copy.copy(ctx)
-    for name, value in changes.items():
-        setattr(ctx, name, value)
-    return ctx
+class Mutant(DerivationContext):
+    """``ctx`` rebuilt with the derived values in ``wrong`` (delta or sigma
+    tau^-1) fixed when it is built, in place of those its fields give."""
+
+    def __init__(self, ctx, **wrong):
+        super().__init__(ctx.tau, ctx.sigma, ctx.g)
+        vars(self).update(wrong)
 
 
 def with_table_entries(ctx, monkeypatch, *changes):
-    """``ctx``, with ``bracket_general`` on the monomials (t^a, t^b)
-    changed by ``extra`` for each ((a, b), extra)."""
+    """A fresh context equal to ``ctx``, with ``bracket_general`` on the
+    monomials (t^a, t^b) changed by ``extra`` for each ((a, b), extra).
+    Fresh, so that brackets cached in the generator algebra of ``ctx``
+    cannot hide the change."""
     real = bracket.bracket_general
 
     def mutated(ctx, x, y):
@@ -56,13 +61,13 @@ def with_table_entries(ctx, monkeypatch, *changes):
         return got
 
     monkeypatch.setattr(bracket, "bracket_general", mutated)
-    return ctx
+    return replace(ctx)
 
 
 QUASI_JACOBI_MUTATIONS = {
-    "delta + t": lambda ctx, mp: replaced(ctx, delta=ctx.delta + t(1)),
-    "2 delta": lambda ctx, mp: replaced(ctx, delta=2 * ctx.delta),
-    "p sigma tau^-1": lambda ctx, mp: replaced(
+    "delta + t": lambda ctx, mp: Mutant(ctx, delta=ctx.delta + t(1)),
+    "2 delta": lambda ctx, mp: Mutant(ctx, delta=2 * ctx.delta),
+    "p sigma tau^-1": lambda ctx, mp: Mutant(
         ctx, sigma_tau_inv=Endo(ctx.sigma_tau_inv.c * P, ctx.sigma_tau_inv.k)),
     "one table entry": lambda ctx, mp: with_table_entries(ctx, mp, ((1, 2), t(3))),
     "one skew pair of entries": lambda ctx, mp: with_table_entries(
