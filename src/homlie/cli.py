@@ -311,12 +311,10 @@ def cmd_table(args) -> int:
 
     if args.family == "virasoro":
         g = virasoro_cocycle()
-        rows = []
-        for n in range(-window, window + 1):
-            if specialize:
-                rows.append({"n": n, "coefficient": _shown(g.specialize(n, -n, *specialize))})
-            else:
-                rows.append({"n": n, "coefficient": str(g.value(n, -n))})
+        rows = [{"n": n, "coefficient": _shown(g.specialize(n, -n, *specialize)) if specialize
+                 else str(g.value(n, -n))} for n in range(-window, window + 1)]
+        for row in rows:
+            print(f"g({key_name(row['n'])}, {key_name(-row['n'])}) = {row['coefficient']}")
         _write_json(rows, args.json)
         return 0
 

@@ -15,52 +15,43 @@ the numerator or the denominator of the base, n times the estimated
 terms of its n-th power, prod(span * n + 1) over p, q and t, or n times
 the bits of its largest integer coefficient exceeds POWER_BUDGET = 10^5.
 
-``parse_scalar`` rejects t; ``parse_laurent`` builds elements of the
-Laurent ring, where '/' requires an exactly-dividing (in practice
-scalar or unit) divisor.  Errors carry the offending position.
+Every expression is computed in the Laurent ring Q(p,q)[t, t^-1], where
+'/' requires an exactly dividing divisor (in practice a scalar or a
+unit); ``parse_scalar`` refuses the letter t and returns the t^0
+coefficient.  Digits are decimal digits (``str.isdecimal``).  Parentheses
+and unary minus signs nest as deep as Python's recursion limit allows,
+at its default of 1000 about 190 parentheses or 980 minus signs; deeper
+input is BadSize.  Errors carry the offending position.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
 from .errors import BadSize, DivisionByZero, ExprSyntaxError, NotDivisible
 from .laurent import LaurentPoly, exact_div
-from .scalar import Scalar
+from .scalar import P, Q, Scalar
 
 MAX_EXPONENT = 10 ** 4
 POWER_BUDGET = 10 ** 5
 
+# \d is exactly str.isdecimal, the digits int() reads, and \s exactly str.isspace
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>[pqt])|(?P<op>[-+*/^()])|(?P<bad>\S))")
+_LETTERS = {"p": LaurentPoly.from_scalar(P), "q": LaurentPoly.from_scalar(Q), "t": LaurentPoly.t()}
+
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, pos)
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", text[i:j], i))
-                i = j
-                continue
-            if ch in "pqt":
-                self.tokens.append(("var", ch, i))
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(i, "digit, variable or operator",
-                                  f"at position {i}: unexpected character {ch!r}")
-        self.tokens.append(("end", "", n))
+        for m in _TOKEN.finditer(text):
+            kind, value, i = m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
+            if kind == "bad":
+                raise ExprSyntaxError(i, "digit, variable or operator",
+                                      f"at position {i}: unexpected character {value!r}")
+            self.tokens.append((value if kind == "op" else kind, value, i))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -79,15 +70,18 @@ class _Tokens:
 
 
 class _Parser:
-    """Evaluates directly into the target domain; ``allow_t`` selects
-    between the scalar field and the Laurent ring."""
+    """Evaluates directly into the Laurent ring; ``allow_t`` only decides
+    whether t is a letter."""
 
     def __init__(self, text: str, allow_t: bool):
         self.toks = _Tokens(text)
         self.allow_t = allow_t
 
-    def parse(self):
-        value = self.expr()
+    def parse(self) -> LaurentPoly:
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise BadSize("the expression nests deeper than the parser can recurse") from None
         tok = self.toks.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(tok[2], "end of input")
@@ -106,10 +100,7 @@ class _Parser:
         while self.toks.peek()[0] in ("*", "/"):
             op, _, pos = self.toks.next()
             rhs = self.unary()
-            if op == "*":
-                value = value * rhs
-            else:
-                value = self._divide(value, rhs, pos)
+            value = value * rhs if op == "*" else _divide(value, rhs, pos)
         return value
 
     def unary(self):
@@ -141,44 +132,33 @@ class _Parser:
             limit = sys.get_int_max_str_digits()
             if limit and len(value) > limit:
                 raise BadSize(f"the integer at position {pos} has more than {limit} digits")
-            n = int(value)
-            return LaurentPoly.from_int(n) if self.allow_t else Scalar.from_int(n)
+            return LaurentPoly.from_int(int(value))
         if kind == "var":
-            if value == "p":
-                s = Scalar.p()
-            elif value == "q":
-                s = Scalar.q()
-            else:
-                if not self.allow_t:
-                    raise ExprSyntaxError(pos, "a scalar expression (t not allowed)")
-                return LaurentPoly.t()
-            return LaurentPoly.from_scalar(s) if self.allow_t else s
+            if value == "t" and not self.allow_t:
+                raise ExprSyntaxError(pos, "a scalar expression (t not allowed)")
+            return _LETTERS[value]
         if kind == "(":
             inner = self.expr()
             self.toks.expect(")")
             return inner
         raise ExprSyntaxError(pos, "integer, variable or parenthesis")
 
-    def _divide(self, a, b, pos: int):
-        if not self.allow_t:
-            if b.is_zero():
-                raise DivisionByZero("division by zero in expression")
-            return a / b
-        if b.is_zero():
-            raise DivisionByZero("division by zero in expression")
-        if b.is_unit():
-            return a * b.unit_inverse()
-        try:
-            return exact_div(a, b)
-        except NotDivisible:
-            raise ExprSyntaxError(pos, "an exactly dividing divisor",
-                                  f"at position {pos}: inexact division") from None
+
+def _divide(a: LaurentPoly, b: LaurentPoly, pos: int) -> LaurentPoly:
+    if b.is_zero():
+        raise DivisionByZero("division by zero in expression")
+    if b.is_unit():
+        return a * b.unit_inverse()
+    try:
+        return exact_div(a, b)
+    except NotDivisible:
+        raise ExprSyntaxError(pos, "an exactly dividing divisor",
+                              f"at position {pos}: inexact division") from None
 
 
-def _check_power(base, n: int, pos: int) -> None:
+def _check_power(base: LaurentPoly, n: int, pos: int) -> None:
     """BadSize if base^n is beyond POWER_BUDGET (see the module docstring)."""
-    num = base.num.terms if isinstance(base, Scalar) else base.num
-    for poly in (num, base.den.terms):
+    for poly in (base.num, base.den.terms):
         terms = 1
         for exps in zip(*poly):
             terms *= (max(exps) - min(exps)) * n + 1
@@ -188,7 +168,8 @@ def _check_power(base, n: int, pos: int) -> None:
 
 
 def parse_scalar(text: str) -> Scalar:
-    return _Parser(text, allow_t=False).parse()
+    """A scalar is the t^0 coefficient of a Laurent expression without t."""
+    return _Parser(text, allow_t=False).parse().coeff(0)
 
 
 def parse_laurent(text: str) -> LaurentPoly:

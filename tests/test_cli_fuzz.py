@@ -30,12 +30,12 @@ from hypothesis import assume, given, settings, strategies as st
 from homlie import cli
 
 SMALL = ["1", "2", "3"]
-SIZES = SMALL + ["0", "-2", str(cli.MAX_SIZE + 1), "99999999999", "abc", "2.5", ""]
+SIZES = SMALL + ["0", "-2", str(cli.MAX_SIZE + 1), "99999999999", "abc", "2.5", "", "²"]
 # (suite, spec) faults that the suite sees at every window from 1 to 3
 FAULTS = [("witt", "witt:1,2"), ("witt", "witt:-2,2"), ("witt-forced", "witt-forced:2,-1"),
           ("inverse", "inverse:1,2"), ("sl2", "sl2:e,f"), ("sigma-sigma", "sigma-sigma:0,1"),
           ("virasoro", "virasoro:1")]
-ENV_WINDOWS = [None, "1", "3", "0", "-1", "abc", "99999999999", ""]
+ENV_WINDOWS = [None, "1", "3", "0", "-1", "abc", "99999999999", "", "²"]
 PERTURB_SPECS = [
     "witt:1,2", "witt:-2,2", "witt-forced:2,-1", "inverse:1,2", "sl2:e,f", "sigma-sigma:0,1",
     "virasoro:2", "witt:1", "witt:a,b", "witt:99,1", "virasoro:1,2", "diagram:1,2",
@@ -44,6 +44,8 @@ PERTURB_SPECS = [
 EXPRESSIONS = [
     "p*t", "q*t", "t^-1", "-t^2", "-t", "1", "0", "(p-q)*t", "1/(p-q)", "p^2 + q",
     "t^", "(", "1/0", "p**2", "t^-1 +", "@", "2*t*", "t^t", "1e999999", "",
+    # a digit that is not decimal, and nesting past the recursion limit
+    "2²", "t^²", "(" * 10000 + "p" + ")" * 10000, "0+" + "-" * 3000 + "p",
 ]
 RATIONALS = ["1", "2", "2/3", "-1/2", "0", "1/0", "x", "1.5", ""]
 JUNK = ["verify", "table", "--window", "3", "--perturb", "witt:1,2", "-a", "--kind",

@@ -202,6 +202,19 @@ def doubled_delta_ctx():
     return Mutant(sl2_context(), delta=2 * sl2_context().delta)
 
 
+def inversion_q_t2_ctx():
+    """tau = t -> t^-1 and sigma = t -> q t^2: g = t^-1 - q t^2 and
+    delta = -1 - q^-1 t^-3, a genuine context whose delta is not a
+    constant."""
+    return make_context(Endo.inversion(), Endo(Q, 2))
+
+
+def inversion_q_t2_doubled_delta_ctx():
+    """``inversion_q_t2_ctx`` with 2 delta in place of delta."""
+    ctx = inversion_q_t2_ctx()
+    return Mutant(ctx, delta=2 * ctx.delta)
+
+
 def wrong_twist_ctx(ctx):
     """The inversion context with sigma tau^-1 = t -> (p/q) t^-1 in place
     of t -> q^-1 t^-1.  A wrong delta would not do: there both groups of
@@ -348,18 +361,23 @@ class TestQuasiJacobiAgainstReference:
         "witt-delta-t": failing_ctx,
         "inversion-twist": lambda: wrong_twist_ctx(inverse_twist_context()),
         "sl2-2delta": doubled_delta_ctx,
+        "inversion-q-t2": inversion_q_t2_ctx,
+        "inversion-q-t2-2delta": inversion_q_t2_doubled_delta_ctx,
     }
+    GENUINE = ("witt", "sl2", "inversion", "inversion-q-t2")
+    # delta is not a constant of Q(p,q)
+    TWO_SWEEPS = ("witt-delta-t", "inversion-q-t2", "inversion-q-t2-2delta")
 
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_cube_matches_reference(self, name):
-        """The window-3 cube on the three contexts of the package and on
-        three with a wrong delta or sigma tau^-1, whose failing witnesses
-        show both groups."""
+        """The window-3 cube on the three contexts of the package, on the
+        inversion-q-t2 context and on four with a wrong delta or sigma
+        tau^-1, whose failing witnesses show both groups."""
         ctx = self.CONTEXTS[name]()
         triples = index_triples(3)
         rep = verify_quasi_jacobi(ctx, triples)
         assert entries(rep) == reference_quasi_jacobi(ctx, triples)
-        assert rep.ok is (name in ("witt", "sl2", "inversion"))
+        assert rep.ok is (name in self.GENUINE)
 
     def test_inversion_context_open_triples(self):
         ctx = inverse_twist_context()
@@ -526,7 +544,8 @@ class TestScalarDeltaGate:
     """Quasi-Jacobi takes one sweep of the generator algebra when delta is a
     constant of Q(p,q), and one sweep per group otherwise.  The gate is
     open on the three contexts of the package (delta = 1, q/p and -1) and
-    on the wrong-delta and wrong-twist contexts with a constant delta;
+    on the wrong-delta and wrong-twist contexts with a constant delta, and
+    shut on delta + t and on the inversion-q-t2 context and its 2 delta;
     their entries match the reference in
     ``TestQuasiJacobiAgainstReference``."""
 
@@ -537,13 +556,18 @@ class TestScalarDeltaGate:
         assert [f().delta for f in (witt_context, sl2_context, inverse_twist_context)] == [
             one, one.scale(Q / P), -one]
 
+    def test_g_and_delta_of_the_inversion_q_t2_context(self):
+        ctx = inversion_q_t2_ctx()
+        assert ctx.g == t(-1) - t(2).scale(Q)
+        assert ctx.delta == -LaurentPoly.one() - t(-3).scale(1 / Q)
+
     @pytest.mark.parametrize("name", CONTEXTS)
     def test_sweeps(self, name, residue_sweeps):
         ctx = self.CONTEXTS[name]()
         rep = verify_quasi_jacobi(ctx, index_triples(2))
         failing = sum(e.status == "fail" for e in rep.entries)
-        assert (failing == 0) is (name in ("witt", "sl2", "inversion"))
-        if name == "witt-delta-t":
+        assert (failing == 0) is (name in TestQuasiJacobiAgainstReference.GENUINE)
+        if name in TestQuasiJacobiAgainstReference.TWO_SWEEPS:
             assert residue_sweeps == [125, 125]
         else:
             # one sweep, and the two groups of each failing triple alone

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from homlie.cli import main
-from homlie.errors import BadSize, DivisionByZero, ExprSyntaxError
+from homlie.errors import BadSize, DivisionByZero, ExprSyntaxError, NotAUnit
 from homlie.laurent import LaurentPoly
 from homlie.parser import parse_laurent, parse_rational, parse_scalar
 from homlie.scalar import ONE, P, Q, ParamPoly, Scalar
@@ -142,6 +142,61 @@ class TestSpecializeErrors:
         assert code == 2
         assert out.out == ""
         assert out.err == line + "\n"
+
+
+class TestOneRing:
+    """Both entry points compute in the Laurent ring, so a zero base to a
+    negative power is one error for both."""
+
+    @pytest.mark.parametrize("text", ["0^-1", "(p-p)^-2"])
+    def test_zero_to_a_negative_power(self, text):
+        for parse in (parse_scalar, parse_laurent):
+            with pytest.raises(NotAUnit):
+                parse(text)
+
+
+NON_DECIMAL_DIGITS = [chr(c) for c in range(sys.maxunicode + 1)
+                      if chr(c).isdigit() and not chr(c).isdecimal()]
+
+
+class TestTokens:
+    """Digits are decimal digits; every other character is refused at its
+    position, and nesting past the recursion limit is one BadSize line."""
+
+    def test_non_decimal_digits_are_syntax_errors(self, capsys):
+        assert "²" in NON_DECIMAL_DIGITS
+        for c in NON_DECIMAL_DIGITS:
+            code = main(["specialize", "2" + c, "1", "1"])
+            out = capsys.readouterr()
+            assert (code, out.out) == (2, "")
+            assert out.err == f"syntax error: at position 1: unexpected character {c!r}\n"
+
+    def test_non_decimal_exponent_in_bracket(self, capsys):
+        code = main(["bracket", "--tau", "p*t", "--sigma", "q*t^²", "-a", "t", "-b", "t"])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err == "syntax error: at position 4: unexpected character '²'\n"
+
+    def test_decimal_digits_of_other_scripts(self):
+        assert parse_scalar("١٢ + p") == P + 12
+
+    @pytest.mark.parametrize("text", ["(" * 10000 + "p" + ")" * 10000, "0+" + "-" * 3000 + "p"],
+                             ids=["parentheses", "unary-minus"])
+    @pytest.mark.parametrize("argv", [["specialize", "{}", "1", "1"],
+                                      ["bracket", "--tau", "p*t", "--sigma", "q*t", "-a", "{}",
+                                       "-b", "t"]], ids=["specialize", "bracket"])
+    def test_deep_nesting_is_bad_size(self, capsys, text, argv):
+        start = time.monotonic()
+        code = main([text if a == "{}" else a for a in argv])
+        elapsed = time.monotonic() - start
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert len(out.err.splitlines()) == 1 and out.err.startswith("error: BadSize")
+        assert elapsed < 2
+
+    def test_100_nested_parentheses_parse(self):
+        assert parse_scalar("(" * 100 + "p" + ")" * 100) == P
+        assert parse_laurent("(" * 100 + "t" + ")" * 100) == t()
 
 
 class TestExponentBound:
