@@ -15,7 +15,7 @@ from homlie import (
     LaurentPoly,
     make_context,
     monomial_pairs,
-    pq_number,
+    pq_number_of,
     verify_leibniz,
 )
 from homlie.scalar import P, Q
@@ -30,7 +30,7 @@ print()
 
 print("the generator acting on monomials:")
 for n in (-2, -1, 1, 2, 3):
-    print(f"  D(t^{n}) = {ctx.apply_generator(t(n))}        [{n}] = {pq_number(n)}")
+    print(f"  D(t^{n}) = {ctx.apply_generator(t(n))}        [{n}] = {pq_number_of(P, Q, n)}")
 print()
 
 print("twisted Leibniz rule on the pair (t^2, t^3):")

@@ -79,6 +79,6 @@ from .laurent import Endo, LaurentPoly, apply_endo, compose_endo, exact_div, gcd
 from .opcat import CatalogueEntry, PlainPoly, catalogue, seeded_corpus, verify_catalogue, verify_entry
 from .parser import parse_laurent, parse_rational, parse_scalar
 from .report import Entry, Report
-from .scalar import ParamPoly, Scalar, pq_number, pq_number_equal, pq_number_of, q_number
+from .scalar import ParamPoly, Scalar, pq_number_of
 
 __version__ = "0.1.0"

@@ -1,15 +1,13 @@
 """Twisted derivation contexts on A = Q(p,q)[t, t^-1].
 
-A context holds two different endomorphisms tau, sigma together with a
-common divisor g of the image set (tau - sigma)(A), which the image of
-t generates: tau(t)^n - sigma(t)^n = (tau(t) - sigma(t)) [n] for the
-(tau(t), sigma(t))-deformed integer [n].  The associated generator
-Delta = (tau - sigma)/g spans the space of (tau,sigma)-derivations as a
-rank-one A-module, and every element is a*Delta acting by
-f -> a*(tau(f) - sigma(f))/g with the division exact.
-
-The degenerate tau = sigma case has its own context built around the
-operator d with d(t^n) = n*(ct)^(n-1) for the dilation sigma(t) = c*t.
+A context holds two endomorphisms tau, sigma and a common divisor g of
+the image set (tau - sigma)(A).  Both send t to a unit, x = tau(t) and
+y = sigma(t), and x^n - y^n = (x - y) [n]_{x,y} for the deformed integer
+``scalar.pq_number_of``, so x - y generates that ideal.  The generator
+D = (tau - sigma)/g spans the (tau,sigma)-derivations as a rank-one
+A-module, and both context kinds compute it by one closed form,
+D(t^n) = u [n]_{x,y} with the unit u = (x - y)/g; at tau = sigma,
+x = y and u = 1, it is n x^(n-1).
 """
 
 from __future__ import annotations
@@ -38,15 +36,22 @@ from .laurent import (
     invert_endo,
 )
 from .report import Report
-from .scalar import Scalar
+from .scalar import Scalar, pq_number_of
 
 DEFAULT_WINDOW = 8
 
 
 class RankOneContext:
     """What both context kinds share: the (tau,sigma)-derivations form a
-    free A-module of rank one, so its generator acts termwise through
-    ``generator_on_monomial``."""
+    free A-module of rank one, whose generator is D(t^n) = u [n]_{x,y} on
+    monomials, for the unit u a context stores, and termwise on the rest."""
+
+    def generator_on_monomial(self, n: int) -> LaurentPoly:
+        got = self._gen_cache.get(n)
+        if got is None:
+            x, y = self.tau.power(1), self.sigma.power(1)
+            got = self._gen_cache[n] = self.u * pq_number_of(x, y, n)
+        return got
 
     def apply_generator(self, f: LaurentPoly) -> LaurentPoly:
         """The generator applied to f, extended linearly from monomials."""
@@ -65,9 +70,10 @@ class DerivationContext(RankOneContext):
 
     A context is a value: equal fields make equal contexts, and
     ``dataclasses.replace`` builds a changed one.  What the fields fix is
-    stored on it: tau^-1, sigma tau^-1 and delta = sigma tau^-1(g)/g when
-    it is built; each D(t^n), the generator algebra and the forced-bracket
-    conditions on first use."""
+    stored on it: u, tau^-1, sigma tau^-1 and delta = sigma tau^-1(g)/g
+    when it is built, so a g that does not divide tau(t) - sigma(t) raises
+    NotDivisible there; each D(t^n), the generator algebra and the
+    forced-bracket conditions on first use."""
 
     tau: Endo
     sigma: Endo
@@ -77,6 +83,7 @@ class DerivationContext(RankOneContext):
     apply_generator = RankOneContext.apply_generator
 
     def __post_init__(self):
+        u = (self.tau.power(1) - self.sigma.power(1)) / self.g
         try:
             tau_inv = invert_endo(self.tau)
         except NotInvertible:
@@ -84,7 +91,7 @@ class DerivationContext(RankOneContext):
         sti = compose_endo(self.sigma, tau_inv) if tau_inv else None
         delta = None if sti is None else exact_div(apply_endo(sti, self.g), self.g)
         # frozen: the derived values are stored as cached_property stores its own
-        vars(self).update(tau_inv=tau_inv, sigma_tau_inv=sti, delta=delta, _gen_cache={})
+        vars(self).update(u=u, tau_inv=tau_inv, sigma_tau_inv=sti, delta=delta, _gen_cache={})
 
     @cached_property
     def algebra(self):
@@ -95,14 +102,6 @@ class DerivationContext(RankOneContext):
     def forced_conditions(self) -> Report:
         """``bracket.check_forced_conditions`` as ``bracket_forced`` reads it."""
         return check_forced_conditions(self)
-
-    def generator_on_monomial(self, n: int) -> LaurentPoly:
-        got = self._gen_cache.get(n)
-        if got is None:
-            tn = LaurentPoly.t(n)
-            got = exact_div(apply_endo(self.tau, tn) - apply_endo(self.sigma, tn), self.g)
-            self._gen_cache[n] = got
-        return got
 
     def __repr__(self) -> str:
         return f"DerivationContext(tau: {self.tau}, sigma: {self.sigma}, g = {self.g})"
@@ -129,7 +128,7 @@ class DerivationElement:
 
 @dataclass(frozen=True)
 class SigmaSigmaContext(RankOneContext):
-    """tau = sigma = dilation by c; generator d(t^n) = n (ct)^(n-1).
+    """tau = sigma = dilation by c; x = y = ct and u = 1 give d(t^n) = n (ct)^(n-1).
 
     Every (sigma,sigma)-derivation D equals D(t) * d, so the module is
     still free of rank one even though (tau - sigma) collapses.  A value
@@ -138,16 +137,14 @@ class SigmaSigmaContext(RankOneContext):
 
     c: Scalar
     g = delta = None
+    u = LaurentPoly.one()
     sigma_tau_inv = Endo.identity()
 
     def __post_init__(self):
         if self.c.is_zero():
             raise ValueError("dilation scalar must be nonzero")
         sigma = Endo.dilation(self.c)
-        vars(self).update(sigma=sigma, tau=sigma, tau_inv=invert_endo(sigma))
-
-    def generator_on_monomial(self, n: int) -> LaurentPoly:
-        return self.sigma.power(n - 1) * n
+        vars(self).update(sigma=sigma, tau=sigma, tau_inv=invert_endo(sigma), _gen_cache={})
 
     # bench/tracing.py reads the class __dict__, so the shared method is bound here too
     apply_generator = RankOneContext.apply_generator
@@ -162,12 +159,12 @@ def make_context(
     """Build a derivation context, choosing g canonically unless overridden.
 
     Both maps send t to a unit, x = tau(t) and y = sigma(t), and
-    x^n - y^n = (x - y) [n]_{x,y} (times the unit (xy)^n for n < 0), so
-    the image (tau - sigma)(t) = x - y generates the ideal
-    (tau - sigma)(A).  The default g is that image when it has two
-    t-terms, which keeps Delta(t) equal to 1, and its canonical scalar
-    associate (e.g. p - q for two dilations) when it is a single term.
-    A supplied g is accepted exactly when it divides the image of t.
+    x^n - y^n = (x - y) [n]_{x,y}, so the image x - y of t generates the
+    ideal (tau - sigma)(A), and D(t^n) = u [n]_{x,y} with the unit
+    u = (x - y)/g.  The default g is that image when it has two t-terms
+    (u = 1), and its canonical scalar associate (e.g. p - q for two
+    dilations, u = t) when it is a single term.  A supplied g is accepted
+    exactly when it divides the image of t.
     """
     if tau == sigma:
         raise EqualMorphisms("tau = sigma; use SigmaSigmaContext")

@@ -379,6 +379,9 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a._make(_join({k + va - vb: c for k, c in quotient.items()}), den)
 
 
+LaurentPoly.__truediv__ = exact_div
+
+
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
     try:
         exact_div(a, b)

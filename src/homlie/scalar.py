@@ -25,7 +25,7 @@ content 1, the denominator's leading coefficient (graded-lex order on
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable
 
@@ -839,26 +839,9 @@ ZERO = Scalar.zero()
 ONE = Scalar.one()
 
 
-def pq_number_of(a: Scalar, b: Scalar, n: int) -> Scalar:
+def pq_number_of(a, b, n: int):
     """The (a,b)-deformed integer [n] = (a^n - b^n)/(a - b), and its limit
     n a^(n-1) when a = b; [-n] = -(ab)^(-n) [n] follows."""
     if a == b:
         return n * a ** (n - 1)
     return (a ** n - b ** n) / (a - b)
-
-
-@cache
-def pq_number(n: int) -> Scalar:
-    """[n] = (p^n - q^n)/(p - q), as a Laurent polynomial in p and q;
-    computed once per n, and the Scalar is shared."""
-    return pq_number_of(P, Q, n)
-
-
-def pq_number_equal(n: int) -> Scalar:
-    """The q = p degeneration n * p^(n-1)."""
-    return pq_number_of(P, P, n)
-
-
-def q_number(n: int) -> Scalar:
-    """{n} = (1 - r^n)/(1 - r) in the single parameter r = q/p."""
-    return pq_number_of(ONE, Q / P, n)

@@ -52,7 +52,7 @@ from homlie.families import (
 )
 from homlie.laurent import Endo, LaurentPoly
 from homlie.opcat import catalogue, seeded_corpus, verify_entry
-from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
+from homlie.scalar import ONE, P, Q, Scalar, pq_number_of
 
 t = LaurentPoly.t
 two = Scalar.from_int(2)
@@ -81,7 +81,7 @@ def test_criterion_01_witt_structure_constants(witt_context):
     for n in range(-6, 7):
         for m in range(-6, 7):
             coeff = bracket_general(ctx, coefficient_of_d(n), coefficient_of_d(m))
-            expected = pq_number(n) / P ** n - pq_number(m) / P ** m
+            expected = pq_number_of(P, Q, n) / P ** n - pq_number_of(P, Q, m) / P ** m
             assert coeff == coefficient_of_d(n + m).scale(expected), (n, m)
             oracle = bracket_general_operator_oracle(
                 ctx, coefficient_of_d(n), coefficient_of_d(m)

@@ -27,7 +27,7 @@ from homlie.families import (
     witt_pq_forced,
 )
 from homlie.laurent import Endo, LaurentPoly
-from homlie.scalar import P, Q, Scalar, pq_number
+from homlie.scalar import P, Q, Scalar, pq_number_of
 
 t = LaurentPoly.t
 
@@ -55,7 +55,7 @@ class TestGeneralBracket:
     def test_witt_structure_shape(self, ctx):
         for n, m in ((2, 1), (3, -2), (0, 4), (-1, -3)):
             got = bracket_general(ctx, -t(n), -t(m))
-            coeff = pq_number(n) / P ** n - pq_number(m) / P ** m
+            coeff = pq_number_of(P, Q, n) / P ** n - pq_number_of(P, Q, m) / P ** m
             assert got == -t(n + m).scale(coeff)
 
     def test_skew_symmetry(self, ctx):
@@ -181,7 +181,7 @@ class TestForcedBracket:
     def test_forced_structure(self, ctx):
         for n, m in ((1, 0), (2, 1), (3, -2)):
             got = bracket_forced(ctx, -t(n), -t(m))
-            coeff = Q ** m * pq_number(n) - Q ** n * pq_number(m)
+            coeff = Q ** m * pq_number_of(P, Q, n) - Q ** n * pq_number_of(P, Q, m)
             assert got == -t(n + m).scale(coeff)
 
     def test_sigma_and_tau_forms_agree(self, ctx):

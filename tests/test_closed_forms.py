@@ -11,13 +11,16 @@ references below are the older routes, kept here as tests:
   the image of t divided by it leaves a unit;
 - an override verdict: accept g when it divides every nonzero image
   (tau - sigma)(t^n) on a window;
-- [n]: the sum of a^(n-1-k) b^k over k < n, and -(ab)^n [-n] for n < 0.
+- [n]: the sum of a^(n-1-k) b^k over k < n, and -(ab)^n [-n] for n < 0;
+- D(t^n), which both context kinds now compute as u [n]_{x,y}: exact
+  division of tau(t^n) - sigma(t^n) by g, and n (ct)^(n-1) for the
+  sigma-sigma context of the dilation by c.
 """
 
 import pytest
 
-from homlie.derivation import make_context
-from homlie.errors import InvalidGcd, NotDivisible
+from homlie.derivation import DerivationContext, SigmaSigmaContext, make_context
+from homlie.errors import DivisionByZero, InvalidGcd, NotDivisible
 from homlie.laurent import Endo, LaurentPoly, apply_endo, divides, exact_div, gcd_up_to_unit
 from homlie.scalar import ONE, P, Q, Scalar, pq_number_of
 
@@ -52,10 +55,11 @@ def reference_g(tau: Endo, sigma: Endo) -> LaurentPoly:
     return g
 
 
-def reference_sum(a: Scalar, b: Scalar, n: int) -> Scalar:
+def reference_sum(a, b, n: int):
+    """[n]_{a,b} without a division, for Scalars or Laurent units."""
     if n < 0:
         return -((a * b) ** n) * reference_sum(a, b, -n)
-    total = Scalar.zero()
+    total = 0 * a
     for k in range(n):
         total = total + a ** (n - 1 - k) * b ** k
     return total
@@ -96,3 +100,37 @@ def test_deformed_integer_matches_the_sum(a, b):
     for n in range(-8, 9):
         got, want = pq_number_of(a, b, n), reference_sum(a, b, n)
         assert (got.num, got.den) == (want.num, want.den), n
+
+
+@pytest.mark.parametrize("tau,sigma", PAIRS, ids=lambda e: str(e))
+def test_generator_matches_exact_division_and_the_sum(tau, sigma):
+    ctx = make_context(tau, sigma)
+    x, y = apply_endo(tau, t()), apply_endo(sigma, t())
+    for n in range(-7, 8):
+        got = ctx.generator_on_monomial(n)
+        divided = exact_div(apply_endo(tau, t(n)) - apply_endo(sigma, t(n)), ctx.g)
+        assert parts(got) == parts(divided), n
+        assert got == ctx.u * reference_sum(x, y, n), n
+
+
+@pytest.mark.parametrize("c", [ONE, -ONE, P, Q, Q / P], ids=["1", "-1", "p", "q", "q/p"])
+def test_sigma_sigma_generator_is_n_times_a_power(c):
+    ctx, ct = SigmaSigmaContext(c), LaurentPoly.monomial(c, 1)
+    for n in range(-8, 9):
+        assert parts(ctx.generator_on_monomial(n)) == parts(ct ** (n - 1) * n), n
+
+
+def test_laurent_division_is_exact_division():
+    one = LaurentPoly.one()
+    assert (t(3) - t().scale(Q ** 2)) / (t() - LaurentPoly.from_scalar(Q)) == t(2) + t().scale(Q)
+    with pytest.raises(NotDivisible):
+        (t() + one) / (t() + 2 * one)
+    with pytest.raises(DivisionByZero):
+        t() / LaurentPoly.zero()
+
+
+def test_a_g_that_does_not_divide_the_image_of_t_fails_when_built():
+    """u = (tau(t) - sigma(t))/g is stored when a context is built, so such
+    a g fails there, also where tau has no inverse and no delta is taken."""
+    with pytest.raises(NotDivisible):
+        DerivationContext(Endo(P, 2), Endo(Q, 1), t() + LaurentPoly.one())

@@ -18,7 +18,7 @@ from homlie.extension import (
     virasoro_pq,
 )
 from homlie.families import inverse_twist_example, witt_pq
-from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
+from homlie.scalar import ONE, P, Q, Scalar, pq_number_of
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,9 @@ class TestCocycleValues:
         r = Q / P
         expect = (
             r ** -2 / (Scalar.from_int(6) * (ONE + r ** 2))
-            * (pq_number(1) / P)
-            * (pq_number(2) / P ** 2)
-            * (pq_number(3) / P ** 3)
+            * (pq_number_of(P, Q, 1) / P)
+            * (pq_number_of(P, Q, 2) / P ** 2)
+            * (pq_number_of(P, Q, 3) / P ** 3)
         )
         assert g.value(2, -2) == expect
 

@@ -42,7 +42,7 @@ from homlie.families import (
     witt_pq_forced,
     witt_r,
 )
-from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of, q_number
+from homlie.scalar import ONE, P, Q, Scalar, pq_number_of
 
 two = Scalar.from_int(2)
 
@@ -88,7 +88,7 @@ class TestWitt:
         for n, m in ((2, 1), (3, -1)):
             combo = w.bracket_gen(n, m)
             value = combo.coeff(n + m).specialize(2, 3)
-            direct = (pq_number(n) / P ** n - pq_number(m) / P ** m).specialize(2, 3)
+            direct = (pq_number_of(P, Q, n) / P ** n - pq_number_of(P, Q, m) / P ** m).specialize(2, 3)
             assert value == direct
 
 

@@ -15,7 +15,7 @@ from homlie.laurent import (
     gcd_up_to_unit,
     invert_endo,
 )
-from homlie.scalar import P, Q, ParamPoly, Scalar, pq_number
+from homlie.scalar import P, Q, ParamPoly, Scalar, pq_number_of
 
 t = LaurentPoly.t
 
@@ -108,7 +108,7 @@ class TestExactDiv:
         monkeypatch.setattr(laurent, "_pseudo_divide", recording)
         got = exact_div(t(n).scale(P ** n - Q ** n), LaurentPoly.from_scalar(P - Q))
         assert multipliers == [ParamPoly.one()]
-        assert got == t(n).scale(pq_number(n)) and got.den.terms == {(0, 0): 1}
+        assert got == t(n).scale(pq_number_of(P, Q, n)) and got.den.terms == {(0, 0): 1}
 
     def test_roundtrip(self):
         rng = random.Random(11)

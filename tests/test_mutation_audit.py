@@ -2,7 +2,8 @@
 the cocycle condition.
 
 Each mutation changes one ingredient of a true identity: delta, sigma
-tau^-1 or one monomial bracket of a derivation context; one structure
+tau^-1, the unit u of the generator D(t^n) = u [n]_{x,y}, one value
+D(t^3) or one monomial bracket of a derivation context; one structure
 constant or one twist value of an algebra; one value of the Virasoro
 cocycle.  A check that stays green on a mutation would pass a false
 ingredient, so every mutation turns its check red, except those listed
@@ -35,11 +36,14 @@ from homlie.scalar import P
 t = LaurentPoly.t
 
 CONTEXTS = {"witt": witt_context, "sl2": sl2_context, "inversion": inverse_twist_context}
+# quasi-Jacobi runs on the cube of this window: sl(2)'s triples reach D(t^3) from 3 on
+WINDOW = 3
 
 
 class Mutant(DerivationContext):
-    """``ctx`` rebuilt with the derived values in ``wrong`` (delta or sigma
-    tau^-1) fixed when it is built, in place of those its fields give."""
+    """``ctx`` rebuilt with the derived values in ``wrong`` (delta, sigma
+    tau^-1, u or cached values D(t^n)) fixed when it is built, in place of
+    those its fields give."""
 
     def __init__(self, ctx, **wrong):
         super().__init__(ctx.tau, ctx.sigma, ctx.g)
@@ -72,6 +76,12 @@ QUASI_JACOBI_MUTATIONS = {
     "one table entry": lambda ctx, mp: with_table_entries(ctx, mp, ((1, 2), t(3))),
     "one skew pair of entries": lambda ctx, mp: with_table_entries(
         ctx, mp, ((1, 2), t(3)), ((2, 1), -t(3))),
+    # u times a non-constant unit; a scalar multiple of u is no fault, since
+    # quasi-Jacobi is homogeneous in D and lambda.D is a generator too
+    "u t": lambda ctx, mp: Mutant(ctx, u=ctx.u * t(1)),
+    "D(t^3) + t^2": lambda ctx, mp: Mutant(
+        ctx, _gen_cache={3: ctx.generator_on_monomial(3) + t(2)}),
+    "2 D(t^3)": lambda ctx, mp: Mutant(ctx, _gen_cache={3: 2 * ctx.generator_on_monomial(3)}),
 }
 
 # (check, subject, mutation) -> why the check cannot see it
@@ -79,6 +89,8 @@ UNSEEN = {
     ("quasi-jacobi", "inversion", "delta + t"):
         "both groups vanish separately on every triple, so delta multiplies zero",
     ("quasi-jacobi", "inversion", "2 delta"):
+        "both groups vanish separately on every triple, so delta multiplies zero",
+    ("quasi-jacobi", "inversion", "u t"):
         "both groups vanish separately on every triple, so delta multiplies zero",
     ("hom-jacobi", "sl2_pq", "one skew pair of structure constants"):
         "every residue is affine in the multiple of h that [e, f] = -[f, e] is, and "
@@ -128,9 +140,9 @@ def seen_cases(check, subjects, mutations):
                          seen_cases("quasi-jacobi", CONTEXTS, QUASI_JACOBI_MUTATIONS))
 def test_quasi_jacobi_sees(name, mutation, monkeypatch):
     ctx = CONTEXTS[name]()
-    assert verify_quasi_jacobi(ctx, index_triples(2)).ok
+    assert verify_quasi_jacobi(ctx, index_triples(WINDOW)).ok
     mutated = QUASI_JACOBI_MUTATIONS[mutation](ctx, monkeypatch)
-    assert not verify_quasi_jacobi(mutated, index_triples(2)).ok
+    assert not verify_quasi_jacobi(mutated, index_triples(WINDOW)).ok
 
 
 @pytest.mark.parametrize("family,mutation",
@@ -159,7 +171,7 @@ def test_unseen_mutation_stays_green(case, monkeypatch):
     check, name, mutation = case
     if check == "quasi-jacobi":
         mutated = QUASI_JACOBI_MUTATIONS[mutation](CONTEXTS[name](), monkeypatch)
-        assert verify_quasi_jacobi(mutated, index_triples(2)).ok
+        assert verify_quasi_jacobi(mutated, index_triples(WINDOW)).ok
     else:
         make, at, key = FAMILIES[name]
         mutated = HOM_JACOBI_MUTATIONS[mutation](make(), at, key)
@@ -167,19 +179,20 @@ def test_unseen_mutation_stays_green(case, monkeypatch):
 
 
 def test_unseen_reason_groups_vanish_separately():
-    """On the inversion context, cyc [sigma tau^-1(x), [y, z]] and
+    """On the inversion context, and on it with the generator t.D in
+    place of D (the ``u t`` mutation), cyc [sigma tau^-1(x), [y, z]] and
     cyc [x, [y, z]] are each zero on every triple, computed afresh through
     ``bracket_general`` on -t^n; the quasi-Jacobi sum is the first plus
     delta times the second, whatever delta is."""
-    ctx = inverse_twist_context()
-    for a, b, c in index_triples(2):
-        x, y, z = -t(a), -t(b), -t(c)
-        group1 = group2 = LaurentPoly.zero()
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            inner = bracket_general(ctx, v, w)
-            group1 = group1 + bracket_general(ctx, apply_endo(ctx.sigma_tau_inv, u), inner)
-            group2 = group2 + bracket_general(ctx, u, inner)
-        assert group1.is_zero() and group2.is_zero(), (a, b, c)
+    for ctx in (inverse_twist_context(), QUASI_JACOBI_MUTATIONS["u t"](inverse_twist_context(), None)):
+        for a, b, c in index_triples(WINDOW):
+            x, y, z = -t(a), -t(b), -t(c)
+            group1 = group2 = LaurentPoly.zero()
+            for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                inner = bracket_general(ctx, v, w)
+                group1 = group1 + bracket_general(ctx, apply_endo(ctx.sigma_tau_inv, u), inner)
+                group2 = group2 + bracket_general(ctx, u, inner)
+            assert group1.is_zero() and group2.is_zero(), (ctx.u, a, b, c)
 
 
 def test_unseen_reason_sl2_residues_vanish_without_e_f():

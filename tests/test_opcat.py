@@ -21,7 +21,7 @@ from homlie.opcat import (
     verify_catalogue,
     verify_entry,
 )
-from homlie.scalar import ONE, P, Q, Scalar, pq_number, pq_number_of
+from homlie.scalar import ONE, P, Q, Scalar, pq_number_of
 
 t = PlainPoly.t
 ROWS = {e.name: e for e in catalogue()}
@@ -47,7 +47,7 @@ class TestSpotValues:
     def test_jackson_pq_on_monomial(self):
         D = ROWS["jackson-pq-derivative"].operator
         for n in range(1, 7):
-            assert D(t(n)) == PlainPoly.monomial(pq_number(n), n - 1)
+            assert D(t(n)) == PlainPoly.monomial(pq_number_of(P, Q, n), n - 1)
 
     def test_jackson_q_on_monomial(self):
         D = ROWS["jackson-q-derivative"].operator

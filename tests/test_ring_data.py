@@ -7,18 +7,25 @@ check, reduced mod 2^61 - 1; the identities the suites prove are then
 re-derived in the field, and a seeded fault must show there too.  The
 field class has only the operations the data may use, so a formula that
 reaches for another one fails here.
+
+The operator route gets the same treatment: at seeded points
+(p0, q0, t0) the generator D(t^n) = u [n]_{x,y} and the general bracket
+of monomial contexts are evaluated in the field, with [n]_{x,y} a sum
+without division, and compared with the contexts' own values.
 """
 
 import random
 
 import pytest
 
+from homlie.derivation import make_context
 from homlie.extension import virasoro_cocycle, virasoro_value
 from homlie.families import (
     DiagonalData,
     classical_sl2,
     classical_witt,
     forced_data,
+    inverse_twist_context,
     sigma_sigma_data,
     sigma_sigma_forced_data,
     sigma_sigma_witt,
@@ -32,6 +39,8 @@ from homlie.families import (
     witt_pq_forced,
     witt_r,
 )
+from homlie.laurent import Endo
+from homlie.scalar import ONE, P, Q
 
 PRIME = 2 ** 61 - 1
 
@@ -210,3 +219,97 @@ def test_a_fault_shows_in_the_field(seed):
     assert hom_jacobi_failures(DiagonalData(s, bumped(a, (1,), one)), zero)
     g = bumped(virasoro_value(p, q, one), (3, -3), one)
     assert cocycle_failures(DiagonalData(s, a), g, zero)
+
+
+# -- the operator route at points (p0, q0, t0) -------------------------------
+
+# (Scalar c, the same c in a ring's (p, q, one))
+COEFFS = [
+    (ONE, lambda p, q, one: one),
+    (-ONE, lambda p, q, one: -one),
+    (P, lambda p, q, one: p),
+    (Q, lambda p, q, one: q),
+    (Q / P, lambda p, q, one: q / p),
+]
+# the map t -> c t^k as (c, k, c in a ring)
+MAPS = [(c, k, c_of) for c, c_of in COEFFS for k in (1, -1)]
+GRID = [(tau, sigma) for tau in MAPS for sigma in MAPS if tau is not sigma]
+
+
+def point_t(seed: int) -> tuple[int, int, int]:
+    """Three distinct integers (p0, q0, t0) from 2 to 10^6."""
+    p0, q0, t0 = random.Random(seed).sample(range(2, 10 ** 6), 3)
+    return p0, q0, t0
+
+
+def at_point(f, p0: int, q0: int, t0: int) -> GF:
+    """f, a Laurent polynomial or an int-keyed generator combination, with
+    the key j read as t^j, at (p0, q0, t0), reduced mod 2^61 - 1."""
+    total = GF(0)
+    for j, c in f.coeffs.items():
+        total = total + reduced(c, p0, q0) * GF(t0) ** j
+    return total
+
+
+def deformed(x: GF, y: GF, n: int) -> GF:
+    """[n]_{x,y} as the sum of x^(n-1-k) y^k, and -(xy)^n [-n] for n < 0."""
+    if n < 0:
+        return -((x * y) ** n) * deformed(x, y, -n)
+    total = GF(0)
+    for k in range(n):
+        total = total + x ** (n - 1 - k) * y ** k
+    return total
+
+
+def field_route(tau, sigma, g: GF, p0: int, q0: int, t0: int):
+    """D and the general bracket [t^n.D, t^m.D] = c.D at (p0, q0, t0),
+    from x = tau(t), y = sigma(t), u = (x - y)/g, tau^-1(t) = c^-k t^k
+    and sigma tau^-1(t) = tau^-1(y)."""
+    (_, k, c_of), (_, l, d_of) = tau, sigma
+    p, q, one, t0 = GF(p0), GF(q0), GF(1), GF(t0)
+    c, d = c_of(p, q, one), d_of(p, q, one)
+    x, y = c * t0 ** k, d * t0 ** l
+    u = (x - y) / g
+
+    def gen(n: int) -> GF:
+        return u * deformed(x, y, n)
+
+    def bracket(n: int, m: int, sti: GF = c ** -k * y ** k) -> GF:
+        return sti ** n * c ** (-k * m) * gen(k * m) - sti ** m * c ** (-k * n) * gen(k * n)
+
+    return gen, bracket
+
+
+@pytest.mark.parametrize("tau,sigma", GRID, ids=lambda m: str(Endo(*m[:2])))
+def test_operator_route_equals_the_reduced_context(tau, sigma):
+    ctx = make_context(Endo(*tau[:2]), Endo(*sigma[:2]))
+    for at in map(point_t, SEEDS):
+        gen, bracket = field_route(tau, sigma, at_point(ctx.g, *at), *at)
+        for n in range(-7, 8):
+            assert gen(n) == at_point(ctx.generator_on_monomial(n), *at), (at, n)
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                # [d_n, d_m] = c.D is -c_j d_j in the generators d_j = -t^j.D
+                want = -at_point(ctx.algebra.bracket_gen(n, m), *at)
+                assert bracket(n, m) == want, (at, n, m)
+
+
+INVERSION = (ONE, -1, lambda p, q, one: one), (Q, 1, lambda p, q, one: q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inversion_brackets_in_the_field_and_a_wrong_twist(seed):
+    """W-inv on all 289 pairs of window 8; with sigma tau^-1(t) = q t^-1
+    in place of q^-1 t^-1 only the pairs with n = m or n m = 0 agree."""
+    ctx, at = inverse_twist_context(), point_t(seed)
+    _, bracket = field_route(*INVERSION, at_point(ctx.g, *at), *at)
+    wrong_twist = GF(at[1]) / GF(at[2])
+    wrong_agrees = []
+    for n in range(-8, 9):
+        for m in range(-8, 9):
+            want = -at_point(ctx.algebra.bracket_gen(n, m), *at)
+            assert bracket(n, m) == want, (n, m)
+            if bracket(n, m, sti=wrong_twist) == want:
+                wrong_agrees.append((n, m))
+    assert wrong_agrees == [(n, m) for n in range(-8, 9) for m in range(-8, 9)
+                            if n == m or n * m == 0]
