@@ -23,6 +23,7 @@ from .errors import (
     HypothesisViolated,
     InvalidGcd,
     NotAUnit,
+    NotDivisible,
     NotInvertible,
 )
 from .laurent import (
@@ -30,7 +31,6 @@ from .laurent import (
     LaurentPoly,
     apply_endo,
     compose_endo,
-    divides,
     exact_div,
     gcd_up_to_unit,
     invert_endo,
@@ -168,15 +168,17 @@ def make_context(
     """
     if tau == sigma:
         raise EqualMorphisms("tau = sigma; use SigmaSigmaContext")
-    t = LaurentPoly.t()
-    image = apply_endo(tau, t) - apply_endo(sigma, t)
     if override_g is None:
-        g = gcd_up_to_unit([image]) if image.is_unit() else image
-    elif override_g.is_zero() or not divides(override_g, image):
-        raise InvalidGcd("override g does not divide the image of t")
-    else:
-        g = override_g
-    return DerivationContext(tau, sigma, g)
+        t = LaurentPoly.t()
+        image = apply_endo(tau, t) - apply_endo(sigma, t)
+        return DerivationContext(tau, sigma, gcd_up_to_unit([image]) if image.is_unit() else image)
+    try:
+        # the context divides the image by g once, for u; zero is refused first
+        if not override_g.is_zero():
+            return DerivationContext(tau, sigma, override_g)
+    except NotDivisible:
+        pass
+    raise InvalidGcd("override g does not divide the image of t")
 
 
 # -- verification -------------------------------------------------------------

@@ -14,12 +14,18 @@ D(fg) - D(f) tau(g) - sigma(f) D(g) is bilinear in (f, g).
 ``verify_entry`` first checks on the corpus's first pair that the
 linear extensions of their images of t^k agree with the maps
 themselves on fg, g and f (HypothesisViolated otherwise).  It then
-builds one table of basis residues R(a, b) = D(t^(a+b)) - D(t^a)
-tau(t^b) - sigma(t^a) D(t^b), each entry and each image computed once
-per call, and takes each pair's residue as the bilinear extension of
-that table.  ``derivation.verify_leibniz`` is the direct route: it
-applies the maps to each pair itself, needs no linearity, and shares
-with the table only the report loop ``derivation.leibniz_report``.
+fills one table of basis residues R(a, b) = D(t^(a+b)) - D(t^a)
+tau(t^b) - sigma(t^a) D(t^b) on the corpus's degree box (the exponents
+of all f's times those of all g's), each entry and each image computed
+once per call.  The table's support S = {(a, b) : R(a, b) != 0} decides
+which pairs are expanded: a pair's residue is the sum of f_a g_b R(a, b)
+over supp f x supp g, so it is the bilinear extension of the table when
+supp f x supp g meets S and exactly zero otherwise.  Bilinearity is the
+hypothesis the first pair's linearity check guards; on a true row S is
+empty and no pair builds a product.  ``derivation.verify_leibniz`` stays
+the direct parity route: it applies the maps to each pair itself, needs
+no linearity, and shares with the table only the report loop
+``derivation.leibniz_report``.
 """
 
 from __future__ import annotations
@@ -217,11 +223,14 @@ def seeded_corpus(pairs: int) -> list[tuple[PlainPoly, PlainPoly]]:
 
 def verify_entry(entry: CatalogueEntry, corpus) -> Report:
     """The row's twisted Leibniz rule on ``corpus``; BadSize for an
-    empty corpus.  Each pair's residue is the bilinear extension of the
-    basis residues R(a, b) = D(t^(a+b)) - D(t^a) tau(t^b) - sigma(t^a) D(t^b),
-    each computed once; HypothesisViolated when the linear extension of
-    D, tau or sigma differs from the map itself on the first pair's fg,
-    g or f."""
+    empty corpus.  The basis residues R(a, b) = D(t^(a+b)) - D(t^a)
+    tau(t^b) - sigma(t^a) D(t^b) are each computed once, on the box of
+    exponents of the corpus's f's and g's.  A pair whose supp f x supp g
+    meets the support S of that table gets its residue as the bilinear
+    extension of the table; any other pair's residue is zero, exactly,
+    by bilinearity.  HypothesisViolated when the linear extension of D,
+    tau or sigma differs from the map itself on the first pair's fg, g
+    or f, the check that guards that bilinearity."""
     corpus = list(corpus)
     D, tau = _images(entry.operator), _images(entry.tau)
     sigma = None if entry.sigma is None else _images(entry.sigma)
@@ -238,7 +247,20 @@ def verify_entry(entry: CatalogueEntry, corpus) -> Report:
         r = D(a + b) - D(a) * tau(b)
         return r if sigma is None else r - sigma(a) * D(b)
 
-    return leibniz_report(corpus, lambda f, g: f.bilinear_map(g, residue, PlainPoly))
+    # S, the support of the table on the degree box, as {a: {b : R(a, b) != 0}}
+    cols = {b for _, g in corpus for b, _, _ in g.num}
+    support = {a: bs for a in {a for f, _ in corpus for a, _, _ in f.num}
+               if (bs := {b for b in cols if not residue(a, b).is_zero()})}
+
+    def pair_residue(f: PlainPoly, g: PlainPoly) -> PlainPoly:
+        """f's and g's residue: zero by bilinearity unless supp f x supp g meets S."""
+        if support:
+            g_exps = {b for b, _, _ in g.num}
+            if any(a in support and not support[a].isdisjoint(g_exps) for a, _, _ in f.num):
+                return f.bilinear_map(g, residue, PlainPoly)
+        return PlainPoly.zero()
+
+    return leibniz_report(corpus, pair_residue)
 
 
 def verify_catalogue(pairs: int = 100) -> Report:

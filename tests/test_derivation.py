@@ -12,8 +12,8 @@ from homlie.derivation import (
     verify_leibniz,
 )
 from homlie.errors import BadSize, EqualMorphisms, HypothesisViolated, InvalidGcd, NotAUnit
-from homlie.families import witt_context
-from homlie.laurent import Endo, LaurentPoly, apply_endo
+from homlie.families import sl2_context, witt_context
+from homlie.laurent import Endo, LaurentPoly, apply_endo, exact_div
 from homlie.scalar import P, Q, Scalar, pq_number_of
 
 t = LaurentPoly.t
@@ -55,6 +55,29 @@ class TestMakeContext:
     def test_bad_override_rejected(self):
         with pytest.raises(InvalidGcd):
             make_context(TAU, SIGMA, override_g=t(1) + LaurentPoly.one())
+
+    @pytest.mark.parametrize("g", [t(1) + LaurentPoly.one(), t(2) + LaurentPoly.from_scalar(P),
+                                   LaurentPoly.zero()], ids=["t+1", "t^2+p", "zero"])
+    def test_bad_override_message(self, g):
+        with pytest.raises(InvalidGcd, match=r"^override g does not divide the image of t$"):
+            make_context(TAU, SIGMA, override_g=g)
+
+    def test_override_divides_the_image_once(self, monkeypatch):
+        # sl(2)'s g = (p - q) t: the context's division for u is the check
+        want = sl2_context()
+        divisions = []
+
+        def counted(a, b):
+            divisions.append((a, b))
+            return exact_div(a, b)
+
+        for target in ("homlie.laurent.exact_div", "homlie.derivation.exact_div"):
+            monkeypatch.setattr(target, counted)
+        monkeypatch.setattr(LaurentPoly, "__truediv__", counted)
+        ctx = sl2_context.__wrapped__()
+        assert ctx == want
+        image = apply_endo(TAU, t(1)) - apply_endo(SIGMA, t(1))
+        assert [b for a, b in divisions if a == image] == [ctx.g]
 
     def test_delta_divides_exactly(self, witt_ctx, inversion_ctx, partial_ctx):
         for ctx in (witt_ctx, inversion_ctx, partial_ctx):

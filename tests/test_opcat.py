@@ -6,7 +6,7 @@ import pytest
 
 from homlie.derivation import verify_leibniz
 from homlie.errors import BadSize, DivisionByZero, HypothesisViolated, NotDivisible
-from homlie.laurent import exact_div
+from homlie.laurent import Linear, exact_div
 from homlie.opcat import (
     DEGREE,
     CatalogueEntry,
@@ -202,6 +202,108 @@ class TestLinearRoute:
         entry = dataclasses.replace(ROWS[name], **{ingredient: lambda f: f * f})
         with pytest.raises(HypothesisViolated, match=fr"{ingredient} is not Q\(p,q\)-linear"):
             verify_entry(entry, seeded_corpus(5))
+
+
+def _sparse_fault(name, ingredient):
+    """Row ``name`` with ``ingredient`` (tau or sigma) bumped at t^DEGREE
+    by the constant 1: the table's support S is then one column or one
+    row of the degree box, which many pairs of a corpus miss."""
+    entry = ROWS[name]
+    return dataclasses.replace(
+        entry, **{ingredient: _bump(getattr(entry, ingredient), DEGREE, PlainPoly.one())})
+
+
+def _pairs_meeting_the_support(entry, corpus):
+    """Which pairs (f, g) have supp f x supp g meeting S = {(a, b) : R(a, b)
+    != 0}, with R computed here from the row's maps over all exponents the
+    corpus uses."""
+    D, tau, sigma = entry.operator, entry.tau, entry.sigma
+    exps = {k for f, g in corpus for k in (*f.coeffs, *g.coeffs)}
+    support = set()
+    for a in exps:
+        for b in exps:
+            r = D(t(a + b)) - D(t(a)) * tau(t(b))
+            if sigma is not None:
+                r = r - sigma(t(a)) * D(t(b))
+            if not r.is_zero():
+                support.add((a, b))
+    return [any((a, b) in support for a in f.coeffs for b in g.coeffs) for f, g in corpus]
+
+
+def _above_degree_corpus():
+    """Six seeded pairs of degree up to 2*DEGREE, past the catalogue's corpus."""
+    rng = random.Random(5)
+    return [(random_poly(rng) * t(4), random_poly(rng) * t(DEGREE)) for _ in range(6)]
+
+
+SPARSE_FAULTS = [(name, ingredient) for name in sorted(ROWS) for ingredient in ("tau", "sigma")
+                 if getattr(ROWS[name], ingredient) is not None]
+
+
+class TestSupportDecides:
+    """``verify_entry`` expands a pair through the bilinear map only when
+    supp f x supp g meets the support S of the basis-residue table; every
+    other pair's residue is zero by bilinearity.  The verdicts and
+    witnesses must equal the direct route's pair by pair, and the number
+    of bilinear products must equal the number of pairs that meet S."""
+
+    @staticmethod
+    def _count_bilinear_maps(monkeypatch):
+        calls = []
+        real = Linear.bilinear_map
+
+        def counted(self, *args):
+            calls.append(self)
+            return real(self, *args)
+
+        monkeypatch.setattr(Linear, "bilinear_map", counted)
+        return calls
+
+    @pytest.mark.parametrize("name, ingredient", SPARSE_FAULTS)
+    def test_sparse_fault_matches_the_direct_route(self, name, ingredient):
+        entry = _sparse_fault(name, ingredient)
+        corpus = seeded_corpus(100)
+        got = verify_entry(entry, corpus).to_dict()["entries"]
+        want = verify_leibniz(entry.operator, corpus, entry.tau, entry.sigma).to_dict()["entries"]
+        assert got == want
+        assert {e["status"] for e in got} == {"pass", "fail"}
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_no_bilinear_product_on_a_true_row(self, name, monkeypatch):
+        calls = self._count_bilinear_maps(monkeypatch)
+        rep = verify_entry(ROWS[name], seeded_corpus(100))
+        assert rep.ok and len(rep.entries) == 100
+        assert calls == []
+
+    @pytest.mark.parametrize("name, ingredient", SPARSE_FAULTS)
+    def test_one_bilinear_product_per_pair_meeting_the_support(self, name, ingredient,
+                                                                monkeypatch):
+        entry = _sparse_fault(name, ingredient)
+        corpus = seeded_corpus(100)
+        meets = _pairs_meeting_the_support(entry, corpus)
+        assert 0 < sum(meets) < len(corpus)
+        calls = self._count_bilinear_maps(monkeypatch)
+        rep = verify_entry(entry, corpus)
+        assert len(calls) == sum(meets)
+        # a pair whose product misses S passes
+        assert all(e.status == "pass" for e, meet in zip(rep.entries, meets) if not meet)
+
+    @pytest.mark.parametrize("corpus", [
+        [(PlainPoly.zero(), t(2)), (t(3) + t(1), PlainPoly.zero()),
+         (PlainPoly.zero(), PlainPoly.zero()), (t(1), t(DEGREE))],
+        [(t(0) + t(2) + t(4), t(1) + t(3)), (t(5), PlainPoly.one() + t(DEGREE)),
+         (t(DEGREE), t(1) + t(3) + t(5))],
+        [(t(2) + t(1).scale(P), t(DEGREE) + PlainPoly.one())],
+        _above_degree_corpus(),
+    ], ids=["zero-polynomial", "disjoint-degrees", "one-pair", "above-DEGREE"])
+    @pytest.mark.parametrize("name, variant", [(name, "row") for name in sorted(ROWS)]
+                             + SPARSE_FAULTS)
+    def test_edge_corpora_match_the_direct_route(self, name, variant, corpus):
+        entry = ROWS[name] if variant == "row" else _sparse_fault(name, variant)
+        got = verify_entry(entry, corpus).to_dict()["entries"]
+        want = verify_leibniz(entry.operator, corpus, entry.tau, entry.sigma).to_dict()["entries"]
+        assert got == want
+        assert len(got) == len(corpus)
 
 
 class TestMutation:
